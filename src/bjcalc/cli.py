@@ -57,32 +57,29 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise UsageError(f"invalid {what} {text!r}: {exc}") from None
 
 
-def _parse_rule(text: str):
-    if text == "weyl":
-        return Weyl()
+def _calc_point(text: str) -> Fraction | None:
+    """Map a calculus name to its ordering parameter (None for Born-Jordan)."""
     if text in ("bj", "born-jordan"):
-        return BornJordan()
+        return None
+    if text == "weyl":
+        return Fraction(1, 2)
     if text.startswith("tau:"):
-        return Tau(_parse_fraction(text[4:], "ordering parameter"))
-    raise UsageError(f"unknown rule {text!r} (expected weyl, bj, or tau:VALUE)")
+        return _parse_fraction(text[4:], "ordering parameter")
+    raise UsageError(f"unknown calculus {text!r} (expected weyl, bj, or tau:VALUE)")
 
 
 def _parse_scheme(text: str, quadrature: int):
-    if text == "weyl":
-        return WeylScheme()
-    if text.startswith("tau:"):
-        try:
-            return TauScheme(float(Fraction(text[4:])))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"invalid ordering parameter: {exc}") from None
     if text == "bj-quadrature":
         return BJQuadrature(quadrature)
     if text == "bj-sinc":
         return BJSinc()
-    raise UsageError(
-        f"unknown scheme {text!r} "
-        "(expected weyl, tau:VALUE, bj-quadrature, or bj-sinc)"
-    )
+    tau = _calc_point(text)
+    if tau is None:
+        raise UsageError(
+            f"unknown scheme {text!r} "
+            "(expected weyl, tau:VALUE, bj-quadrature, or bj-sinc)"
+        )
+    return TauScheme(float(tau))
 
 
 def _named_state(text: str, grid: UniformGrid, hbar: float):
@@ -197,7 +194,8 @@ def _cmd_quantize(args, out) -> int:
     rule_text = args.rule if args.rule is not None else args.rule_flag
     if rule_text is None:
         raise UsageError("missing rule (positional or --rule)")
-    rule = _parse_rule(rule_text)
+    tau = _calc_point(rule_text)
+    rule = BornJordan() if tau is None else Tau(tau)
     a = symlang.parse(args.symbol, dim=args.dim)
     if a.total_degree() > args.max_degree:
         raise ValueError(
@@ -211,17 +209,6 @@ def _cmd_quantize(args, out) -> int:
     else:
         out.write(symlang.format_operator(op) + "\n")
     return 0
-
-
-def _calc_point(text: str) -> Fraction | None:
-    """Map a calculus name to its ordering parameter (None for Born-Jordan)."""
-    if text in ("bj", "born-jordan"):
-        return None
-    if text == "weyl":
-        return Fraction(1, 2)
-    if text.startswith("tau:"):
-        return _parse_fraction(text[4:], "ordering parameter")
-    raise UsageError(f"unknown calculus {text!r} (expected weyl, bj, or tau:VALUE)")
 
 
 def _convert_between(a: SymbolPoly, src: str, dst: str) -> SymbolPoly:
@@ -295,7 +282,10 @@ def _cmd_coeffs(args, out) -> int:
 def _cmd_apply(args, out) -> int:
     if args.dim != 1:
         raise UsageError("apply supports dimension 1 only")
-    grid = UniformGrid(args.grid, args.box)
+    try:
+        grid = UniformGrid(args.grid, args.box)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     params = NumericParams(
         hbar=args.hbar, quadrature_order=args.quadrature, tolerance=args.tolerance
     )
@@ -409,14 +399,15 @@ def _verify_checks():
 
 
 def _cmd_verify(args, out) -> int:
+    checks = _verify_checks()
     failures = 0
-    for name, check in _verify_checks():
+    for name, check in checks:
         ok = bool(check())
         out.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
         if not ok:
             failures += 1
     out.write(f"{'ok' if not failures else 'failed'}: "
-              f"{len(_verify_checks()) - failures}/{len(_verify_checks())} checks\n")
+              f"{len(checks) - failures}/{len(checks)} checks\n")
     return 0 if not failures else 3
 
 

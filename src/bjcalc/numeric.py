@@ -647,8 +647,11 @@ def wavefunction_to_csv(psi: SampledWavefunction) -> str:
 
 def wavefunction_from_csv(text: str, length: float, hbar: float = 1.0) -> SampledWavefunction:
     rows = [line for line in text.strip().splitlines() if line]
-    if rows and not rows[0][0].lstrip("-").replace(".", "").isdigit():
-        rows = rows[1:]  # header
+    if rows:
+        try:
+            float(rows[0].split(",")[0])
+        except ValueError:
+            rows = rows[1:]  # header
     values = []
     for row in rows:
         parts = row.split(",")

@@ -1,9 +1,18 @@
-"""Closed-form symbol conversions between the Born-Jordan, symmetric and
-general ordering calculi, as exact finite sums on polynomial symbols.
+"""Exact symbol conversions between the Born-Jordan, symmetric (Weyl) and
+ordering-parameter (tau) calculi on polynomial symbols.
 
-The key coefficient family c_alpha is the formal reciprocal of the series
-sum over even multi-indices of x^alpha / (alpha! (|alpha|+1)); in one
-dimension c_k = (2 - 2^k) B_k with B_k the Bernoulli numbers.
+Every conversion is a power series in the one commuting operator
+D = sum_j d_xj d_pj.  With s = i hbar D / 2 the generating functions are
+
+    bj_to_weyl   sinh(s)/s
+    weyl_to_bj   s/sinh(s)
+    tau_shift    exp(i hbar (tau_to - tau_from) D)
+    bj_to_tau    integral of exp(i hbar u D) over u from tau - 1 to tau
+
+D lowers the degree of a polynomial, so each series is the finite sum
+sum_k w_k (i hbar)^k / k! D^k a, and each conversion only supplies its
+weights w_k.  The Taylor coefficients of x/sinh(x) are c_k / k! with
+c_k = (2 - 2^k) B_k and B_k the Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -12,17 +21,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Literal
+from typing import Callable, Literal
 
 from .exact import (
+    HBAR,
+    I,
+    ONE,
     ExactScalar,
     MultiIndex,
     RationalLike,
     SymbolPoly,
     mi_abs,
-    mi_factorial,
-    mi_iter_box,
-    mi_sub,
 )
 
 C_ALPHA_DEFAULT_CAP = 12
@@ -57,35 +66,13 @@ def c_coeff_1d(k: int) -> Fraction:
     return (2 - 2**k) * bernoulli(k)
 
 
-def _forward_weight(alpha: MultiIndex) -> Fraction:
-    """Series coefficient 1/(alpha! (|alpha|+1)) of the forward expansion."""
-    return Fraction(1, mi_factorial(alpha) * (mi_abs(alpha) + 1))
-
-
-@lru_cache(maxsize=None)
-def _reciprocal_series(alpha: MultiIndex) -> Fraction:
-    """Coefficient r_alpha of the reciprocal power series (c_alpha = alpha! r_alpha).
-
-    Power-series inversion: r_0 = 1 and
-    r_alpha = - sum over nonzero even-order mu <= alpha of w(mu) r_(alpha-mu),
-    which resums the ordered-composition (geometric-series) expansion.
-    """
-    if not any(alpha):
-        return Fraction(1)
-    acc = Fraction(0)
-    for mu in mi_iter_box(alpha):
-        total = mi_abs(mu)
-        if total == 0 or total % 2 == 1:
-            continue
-        acc += _forward_weight(mu) * _reciprocal_series(mi_sub(alpha, mu))
-    return -acc
-
-
 def c_coeff_multi(alpha: MultiIndex, cap: int = C_ALPHA_DEFAULT_CAP) -> Fraction:
     """Multi-dimensional reciprocal coefficient c_alpha.
 
     Equals the alternating sum over ordered tuples of nonzero even-order
-    multi-indices composing alpha, times alpha!; computed by series inversion.
+    multi-indices composing alpha, times alpha!.  The forward series
+    sum over even alpha of z^alpha / (alpha! (|alpha|+1)) is sinh(t)/t at
+    t = z_1 + ... + z_n, so its reciprocal t/sinh(t) gives c_alpha = c_|alpha|.
     """
     alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
@@ -94,7 +81,7 @@ def c_coeff_multi(alpha: MultiIndex, cap: int = C_ALPHA_DEFAULT_CAP) -> Fraction
         raise CoefficientCapError(
             f"|alpha| = {mi_abs(alpha)} exceeds cap {cap}"
         )
-    return mi_factorial(alpha) * _reciprocal_series(alpha)
+    return c_coeff_1d(mi_abs(alpha))
 
 
 @dataclass(frozen=True)
@@ -115,95 +102,88 @@ class CoeffTable:
 
 
 # ---------------------------------------------------------------------------
-# Symbol-level conversions (exact finite sums on polynomials)
+# Symbol-level conversions: finite power series in D
 # ---------------------------------------------------------------------------
 
-
-def _derivative_xp(a: SymbolPoly, alpha: MultiIndex) -> SymbolPoly:
-    """d_x^alpha d_p^alpha a."""
-    d = a
-    for j, k in enumerate(alpha):
-        if k:
-            d = d.differentiate(("x", j), k)
-            if d.is_zero():
-                break
-            d = d.differentiate(("p", j), k)
-            if d.is_zero():
-                break
-    return d
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _alpha_bounds(a: SymbolPoly) -> MultiIndex:
-    return tuple(
-        min(a.block_degree("x", j), a.block_degree("p", j)) for j in range(a.dim)
-    )
+def _apply_d(terms: dict) -> dict:
+    """One application of D = sum_j d_xj d_pj to a symbol's term map."""
+    out: dict = {}
+    for (kx, kp), coeff in terms.items():
+        for j, (ex, ep) in enumerate(zip(kx, kp)):
+            if ex and ep:
+                key = (
+                    kx[:j] + (ex - 1,) + kx[j + 1:],
+                    kp[:j] + (ep - 1,) + kp[j + 1:],
+                )
+                term = coeff.scale(ex * ep)
+                acc = out.get(key)
+                out[key] = term if acc is None else acc + term
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _d_series(
+    a: SymbolPoly, weight: Callable[[int], Fraction | ExactScalar]
+) -> SymbolPoly:
+    """sum_k weight(k) (i hbar)^k / k! D^k a.
+
+    A rational weight becomes the one-term scalar i^k hbar^k w_k / k!, and
+    zero weights are skipped without touching the terms.
+    """
+    out: dict = {}
+    dk = a.terms
+    k = 0
+    while dk:
+        w = weight(k)
+        if isinstance(w, ExactScalar):
+            coeff = ((I * HBAR) ** k * w).scale(Fraction(1, factorial(k)))
+        else:
+            re, im = _I_POWERS[k % 4]
+            q = w / factorial(k)
+            coeff = ExactScalar({(k, 0, 0): (re * q, im * q)})
+        if not coeff.is_zero():
+            for key, c in dk.items():
+                term = c * coeff
+                acc = out.get(key)
+                out[key] = term if acc is None else acc + term
+        dk = _apply_d(dk)
+        k += 1
+    return SymbolPoly(a.dim, out)
 
 
 def bj_to_weyl(a: SymbolPoly) -> SymbolPoly:
     """Symmetric-rule symbol of the operator whose Born-Jordan symbol is a.
 
-    sum over even-order alpha of (i hbar / 2)^|alpha| / (alpha! (|alpha|+1))
-    times d_x^alpha d_p^alpha a; finite on polynomials.
+    sinh(s)/s at s = i hbar D / 2: the Born-Jordan-to-tau series at tau = 1/2.
     """
-    i_hbar_half = (ExactScalar.i() * ExactScalar.hbar()).scale(Fraction(1, 2))
-    out = SymbolPoly.zero(a.dim)
-    for alpha in mi_iter_box(_alpha_bounds(a)):
-        if mi_abs(alpha) % 2 == 1:
-            continue
-        d = _derivative_xp(a, alpha)
-        if d.is_zero():
-            continue
-        coeff = (i_hbar_half ** mi_abs(alpha)).scale(_forward_weight(alpha))
-        out = out + d.scale(coeff)
-    return out
+    return bj_to_tau(a, Fraction(1, 2))
 
 
-def weyl_to_bj(a: SymbolPoly, cap: int | None = None) -> SymbolPoly:
+def weyl_to_bj(a: SymbolPoly) -> SymbolPoly:
     """Born-Jordan symbol of the operator whose symmetric-rule symbol is a.
 
-    sum over even-order alpha of (c_alpha / alpha!) (i hbar / 2)^|alpha|
-    times d_x^alpha d_p^alpha a; exact two-sided inverse of bj_to_weyl on
-    polynomials.
+    s/sinh(s) at s = i hbar D / 2, i.e. weights c_k / 2^k; exact two-sided
+    inverse of bj_to_weyl on polynomials.
     """
-    if cap is None:
-        cap = max(C_ALPHA_DEFAULT_CAP, a.total_degree())
-    i_hbar_half = (ExactScalar.i() * ExactScalar.hbar()).scale(Fraction(1, 2))
-    out = SymbolPoly.zero(a.dim)
-    for alpha in mi_iter_box(_alpha_bounds(a)):
-        if mi_abs(alpha) % 2 == 1:
-            continue
-        d = _derivative_xp(a, alpha)
-        if d.is_zero():
-            continue
-        c = c_coeff_multi(alpha, cap=cap)
-        coeff = (i_hbar_half ** mi_abs(alpha)).scale(
-            c / mi_factorial(alpha)
-        )
-        out = out + d.scale(coeff)
-    return out
+    return _d_series(a, lambda k: c_coeff_1d(k) / 2**k)
 
 
 def bj_to_tau(a: SymbolPoly, tau: RationalLike | None = None) -> SymbolPoly:
     """Ordering-parameter symbol of the operator with Born-Jordan symbol a.
 
-    sum over alpha of (i hbar)^|alpha|
-    (tau^(|alpha|+1) - (tau-1)^(|alpha|+1)) / (alpha! (|alpha|+1))
-    times d_x^alpha d_p^alpha a.  tau=None keeps the parameter formal.
+    Integral of exp(i hbar u D) a over u from tau - 1 to tau, i.e. weights
+    (tau^(k+1) - (tau-1)^(k+1)) / (k+1).  tau=None keeps the parameter formal.
     """
-    tau_s = ExactScalar.tau() if tau is None else ExactScalar.rational(Fraction(tau))
-    tau_minus_1 = tau_s - ExactScalar.one()
-    i_hbar = ExactScalar.i() * ExactScalar.hbar()
-    out = SymbolPoly.zero(a.dim)
-    for alpha in mi_iter_box(_alpha_bounds(a)):
-        d = _derivative_xp(a, alpha)
-        if d.is_zero():
-            continue
-        k = mi_abs(alpha)
-        weight = (tau_s ** (k + 1)) - (tau_minus_1 ** (k + 1))
-        coeff = (i_hbar ** k) * weight
-        coeff = coeff.scale(Fraction(1, mi_factorial(alpha) * (k + 1)))
-        out = out + d.scale(coeff)
-    return out
+    if tau is None:
+        t = ExactScalar.tau()
+        return _d_series(
+            a,
+            lambda k: (t ** (k + 1) - (t - ONE) ** (k + 1)).scale(Fraction(1, k + 1)),
+        )
+    t = Fraction(tau)
+    return _d_series(a, lambda k: (t ** (k + 1) - (t - 1) ** (k + 1)) / (k + 1))
 
 
 def tau_shift(
@@ -211,22 +191,12 @@ def tau_shift(
 ) -> SymbolPoly:
     """Convert the symbol at ordering parameter tau_from to the one at tau_to.
 
-    Exact finite sum sum_alpha (i hbar (tau_to - tau_from))^|alpha| / alpha!
-    times d_p^alpha d_x^alpha a; the hbar placement is normalized so that both
-    parameters' quantizations yield the same operator.
+    exp(i hbar (tau_to - tau_from) D) a, i.e. weights (tau_to - tau_from)^k;
+    the hbar placement is normalized so that both parameters' quantizations
+    yield the same operator.
     """
     shift = Fraction(tau_to) - Fraction(tau_from)
-    i_hbar_shift = (ExactScalar.i() * ExactScalar.hbar()).scale(shift)
-    out = SymbolPoly.zero(a.dim)
-    for alpha in mi_iter_box(_alpha_bounds(a)):
-        d = _derivative_xp(a, alpha)
-        if d.is_zero():
-            continue
-        coeff = (i_hbar_shift ** mi_abs(alpha)).scale(
-            Fraction(1, mi_factorial(alpha))
-        )
-        out = out + d.scale(coeff)
-    return out
+    return _d_series(a, lambda k: shift**k)
 
 
 Direction = Literal["weyl_of_bj", "bj_of_weyl"]

@@ -131,6 +131,17 @@ class TestApply:
         assert code == 1
         assert "state" in err
 
+    def test_bad_grid_is_usage_error(self):
+        code, _, err = run(["--grid", "100", "apply", "harmonic", "gaussian"])
+        assert code == 1
+        assert "power of two" in err
+
+    def test_bad_box_is_usage_error(self):
+        for box in ("0", "-4"):
+            code, _, err = run(["--box", box, "apply", "harmonic", "gaussian"])
+            assert code == 1
+            assert "length" in err
+
     def test_sinc_null_symbol_runs(self):
         code, out, _ = run(
             ["--grid", "64", "apply", "sinc-null:1:6.3", "gaussian",

@@ -451,6 +451,15 @@ class TestDataExchange:
         assert back.grid == grid
         assert np.max(np.abs(back.values - psi.values)) == 0.0
 
+    def test_csv_roundtrip_headerless(self):
+        # the first x on the centred grid is negative; that row is data, not a header
+        grid = _grid(64)
+        psi = _random_state(grid)
+        text = wavefunction_to_csv(psi).split("\n", 1)[1]
+        back = wavefunction_from_csv(text, length=grid.length)
+        assert back.grid == grid
+        assert np.max(np.abs(back.values - psi.values)) == 0.0
+
     def test_json_roundtrip(self):
         grid = _grid(64)
         psi = _random_state(grid, 5)

@@ -24,6 +24,9 @@ from bjcalc.transforms import (
 
 F = Fraction
 
+# (dimension, max total degree) for the checks against the quantizer.
+DIMS = ((1, 6), (2, 4), (3, 4))
+
 
 def _random_symbol(rng, dim, max_deg, n_terms=4):
     a = SymbolPoly.zero(dim)
@@ -36,6 +39,15 @@ def _random_symbol(rng, dim, max_deg, n_terms=4):
         coeff = ExactScalar.rational(F(rng.randrange(-5, 6), rng.randrange(1, 4)))
         a = a + SymbolPoly.monomial(dim, coeff=coeff, x=kx, p=kp)
     return a
+
+
+def _mixed_symbol(rng, dim, max_deg):
+    """Random symbol plus x1 p1 ... xn pn, so that every d_xj d_pj and their
+    products act on it."""
+    ones = (1,) * dim
+    return _random_symbol(rng, dim, max_deg, n_terms=3) + SymbolPoly.monomial(
+        dim, x=ones, p=ones
+    )
 
 
 class TestCoefficients:
@@ -111,11 +123,15 @@ class TestConversions:
 
     def test_conversion_agrees_with_quantization(self):
         rng = random.Random(43)
-        for _ in range(10):
-            a = _random_symbol(rng, 1, 6, n_terms=3)
-            assert quantize_symbol(Weyl(), bj_to_weyl(a)) == quantize_symbol(
-                BornJordan(), a
-            )
+        for dim, max_deg in DIMS:
+            for _ in range(10 if dim == 1 else 4):
+                a = _mixed_symbol(rng, dim, max_deg)
+                assert quantize_symbol(Weyl(), bj_to_weyl(a)) == quantize_symbol(
+                    BornJordan(), a
+                )
+                assert quantize_symbol(BornJordan(), weyl_to_bj(a)) == (
+                    quantize_symbol(Weyl(), a)
+                )
 
     def test_monomial_closed_form_matches_series(self):
         for r in range(7):
@@ -137,11 +153,12 @@ class TestTauFamily:
     )
     def test_bj_to_tau_quantizes_consistently(self, tau):
         rng = random.Random(47)
-        for _ in range(5):
-            a = _random_symbol(rng, 1, 6, n_terms=3)
-            assert quantize_symbol(Tau(tau), bj_to_tau(a, tau)) == quantize_symbol(
-                BornJordan(), a
-            )
+        for dim, max_deg in DIMS:
+            for _ in range(5 if dim == 1 else 2):
+                a = _mixed_symbol(rng, dim, max_deg)
+                assert quantize_symbol(Tau(tau), bj_to_tau(a, tau)) == (
+                    quantize_symbol(BornJordan(), a)
+                )
 
     def test_bj_to_tau_midpoint_is_weyl_conversion(self):
         rng = random.Random(53)
@@ -150,10 +167,12 @@ class TestTauFamily:
             assert bj_to_tau(a, F(1, 2)) == bj_to_weyl(a)
 
     def test_formal_tau_specializes(self):
-        a = SymbolPoly.monomial(1, x=(2,), p=(2,))
-        formal = bj_to_tau(a)
-        assert formal.has_aux()
-        assert formal.substitute_aux("tau", F(1, 3)) == bj_to_tau(a, F(1, 3))
+        for dim in (1, 2, 3):
+            ones = (1,) * (dim - 1)
+            a = SymbolPoly.monomial(dim, x=(2,) + ones, p=(2,) + ones)
+            formal = bj_to_tau(a)
+            assert formal.has_aux()
+            assert formal.substitute_aux("tau", F(1, 3)) == bj_to_tau(a, F(1, 3))
 
     def test_tau_shift_xp_example(self):
         # shifting x p from parameter tau' to tau adds i hbar (tau - tau')
@@ -167,11 +186,12 @@ class TestTauFamily:
     def test_tau_shift_quantizes_consistently(self):
         rng = random.Random(59)
         pairs = [(F(0), F(1)), (F(1, 3), F(1, 2)), (F(3, 4), F(1, 4))]
-        for t_from, t_to in pairs:
-            a = _random_symbol(rng, 1, 5, n_terms=3)
-            assert quantize_symbol(Tau(t_to), tau_shift(a, t_from, t_to)) == (
-                quantize_symbol(Tau(t_from), a)
-            )
+        for dim, max_deg in ((1, 5), (2, 4), (3, 4)):
+            for t_from, t_to in pairs:
+                a = _mixed_symbol(rng, dim, max_deg)
+                assert quantize_symbol(Tau(t_to), tau_shift(a, t_from, t_to)) == (
+                    quantize_symbol(Tau(t_from), a)
+                )
 
     def test_tau_shift_roundtrip_and_composition(self):
         rng = random.Random(61)
