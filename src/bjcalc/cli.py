@@ -286,9 +286,12 @@ def _cmd_apply(args, out) -> int:
         grid = UniformGrid(args.grid, args.box)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    params = NumericParams(
-        hbar=args.hbar, quadrature_order=args.quadrature, tolerance=args.tolerance
-    )
+    try:
+        params = NumericParams(
+            hbar=args.hbar, quadrature_order=args.quadrature, tolerance=args.tolerance
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     scheme = _parse_scheme(args.scheme, args.quadrature)
     psi = _named_state(args.state, grid, args.hbar)
     symbol = _named_symbol(args.symbol, 1, grid, args.hbar)

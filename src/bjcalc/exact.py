@@ -19,6 +19,8 @@ _AUX_SLOTS = {"tau": _TAU, "t": _T}
 
 ScalarKey = tuple[int, int, int]
 
+_ZERO = Fraction(0)
+
 
 def _as_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, Fraction):
@@ -43,6 +45,15 @@ class ExactScalar:
             if re or im:
                 cleaned[key] = (re, im)
         self._terms = cleaned
+
+    @classmethod
+    def _from_clean(
+        cls, terms: dict[ScalarKey, tuple[Fraction, Fraction]]
+    ) -> "ExactScalar":
+        """Wrap a dict that already holds no zero coefficient, without copying."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -104,27 +115,47 @@ class ExactScalar:
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         out = dict(self._terms)
-        for key, (re, im) in other._terms.items():
-            cre, cim = out.get(key, (Fraction(0), Fraction(0)))
-            out[key] = (cre + re, cim + im)
-        return ExactScalar(out)
+        for key, value in other._terms.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = value
+                continue
+            re, im = prev[0] + value[0], prev[1] + value[1]
+            if re or im:
+                out[key] = (re, im)
+            else:
+                del out[key]
+        return ExactScalar._from_clean(out)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-other)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar({k: (-re, -im) for k, (re, im) in self._terms.items()})
+        return ExactScalar._from_clean(
+            {k: (-re, -im) for k, (re, im) in self._terms.items()}
+        )
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         out: dict[ScalarKey, tuple[Fraction, Fraction]] = {}
         for k1, (a, b) in self._terms.items():
             for k2, (c, d) in other._terms.items():
                 key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                re = a * c - b * d
-                im = a * d + b * c
-                cre, cim = out.get(key, (Fraction(0), Fraction(0)))
-                out[key] = (cre + re, cim + im)
-        return ExactScalar(out)
+                # (a + bi)(c + di), skipping the products with a zero factor
+                re = a * c if a and c else _ZERO
+                im = a * d if a and d else _ZERO
+                if b:
+                    if d:
+                        re -= b * d
+                    if c:
+                        im += b * c
+                prev = out.get(key)
+                if prev is not None:
+                    re, im = prev[0] + re, prev[1] + im
+                    if not (re or im):
+                        del out[key]
+                        continue
+                out[key] = (re, im)
+        return ExactScalar._from_clean(out)
 
     def __pow__(self, n: int) -> "ExactScalar":
         if n < 0:
@@ -140,11 +171,17 @@ class ExactScalar:
 
     def scale(self, q: RationalLike) -> "ExactScalar":
         q = _as_fraction(q)
-        return ExactScalar({k: (re * q, im * q) for k, (re, im) in self._terms.items()})
+        if not q:
+            return ExactScalar()
+        return ExactScalar._from_clean(
+            {k: (re * q, im * q) for k, (re, im) in self._terms.items()}
+        )
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation; hbar, tau and t are treated as real."""
-        return ExactScalar({k: (re, -im) for k, (re, im) in self._terms.items()})
+        return ExactScalar._from_clean(
+            {k: (re, -im) for k, (re, im) in self._terms.items()}
+        )
 
     # -- auxiliary-variable operations ------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from math import factorial, pi, sqrt
+from math import isfinite, pi, sqrt
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -144,6 +144,10 @@ class NumericParams:
             raise ValueError("hbar must be positive")
         if self.quadrature_order < 2:
             raise ValueError("quadrature order must be at least 2")
+        if not (isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,10 @@ class WeylScheme:
 @dataclass(frozen=True)
 class TauScheme:
     tau: float
+
+    def __post_init__(self):
+        if not isfinite(self.tau):
+            raise ValueError(f"ordering parameter must be finite, got {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -543,21 +551,15 @@ def hermite_state(grid: UniformGrid, k: int, hbar: float = 1.0) -> SampledWavefu
     """k-th normalized Hermite function (harmonic-oscillator eigenstate)."""
     if k < 0:
         raise ValueError("Hermite index must be non-negative")
-    x = grid.x_values()
-    xi = x / sqrt(hbar)
-    h_prev = np.ones_like(xi)
-    h_curr = 2 * xi
-    if k == 0:
-        h = h_prev
-    elif k == 1:
-        h = h_curr
-    else:
-        for j in range(1, k):
-            h_prev, h_curr = h_curr, 2 * xi * h_curr - 2 * j * h_prev
-        h = h_curr
-    norm = (pi * hbar) ** -0.25 / sqrt(2.0**k * factorial(k))
-    values = norm * h * np.exp(-(xi**2) / 2)
-    return SampledWavefunction(grid, values.astype(complex), hbar)
+    xi = grid.x_values() / sqrt(hbar)
+    # Recurrence on the normalized functions, so neither H_k(xi) nor 2^k k!
+    # is formed; both leave double range for k in the low hundreds:
+    # psi_(j+1) = sqrt(2/(j+1)) xi psi_j - sqrt(j/(j+1)) psi_(j-1).
+    prev = np.zeros_like(xi)
+    curr = (pi * hbar) ** -0.25 * np.exp(-(xi**2) / 2)
+    for j in range(k):
+        prev, curr = curr, sqrt(2 / (j + 1)) * xi * curr - sqrt(j / (j + 1)) * prev
+    return SampledWavefunction(grid, curr.astype(complex), hbar)
 
 
 def sample_symbol(

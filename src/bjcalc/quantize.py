@@ -2,36 +2,58 @@
 
 Three calculi are implemented on monomials and extended by linearity:
 
-* the symmetric (midpoint) rule: (1/2^s) sum_l C(s,l) phat^(s-l) xhat^r phat^l,
-* the ordering-parameter family: sum_l C(s,l) (1-tau)^l tau^(s-l)
-  phat^(s-l) xhat^r phat^l, which reduces to the symmetric rule at tau = 1/2,
-* the Born-Jordan rule, obtained by averaging the family uniformly over
-  tau in [0,1]; on a single monomial this averaging reproduces the historical
-  equal-weight rule (1/(s+1)) sum_l phat^(s-l) xhat^r phat^l.
+* the ordering-parameter family: the tau-image of x^r p^s is
+  sum_l C(s,l) (1-tau)^l tau^(s-l) phat^(s-l) xhat^r phat^l,
+* the symmetric (Weyl) rule, which is that family at tau = 1/2,
+* the Born-Jordan rule, the uniform average of the family over tau in
+  [0,1]; on a single monomial it is the historical equal-weight rule
+  (1/(s+1)) sum_l phat^(s-l) xhat^r phat^l.
 
-Multi-dimensional monomials quantize as the product over dimensions of the
-one-dimensional rule at a shared ordering parameter; the Born-Jordan value
-is the average of that product, not the product of per-dimension averages.
+Each word is normal-ordered in closed form,
+
+    phat^(s-l) xhat^r phat^l
+        = sum_j C(s-l,j) r!/(r-j)! (-i hbar)^j xhat^(r-j) phat^(s-j),
+
+so the tau-image of x^r p^s is
+
+    sum_j (-i hbar)^j xhat^(r-j) phat^(s-j) sum_l c_(j,l) (1-tau)^l tau^(s-l)
+
+with integers c_(j,l) = C(s,l) C(s-l,j) r!/(r-j)!.  A multi-dimensional
+monomial is the product over dimensions at a shared tau.  Factors from
+distinct dimensions commute, so their normal-ordered keys concatenate: the
+j's add into J and the l-polynomials multiply into one polynomial
+sum_L c_L (1-tau)^L tau^(S-L), where S = |kp|.  Each scheme then weighs
+that polynomial once:
+
+* a rational tau evaluates it;
+* Born-Jordan integrates it over [0,1] with the Beta integral
+  int (1-tau)^L tau^(S-L) dtau = L! (S-L)! / (S+1)!, which is the average of
+  the product at a shared tau, not the product of per-dimension averages;
+* a formal tau (Tau(None)) expands it into powers of tau.
+
+The operator product of operators.py is not used here, so the tests can
+check this module against products of OpPoly words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Union
+from functools import lru_cache
+from itertools import product
+from math import comb, factorial, perm
+from typing import Callable, Union
 
 from .exact import (
     AmplitudePoly,
     ExactScalar,
-    ONE,
     RationalLike,
     SymbolPoly,
     mi_iter_box,
     mi_abs,
     mi_factorial,
 )
-from .operators import OpPoly
+from .operators import MAX_TOTAL_DEGREE, DegreeLimitError, OpPoly
 
 
 @dataclass(frozen=True)
@@ -53,34 +75,78 @@ class Tau:
 
 QuantizationScheme = Union[Weyl, BornJordan, Tau]
 
-
-def _tau_scalar(scheme: Tau) -> ExactScalar:
-    if scheme.tau is None:
-        return ExactScalar.tau()
-    return ExactScalar.rational(Fraction(scheme.tau))
+# A scheme's weight maps (S, [c_0, ..., c_M]) to the coefficients, by power
+# of tau, of sum_L c_L (1-tau)^L tau^(S-L) under that scheme.
+Weight = Callable[[int, list[int]], dict[int, Fraction]]
 
 
-def _monomial_1d_tau(r: int, s: int, tau: ExactScalar, dim: int, j: int) -> OpPoly:
-    """Ordering-family image of p_j^s x_j^r at parameter tau (may be formal)."""
-    one_minus_tau = ExactScalar.one() - tau
-    zero = (0,) * dim
+@lru_cache(maxsize=None)
+def _ordering_table(r: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Row j of the tau-image of x^r p^s: c_(j,l) for l = 0..s-j.
 
-    def e(k):
-        v = [0] * dim
-        v[j] = k
-        return tuple(v)
+    Callers check r + s <= MAX_TOTAL_DEGREE first, which bounds the cache.
+    """
+    return tuple(
+        tuple(comb(s, ell) * comb(s - ell, j) * perm(r, j) for ell in range(s - j + 1))
+        for j in range(min(r, s) + 1)
+    )
 
-    out = OpPoly.zero(dim)
-    for ell in range(s + 1):
-        coeff = (one_minus_tau ** ell) * (tau ** (s - ell))
-        coeff = coeff.scale(comb(s, ell))
-        word = (
-            OpPoly.word(dim, zero, e(s - ell))
-            * OpPoly.word(dim, e(r), zero)
-            * OpPoly.word(dim, zero, e(ell))
-        )
-        out = out + word.scale(coeff)
+
+def _convolve(a: list[int], b: tuple[int, ...]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for k, v in enumerate(b):
+                out[i + k] += u * v
     return out
+
+
+def _rational_weight(tau: Fraction) -> Weight:
+    num, den = tau.numerator, tau.denominator
+
+    def weight(total: int, c: list[int]) -> dict[int, Fraction]:
+        # (1-tau)^L tau^(S-L) = (den-num)^L num^(S-L) / den^S
+        w = sum(
+            cl * (den - num) ** ell * num ** (total - ell) for ell, cl in enumerate(c)
+        )
+        return {0: Fraction(w, den**total)} if w else {}
+
+    return weight
+
+
+def _born_jordan_weight(total: int, c: list[int]) -> dict[int, Fraction]:
+    w = sum(cl * factorial(ell) * factorial(total - ell) for ell, cl in enumerate(c))
+    return {0: Fraction(w, factorial(total + 1))}
+
+
+def _formal_weight(total: int, c: list[int]) -> dict[int, Fraction]:
+    powers = [0] * (total + 1)
+    for ell, cl in enumerate(c):
+        for i in range(ell + 1):
+            powers[total - ell + i] += (-1) ** i * comb(ell, i) * cl
+    return {m: Fraction(e) for m, e in enumerate(powers) if e}
+
+
+def _scheme_weight(scheme: QuantizationScheme) -> Weight:
+    if isinstance(scheme, Weyl):
+        return _rational_weight(Fraction(1, 2))
+    if isinstance(scheme, BornJordan):
+        return _born_jordan_weight
+    if isinstance(scheme, Tau):
+        if scheme.tau is None:
+            return _formal_weight
+        return _rational_weight(Fraction(scheme.tau))
+    raise TypeError(f"unknown quantization scheme {scheme!r}")
+
+
+# (-i)^j as (re, im), by j mod 4
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+
+def _minus_i_hbar_power(j: int, weight: dict[int, Fraction]) -> ExactScalar:
+    """(-i hbar)^j times a polynomial in tau given by its coefficients."""
+    re, im = _MINUS_I_POWERS[j % 4]
+    return ExactScalar({(j, m, 0): (w * re, w * im) for m, w in weight.items()})
 
 
 def tau_average(op: OpPoly) -> OpPoly:
@@ -96,45 +162,41 @@ def quantize_monomial(scheme: QuantizationScheme, r: int, s: int) -> OpPoly:
     """
     if r < 0 or s < 0:
         raise ValueError("monomial exponents must be non-negative")
-    if isinstance(scheme, Weyl):
-        return _monomial_1d_tau(r, s, ExactScalar.rational(Fraction(1, 2)), 1, 0)
-    if isinstance(scheme, Tau):
-        return _monomial_1d_tau(r, s, _tau_scalar(scheme), 1, 0)
-    if isinstance(scheme, BornJordan):
-        formal = _monomial_1d_tau(r, s, ExactScalar.tau(), 1, 0)
-        return tau_average(formal)
-    raise TypeError(f"unknown quantization scheme {scheme!r}")
+    return quantize_symbol(scheme, SymbolPoly.monomial(1, x=(r,), p=(s,)))
 
 
 def quantize_symbol(scheme: QuantizationScheme, a: SymbolPoly) -> OpPoly:
     """Quantize a polynomial symbol; linear in a.
 
-    Monomials in distinct dimensions quantize independently at a shared
-    ordering parameter and multiply (such factors commute).
+    Monomials in distinct dimensions quantize at a shared ordering
+    parameter; Born-Jordan averages their product over that parameter.
+    Raises DegreeLimitError on a term of total degree above MAX_TOTAL_DEGREE.
     """
-    if isinstance(scheme, Weyl):
-        tau = ExactScalar.rational(Fraction(1, 2))
-        average = False
-    elif isinstance(scheme, Tau):
-        tau = _tau_scalar(scheme)
-        average = False
-    elif isinstance(scheme, BornJordan):
-        tau = ExactScalar.tau()
-        average = True
-    else:
-        raise TypeError(f"unknown quantization scheme {scheme!r}")
-
-    n = a.dim
-    out = OpPoly.zero(n)
+    weight = _scheme_weight(scheme)
+    out: dict[tuple, ExactScalar] = {}
     for (kx, kp), coeff in a.terms.items():
-        factor = OpPoly.identity(n)
-        for j in range(n):
-            if kx[j] or kp[j]:
-                factor = factor * _monomial_1d_tau(kx[j], kp[j], tau, n, j)
-        out = out + factor.scale(coeff)
-    if average:
-        out = tau_average(out)
-    return out
+        degree = mi_abs(kx) + mi_abs(kp)
+        if degree > MAX_TOTAL_DEGREE:
+            raise DegreeLimitError(
+                f"term degree {degree} exceeds cap {MAX_TOTAL_DEGREE}"
+            )
+        total = mi_abs(kp)
+        tables = [_ordering_table(r, s) for r, s in zip(kx, kp)]
+        for js in product(*(range(len(t)) for t in tables)):
+            c = [1]
+            for table, j in zip(tables, js):
+                c = _convolve(c, table[j])
+            w = weight(total, c)
+            if not w:
+                continue
+            key = (
+                tuple(r - j for r, j in zip(kx, js)),
+                tuple(s - j for s, j in zip(kp, js)),
+            )
+            term = coeff * _minus_i_hbar_power(mi_abs(js), w)
+            prev = out.get(key)
+            out[key] = term if prev is None else prev + term
+    return OpPoly(a.dim, out)
 
 
 def amplitude_average(a: SymbolPoly) -> AmplitudePoly:

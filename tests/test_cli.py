@@ -142,6 +142,12 @@ class TestApply:
             assert code == 1
             assert "length" in err
 
+    def test_bad_tolerance_is_usage_error(self):
+        for tol in ("nan", "0", "-1e-8"):
+            code, _, err = run(["--tolerance", tol, "apply", "harmonic", "hermite:2"])
+            assert code == 1
+            assert "tolerance" in err
+
     def test_sinc_null_symbol_runs(self):
         code, out, _ = run(
             ["--grid", "64", "apply", "sinc-null:1:6.3", "gaussian",

@@ -108,6 +108,17 @@ class TestGridBasics:
         with pytest.raises(ValueError):
             BJQuadrature(1)
 
+    def test_tolerance_and_tau_validation(self):
+        # a NaN or non-positive tolerance would silently switch off the
+        # boundary-decay check; a NaN ordering parameter poisons every sample
+        for bad in (float("nan"), 0.0, -1e-8, float("inf")):
+            with pytest.raises(ValueError):
+                NumericParams(tolerance=bad)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TauScheme(bad)
+        TauScheme(0.3)
+
     def test_named_states_are_normalized_eigenstates(self):
         grid = _grid()
         for k in range(4):
@@ -119,6 +130,35 @@ class TestGridBasics:
         assert np.allclose(
             gaussian_state(grid).values, hermite_state(grid, 0).values
         )
+
+    def test_hermite_matches_unnormalised_recurrence(self):
+        # reference: H_k by its own recurrence, normalised by 2^k k! at the end
+        from math import factorial, pi, sqrt
+
+        for n, box, hbar in ((256, 20.0, 1.0), (128, 12.0, 0.5)):
+            grid = UniformGrid(n, box)
+            xi = grid.x_values() / sqrt(hbar)
+            h = [np.ones_like(xi), 2 * xi]
+            for k in range(1, 12):
+                h.append(2 * xi * h[k] - 2 * k * h[k - 1])
+            for k in range(13):
+                ref = (pi * hbar) ** -0.25 / sqrt(2.0**k * factorial(k))
+                ref = ref * h[k] * np.exp(-(xi**2) / 2)
+                psi = hermite_state(grid, k, hbar)
+                assert np.max(np.abs(psi.values - ref)) < 1e-12
+
+    def test_hermite_high_index(self):
+        # k = 160 used to come back as all zeros and k = 200 overflowed
+        grid = UniformGrid(512, 40.0)
+        assert abs(hermite_state(grid, 160).norm() - 1.0) < 1e-8
+        # the turning point sqrt(2k + 1) of k = 200 sits at the edge of that
+        # box, so check it on a box twice as wide with the same spacing and
+        # check that the narrow box holds exactly its middle samples
+        wide = UniformGrid(1024, 80.0)
+        psi = hermite_state(wide, 200)
+        assert abs(psi.norm() - 1.0) < 1e-8
+        narrow = hermite_state(grid, 200).values
+        assert np.max(np.abs(narrow - psi.values[256:768])) < 1e-12
 
 
 class TestSymplecticTransform:

@@ -1,12 +1,16 @@
 """Quantization rules on monomials and polynomial symbols."""
 
+import ast
 import random
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import bjcalc.quantize
 from bjcalc.exact import ExactScalar, SymbolPoly
-from bjcalc.operators import OpPoly
+from bjcalc.operators import DegreeLimitError, MAX_TOTAL_DEGREE, OpPoly
 from bjcalc.quantize import (
     BornJordan,
     Tau,
@@ -35,7 +39,9 @@ def _equal_weight_rule(r: int, s: int) -> OpPoly:
     return out.scale_rational(Fraction(1, s + 1))
 
 
-def _random_symbol(rng: random.Random, dim: int, max_deg: int, n_terms: int = 4):
+def _random_symbol(
+    rng: random.Random, dim: int, max_deg: int, n_terms: int = 4, hbar: bool = False
+):
     a = SymbolPoly.zero(dim)
     for _ in range(n_terms):
         while True:
@@ -47,8 +53,52 @@ def _random_symbol(rng: random.Random, dim: int, max_deg: int, n_terms: int = 4)
             Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
             Fraction(rng.randrange(-5, 6)),
         )
+        if hbar:
+            coeff = coeff * ExactScalar.hbar(rng.randrange(3))
         a = a + SymbolPoly.monomial(dim, coeff=coeff, x=kx, p=kp)
     return a
+
+
+def _word_product_quantize(scheme, a: SymbolPoly) -> OpPoly:
+    """Reference quantizer built from OpPoly products only.
+
+    Per dimension j, the tau-image of x_j^r p_j^s is
+    sum_l C(s,l) (1-tau)^l tau^(s-l) phat_j^(s-l) xhat_j^r phat_j^l, each
+    word a product of three normal-ordered words.  The images multiply
+    across dimensions at a shared tau; Born-Jordan averages that product.
+    """
+    if isinstance(scheme, Weyl):
+        tau = ExactScalar.rational(Fraction(1, 2))
+    elif isinstance(scheme, Tau) and scheme.tau is not None:
+        tau = ExactScalar.rational(Fraction(scheme.tau))
+    else:
+        tau = ExactScalar.tau()
+    one_minus_tau = ExactScalar.one() - tau
+    n = a.dim
+
+    def e(j, k):
+        return tuple(k if i == j else 0 for i in range(n))
+
+    zero = (0,) * n
+    out = OpPoly.zero(n)
+    for (kx, kp), coeff in a.terms.items():
+        factor = OpPoly.identity(n)
+        for j in range(n):
+            r, s = kx[j], kp[j]
+            if not (r or s):
+                continue
+            image = OpPoly.zero(n)
+            for ell in range(s + 1):
+                weight = (one_minus_tau**ell) * (tau ** (s - ell))
+                word = (
+                    OpPoly.word(n, zero, e(j, s - ell))
+                    * OpPoly.word(n, e(j, r), zero)
+                    * OpPoly.word(n, zero, e(j, ell))
+                )
+                image = image + word.scale(weight.scale(comb(s, ell)))
+            factor = factor * image
+        out = out + factor.scale(coeff)
+    return tau_average(out) if isinstance(scheme, BornJordan) else out
 
 
 class TestMonomialRules:
@@ -133,6 +183,45 @@ class TestSymbolQuantization:
             quantize_symbol(Tau(None), SymbolPoly.monomial(2, x=(0, 1), p=(0, 1)))
         )
         assert shared != per_dim
+
+    @pytest.mark.parametrize("dim,max_deg", [(1, 8), (2, 5), (3, 4)])
+    def test_matches_word_products(self, dim, max_deg):
+        rng = random.Random(37 + dim)
+        schemes = (Weyl(), BornJordan(), Tau(Fraction(1, 3)), Tau(0), Tau(1), Tau(None))
+        # x1 p1 ... xn pn reorders in every dimension at once
+        ones = (1,) * dim
+        mixed = SymbolPoly.monomial(
+            dim, coeff=ExactScalar.rational(2, -1) * ExactScalar.hbar(), x=ones, p=ones
+        )
+        for _ in range(4):
+            a = _random_symbol(rng, dim, max_deg, n_terms=5, hbar=True) + mixed
+            for scheme in schemes:
+                assert quantize_symbol(scheme, a) == _word_product_quantize(scheme, a)
+
+    def test_degree_limit(self):
+        over = MAX_TOTAL_DEGREE + 1
+        for a in (
+            SymbolPoly.monomial(1, x=(30,), p=(over - 30,)),
+            SymbolPoly.monomial(3, x=(20, 0, 5), p=(0, over - 45, 20)),
+        ):
+            for scheme in (Weyl(), BornJordan(), Tau(None)):
+                with pytest.raises(DegreeLimitError):
+                    quantize_symbol(scheme, a)
+        at_cap = SymbolPoly.monomial(1, x=(32,), p=(MAX_TOTAL_DEGREE - 32,))
+        assert quantize_symbol(BornJordan(), at_cap).total_degree() == MAX_TOTAL_DEGREE
+
+    def test_independent_of_transforms(self):
+        # the conversions are checked against this quantizer, so it must not
+        # be built from them
+        tree = ast.parse(Path(bjcalc.quantize.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any("transforms" in name.split(".") for name in imported)
 
     def test_two_dim_cross_terms_commute(self):
         a = SymbolPoly.monomial(2, x=(2, 0), p=(0, 1))
