@@ -5,9 +5,21 @@ Two application routes are provided and cross-checked:
 * an exact pseudospectral route for polynomial symbols (binomial expansion of
   the shifted spatial argument; only exact grid multiplications and FFTs), and
 * a phase-space superposition route for sampled symbols, which decomposes the
-  operator over grid translations and modulations; the ordering parameter
-  enters only through an explicit per-mode phase, so no interpolation is ever
+  operator over grid translations and modulations; no interpolation is ever
   performed.
+
+Every application scheme is an average over the ordering parameter tau of the
+tau rule, so each is one linear map with its own measure on tau: a point mass
+(WeylScheme at tau = 1/2, TauScheme), Gauss-Legendre nodes on [0, 1]
+(BJQuadrature) or the uniform measure on [0, 1] (BJSinc, the Born-Jordan
+rule).  On the superposition route tau enters the mode (x_m, p_k) only as the
+phase exp(-i tau theta), theta = x_m p_k / hbar, so a scheme is one per-mode
+multiplier, the measure's average of that phase: exp(-i tau theta), a
+weighted sum over the nodes, or exp(-i theta/2) sinc(theta/2).  All three are
+tabulated from the integer m k without N^2 transcendental calls, and every
+scheme costs one symplectic transform and one pass.  On the polynomial route
+the measure averages the binomial ordering weights instead, and BJSinc
+converts the symbol exactly to its symmetric-rule symbol.
 
 All transforms are periodic; symbols and states are expected to decay at the
 box boundary (violations emit a warning, not an error).
@@ -18,10 +30,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from math import isfinite, pi, sqrt
+from math import comb, isfinite, log, pi, sqrt
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import SymbolPoly
 from .transforms import bj_to_weyl
@@ -197,14 +210,23 @@ Scheme = Union[WeylScheme, TauScheme, BJQuadrature, BJSinc]
 
 
 def _cdft(values: np.ndarray, sign: int, axis: int = 0) -> np.ndarray:
-    """sum_j exp(sign * i * 2pi (k - N/2)(j - N/2) / N) v_j along an axis."""
-    v = np.asarray(values, dtype=complex)
-    shifted = np.fft.ifftshift(v, axes=axis)
+    """sum_j exp(sign * i * 2pi (k - N/2)(j - N/2) / N) v_j along an axis.
+
+    For N divisible by 4 (every UniformGrid size) the centred kernel is
+    (-1)^(j+k) times the plain DFT kernel, so odd samples change sign before
+    and after the FFT instead of being rolled by N/2.
+    """
+    v = np.array(values, dtype=complex)
+    odd = [slice(None)] * v.ndim
+    odd[axis] = slice(1, None, 2)
+    odd = tuple(odd)
+    np.negative(v[odd], out=v[odd])
     if sign < 0:
-        transformed = np.fft.fft(shifted, axis=axis)
+        out = np.fft.fft(v, axis=axis)
     else:
-        transformed = np.fft.ifft(shifted, axis=axis) * v.shape[axis]
-    return np.fft.fftshift(transformed, axes=axis)
+        out = np.fft.ifft(v, axis=axis, norm="forward")
+    np.negative(out[odd], out=out[odd])
+    return out
 
 
 def _check_boundary_decay(values: np.ndarray, tolerance: float, label: str) -> None:
@@ -271,39 +293,94 @@ def bj_weyl_symbol_numeric(a: SampledSymbol) -> SampledSymbol:
 # ---------------------------------------------------------------------------
 
 
-def _apply_sampled_tau(
-    a: SampledSymbol, psi: SampledWavefunction, tau: float
-) -> np.ndarray:
-    """Phase-space superposition route at ordering parameter tau.
+def _ordering_measure(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the average over tau that defines a scheme."""
+    if isinstance(scheme, WeylScheme):
+        return np.array([0.5]), np.array([1.0])
+    if isinstance(scheme, TauScheme):
+        return np.array([float(scheme.tau)]), np.array([1.0])
+    if isinstance(scheme, BJQuadrature):
+        nodes, weights = np.polynomial.legendre.leggauss(scheme.order)
+        return (nodes + 1.0) / 2.0, weights / 2.0
+    raise TypeError(f"unknown application scheme {scheme!r}")
 
-    out(x) = (1/2pi hbar) sum_{m,k} a_sigma(x_m, p_k)
-             exp(i (p_k x - tau p_k x_m)/hbar) psi(x - x_m) dx dp.
+
+def _mode_multiplier(n: int, scheme: Scheme) -> np.ndarray:
+    """The scheme's average of exp(-i t theta) at every mode (m, k).
+
+    theta = 2pi q/n with q = m k (centred indices), so the multiplier is a
+    function of the integer q alone.  Writing q = a n + b with 0 <= b < n and
+    |a| <= n/4 splits exp(-2pi i t q/n) into exp(-2pi i t a) exp(-2pi i t b/n):
+    for a point mass or a quadrature the table over (a, b) is one matrix
+    product over the nodes, gathered at the flat index q + n^2/4.  The exact
+    uniform average over t in [0, 1] is exp(-i theta/2) sinc(theta/2)
+    = exp(-i pi b/n) sin(pi b/n) n/(pi q), with the value 1 at q = 0.
+    """
+    c = np.arange(n) - n // 2
+    q = np.multiply.outer(c, c)
+    if isinstance(scheme, BJSinc):
+        b = np.arange(n)
+        head = np.exp(-1j * pi * b / n) * np.sin(pi * b / n) * (n / pi)
+        recip = np.divide(1.0, c, out=np.zeros(n), where=c != 0)
+        multiplier = head[q & (n - 1)]  # q mod n, n a power of two
+        multiplier *= np.outer(recip, recip)
+        multiplier[n // 2, :] = multiplier[:, n // 2] = 1.0
+        return multiplier
+    nodes, weights = _ordering_measure(scheme)
+    a = np.arange(-(n // 4), n // 4 + 1)
+    b = np.arange(n)
+    # einsum sums in NumPy's own loops; a BLAS matmul of this shape wakes a
+    # thread pool, which on a loaded 2-CPU host cost about 16 ms a call
+    table = np.einsum(
+        "at,tb->ab",
+        np.exp(-2j * pi * np.outer(a, nodes)) * weights,
+        np.exp(-2j * pi * np.outer(nodes, b) / n),
+    )
+    return table.ravel()[q + n * n // 4]
+
+
+def _apply_sampled(
+    a: SampledSymbol, psi: SampledWavefunction, multiplier: np.ndarray
+) -> np.ndarray:
+    """Phase-space superposition route with a per-mode ordering multiplier.
+
+    out(x_i) = (1/n) sum_m [C+_k (a_sigma mu)](m, i) psi(x_i - x_m), where
+    a_sigma is the symplectic transform and C+_k the centred inverse DFT over
+    the momentum index; mu = exp(-i tau theta) gives the tau rule.
     """
     n = a.grid.n_points
-    a_sig = symplectic_ft(a).values
-    m = np.arange(n) - n // 2
-    phase = np.exp(-1j * tau * 2 * pi * np.outer(m, m) / n)
-    modes = _cdft(a_sig * phase, +1, axis=1)  # modes[m, i]: function of x_i
-    shift_index = (np.arange(n)[None, :] - m[:, None]) % n
-    shifted = psi.values[shift_index]  # shifted[m, i] = psi(x_i - x_m)
-    return np.sum(modes * shifted, axis=0) / n
+    weighted = symplectic_ft(a).values
+    weighted *= multiplier
+    modes = _cdft(weighted, +1, axis=1)  # modes[m, i]: function of x_i
+    # windows[s, i] = psi[(s + i) mod n]; row n + n/2 - m is psi(x_i - x_m)
+    windows = sliding_window_view(np.tile(psi.values, 3), n)
+    shifted = windows[n + n // 2 : n // 2 : -1]
+    return np.einsum("mi,mi->i", modes, shifted) / n
 
 
-def _apply_poly_tau(
-    a: SymbolPoly, psi: SampledWavefunction, tau: float, hbar: float
+def _apply_poly(
+    a: SymbolPoly,
+    psi: SampledWavefunction,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    hbar: float,
 ) -> np.ndarray:
-    """Exact pseudospectral route for one-dimensional polynomial symbols."""
+    """Exact pseudospectral route for one-dimensional polynomial symbols.
+
+    x^r p^s at ordering tau is sum_j C(r, j) (1-tau)^(r-j) tau^j
+    x^(r-j) p^s x^j, so an average over tau averages these weights.
+    """
     if a.dim != 1:
         raise ValueError("the numeric layer is one-dimensional")
-    from math import comb
-
     x = psi.grid.x_values()
     p = psi.grid.p_values(hbar)
     out = np.zeros_like(psi.values)
     for ((r,), (s,)), coeff in a.terms.items():
         c = coeff.to_complex(hbar)
         for j in range(r + 1):
-            weight = comb(r, j) * (1.0 - tau) ** (r - j) * tau**j
+            weight = comb(r, j) * float(
+                np.sum(weights * (1.0 - nodes) ** (r - j) * nodes**j)
+            )
             if weight == 0.0:
                 continue
             g = (x**j) * psi.values
@@ -314,11 +391,6 @@ def _apply_poly_tau(
     return out
 
 
-def _gauss_legendre_unit(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return (nodes + 1.0) / 2.0, weights / 2.0
-
-
 def apply_operator(
     symbol: Union[SampledSymbol, SymbolPoly],
     psi: SampledWavefunction,
@@ -327,11 +399,15 @@ def apply_operator(
 ) -> SampledWavefunction:
     """Apply the quantized operator of a symbol to a sampled state.
 
-    Polynomial symbols use the exact pseudospectral route; sampled symbols use
-    the phase-space superposition route.  bj_quadrature averages the ordering
-    parameter with Gauss-Legendre nodes; bj_sinc filters the symbol (exactly
-    for polynomials, via the grid sinc multiplier for samples) and applies the
-    symmetric rule.
+    Every scheme is an average over the ordering parameter tau of the tau
+    rule: a point mass (WeylScheme is tau = 1/2, TauScheme), Gauss-Legendre
+    nodes on [0, 1] (BJQuadrature) or the exact uniform measure on [0, 1]
+    (BJSinc).  Sampled symbols use the phase-space superposition route, in
+    which tau enters each mode only as the phase exp(-i tau theta); the
+    scheme's average of that phase is one per-mode multiplier, so every
+    scheme costs one pass.  Polynomial symbols use the exact pseudospectral
+    route with the averaged ordering weights; BJSinc converts a polynomial
+    symbol exactly to its symmetric-rule symbol and applies that.
     """
     params = params or NumericParams()
     if isinstance(symbol, SampledSymbol):
@@ -339,39 +415,15 @@ def apply_operator(
             raise ValueError("symbol and state grids differ")
         if symbol.hbar != psi.hbar:
             raise ValueError("symbol and state hbar differ")
-    hbar = psi.hbar
     _check_boundary_decay(psi.values, params.tolerance, "wavefunction")
 
-    if isinstance(scheme, WeylScheme):
-        scheme = TauScheme(0.5)
-
-    if isinstance(scheme, TauScheme):
-        if isinstance(symbol, SymbolPoly):
-            out = _apply_poly_tau(symbol, psi, scheme.tau, hbar)
-        else:
-            out = _apply_sampled_tau(symbol, psi, scheme.tau)
-        return psi.with_values(out)
-
-    if isinstance(scheme, BJQuadrature):
-        nodes, weights = _gauss_legendre_unit(scheme.order)
-        out = np.zeros_like(psi.values)
-        for t, w in zip(nodes, weights):
-            if isinstance(symbol, SymbolPoly):
-                out += w * _apply_poly_tau(symbol, psi, float(t), hbar)
-            else:
-                out += w * _apply_sampled_tau(symbol, psi, float(t))
-        return psi.with_values(out)
-
+    if isinstance(symbol, SampledSymbol):
+        multiplier = _mode_multiplier(psi.grid.n_points, scheme)
+        return psi.with_values(_apply_sampled(symbol, psi, multiplier))
     if isinstance(scheme, BJSinc):
-        if isinstance(symbol, SymbolPoly):
-            converted = bj_to_weyl(symbol)
-            out = _apply_poly_tau(converted, psi, 0.5, hbar)
-            return psi.with_values(out)
-        converted = bj_weyl_symbol_numeric(symbol)
-        out = _apply_sampled_tau(converted, psi, 0.5)
-        return psi.with_values(out)
-
-    raise TypeError(f"unknown application scheme {scheme!r}")
+        symbol, scheme = bj_to_weyl(symbol), WeylScheme()
+    nodes, weights = _ordering_measure(scheme)
+    return psi.with_values(_apply_poly(symbol, psi, nodes, weights, psi.hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +599,9 @@ def gaussian_state(grid: UniformGrid, hbar: float = 1.0) -> SampledWavefunction:
     return SampledWavefunction(grid, values.astype(complex), hbar)
 
 
+_RESCALE = 1e150
+
+
 def hermite_state(grid: UniformGrid, k: int, hbar: float = 1.0) -> SampledWavefunction:
     """k-th normalized Hermite function (harmonic-oscillator eigenstate)."""
     if k < 0:
@@ -555,11 +610,22 @@ def hermite_state(grid: UniformGrid, k: int, hbar: float = 1.0) -> SampledWavefu
     # Recurrence on the normalized functions, so neither H_k(xi) nor 2^k k!
     # is formed; both leave double range for k in the low hundreds:
     # psi_(j+1) = sqrt(2/(j+1)) xi psi_j - sqrt(j/(j+1)) psi_(j-1).
+    # The Gaussian start underflows for |xi| > 38.6, which lies inside the
+    # classically allowed region once k > 745, so each sample carries its own
+    # log scale: the start keeps at most exp(-600) of its Gaussian factor,
+    # and a sample is rescaled whenever it grows past 1e150.
+    log_scale = np.minimum(0.0, 600.0 - xi**2 / 2)
     prev = np.zeros_like(xi)
-    curr = (pi * hbar) ** -0.25 * np.exp(-(xi**2) / 2)
+    curr = (pi * hbar) ** -0.25 * np.exp(-(xi**2) / 2 - log_scale)
     for j in range(k):
         prev, curr = curr, sqrt(2 / (j + 1)) * xi * curr - sqrt(j / (j + 1)) * prev
-    return SampledWavefunction(grid, curr.astype(complex), hbar)
+        big = np.abs(curr) > _RESCALE
+        if big.any():
+            curr[big] /= _RESCALE
+            prev[big] /= _RESCALE
+            log_scale[big] += log(_RESCALE)
+    values = curr * np.exp(log_scale)
+    return SampledWavefunction(grid, values.astype(complex), hbar)
 
 
 def sample_symbol(
@@ -648,19 +714,30 @@ def wavefunction_to_csv(psi: SampledWavefunction) -> str:
 
 
 def wavefunction_from_csv(text: str, length: float, hbar: float = 1.0) -> SampledWavefunction:
+    """Rows x, Re psi, Im psi (header optional) on UniformGrid(rows, length).
+
+    The x column must match that grid's x_values within 1e-9 L.
+    """
     rows = [line for line in text.strip().splitlines() if line]
     if rows:
         try:
             float(rows[0].split(",")[0])
         except ValueError:
             rows = rows[1:]  # header
-    values = []
+    xs, values = [], []
     for row in rows:
         parts = row.split(",")
         if len(parts) != 3:
             raise ValueError(f"malformed CSV row: {row!r}")
+        xs.append(float(parts[0]))
         values.append(complex(float(parts[1]), float(parts[2])))
     grid = UniformGrid(len(values), length)
+    deviation = float(np.max(np.abs(np.asarray(xs) - grid.x_values())))
+    if not deviation <= 1e-9 * length:
+        raise ValueError(
+            f"CSV x column does not match the {grid.n_points}-point grid on "
+            f"L = {length:g} (largest deviation {deviation:.3g})"
+        )
     return SampledWavefunction(grid, np.asarray(values), hbar)
 
 

@@ -223,6 +223,19 @@ class TestFlagStyle:
         assert code == 2
         assert "samples" in err
 
+    def test_csv_state_wrong_box(self, tmp_path):
+        from bjcalc import UniformGrid, gaussian_state, wavefunction_to_csv
+
+        path = tmp_path / "state.csv"
+        path.write_text(wavefunction_to_csv(gaussian_state(UniformGrid(128, 40.0))))
+        code, _, err = run(["--grid", "128", "apply", "harmonic", str(path)])
+        assert code == 2
+        assert "x column" in err
+        code, _, _ = run(
+            ["--grid", "128", "--box", "40", "apply", "harmonic", str(path)]
+        )
+        assert code == 0
+
 
 class TestVerifyAndErrors:
     def test_verify_passes(self):

@@ -160,6 +160,29 @@ class TestGridBasics:
         narrow = hermite_state(grid, 200).values
         assert np.max(np.abs(narrow - psi.values[256:768])) < 1e-12
 
+    def test_hermite_beyond_gaussian_underflow(self):
+        # exp(-xi^2/2) underflows for |xi| > 38.6, inside the classically
+        # allowed region |xi| < sqrt(2k + 1) of k = 1000 (norm was 0.814)
+        psi = hermite_state(UniformGrid(2048, 120.0), 1000)
+        assert abs(psi.norm() - 1.0) < 1e-8
+
+    def test_hermite_matches_plain_recurrence(self):
+        # reference: the same recurrence started from the Gaussian itself,
+        # exact wherever that start does not underflow
+        from math import pi, sqrt
+
+        for n, box, hbar, k in ((512, 40.0, 1.0, 160), (512, 40.0, 1.0, 20),
+                                (256, 20.0, 0.5, 37)):
+            grid = UniformGrid(n, box)
+            xi = grid.x_values() / sqrt(hbar)
+            prev = np.zeros_like(xi)
+            curr = (pi * hbar) ** -0.25 * np.exp(-(xi**2) / 2)
+            for j in range(k):
+                nxt = sqrt(2 / (j + 1)) * xi * curr - sqrt(j / (j + 1)) * prev
+                prev, curr = curr, nxt
+            psi = hermite_state(grid, k, hbar)
+            assert np.max(np.abs(psi.values - curr)) < 1e-12
+
 
 class TestSymplecticTransform:
     def test_involution(self):
@@ -283,6 +306,113 @@ class TestApplicationRoutes:
         a = sample_symbol(parse("x"), grid)
         with pytest.warns(BoundaryDecayWarning):
             apply_operator(a, psi, WeylScheme())
+
+
+def _centred_dft(v, sign, axis):
+    # the centred DFT by rolling the zero index to the front and back
+    shifted = np.fft.ifftshift(v, axes=axis)
+    if sign < 0:
+        out = np.fft.fft(shifted, axis=axis)
+    else:
+        out = np.fft.ifft(shifted, axis=axis) * v.shape[axis]
+    return np.fft.fftshift(out, axes=axis)
+
+
+def _oracle_apply(a, psi, scheme):
+    """Sampled route, one full pass per ordering parameter.
+
+    A direct exp(-i tau theta) phase per tau, the Gauss-Legendre loop for
+    BJQuadrature, and for BJSinc the sinc-filtered symbol under the Weyl rule.
+    """
+    n = a.grid.n_points
+    m = np.arange(n) - n // 2
+
+    def transform(values):
+        out = _centred_dft(_centred_dft(values, -1, 0), +1, 1)
+        return out.T / n
+
+    if isinstance(scheme, BJSinc):
+        theta = 2 * np.pi * np.outer(m, m) / n
+        values = transform(transform(a.values) * np.sinc(theta / (2 * np.pi)))
+        measure = [(0.5, 1.0)]
+    else:
+        values = a.values
+        if isinstance(scheme, WeylScheme):
+            measure = [(0.5, 1.0)]
+        elif isinstance(scheme, TauScheme):
+            measure = [(scheme.tau, 1.0)]
+        else:
+            nodes, weights = np.polynomial.legendre.leggauss(scheme.order)
+            measure = list(zip((nodes + 1) / 2, weights / 2))
+    a_sig = transform(values)
+    shifted = psi.values[(np.arange(n)[None, :] - m[:, None]) % n]
+    out = np.zeros(n, dtype=complex)
+    for tau, weight in measure:
+        phase = np.exp(-1j * tau * 2 * np.pi * np.outer(m, m) / n)
+        modes = _centred_dft(a_sig * phase, +1, 1)
+        out += weight * np.sum(modes * shifted, axis=0) / n
+    return out
+
+
+ORACLE_SCHEMES = (
+    WeylScheme(),
+    TauScheme(0.0),
+    TauScheme(1 / 3),
+    TauScheme(1.0),
+    TauScheme(-0.7),
+    TauScheme(2.5),
+    BJQuadrature(8),
+    BJQuadrature(16),
+    BJSinc(),
+)
+
+
+class TestSampledRouteOracle:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_matches_one_pass_per_tau(self, n, hbar):
+        grid = UniformGrid(n, 20.0)
+        a = _smooth_symbol(grid, seed=n, hbar=hbar)
+        psi = _random_state(grid, seed=n + 1, hbar=hbar)
+        for scheme in ORACLE_SCHEMES:
+            fast = apply_operator(a, psi, scheme).values
+            ref = _oracle_apply(a, psi, scheme)
+            assert np.max(np.abs(fast - ref)) < 1e-12 * np.max(np.abs(ref)), scheme
+
+    def test_mode_multiplier_matches_direct_phase(self):
+        from bjcalc.numeric import _mode_multiplier
+
+        for n in (16, 1024):
+            m = np.arange(n) - n // 2
+            theta = 2 * np.pi * np.outer(m, m) / n
+            for tau in (0.5, 1 / 3, -0.7, 2.5):
+                direct = np.exp(-1j * tau * theta)
+                table = _mode_multiplier(n, TauScheme(tau))
+                assert np.max(np.abs(table - direct)) < 1e-12
+            sinc = np.exp(-0.5j * theta) * np.sinc(theta / (2 * np.pi))
+            assert np.max(np.abs(_mode_multiplier(n, BJSinc()) - sinc)) < 1e-12
+        n = 256
+        m = np.arange(n) - n // 2
+        theta = 2 * np.pi * np.outer(m, m) / n
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        direct = sum(
+            w / 2 * np.exp(-1j * (t + 1) / 2 * theta) for t, w in zip(nodes, weights)
+        )
+        assert np.max(np.abs(_mode_multiplier(n, BJQuadrature(8)) - direct)) < 1e-12
+
+    def test_poly_quadrature_averages_weights(self):
+        # one pass with averaged ordering weights equals the average of the
+        # tau routes at the nodes
+        grid = UniformGrid(256, 20.0)
+        psi = _random_state(grid, 4)
+        a = parse("x^3*p - 1/2*x*p^2 + p^3")
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        ref = sum(
+            w / 2 * apply_operator(a, psi, TauScheme((t + 1) / 2)).values
+            for t, w in zip(nodes, weights)
+        )
+        out = apply_operator(a, psi, BJQuadrature(16)).values
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestSymbolConversionOnGrid:
@@ -498,6 +628,20 @@ class TestDataExchange:
         text = wavefunction_to_csv(psi).split("\n", 1)[1]
         back = wavefunction_from_csv(text, length=grid.length)
         assert back.grid == grid
+        assert np.max(np.abs(back.values - psi.values)) == 0.0
+
+    def test_csv_x_column_checked(self):
+        # a file written on another box used to load on any box of its size
+        psi = _random_state(UniformGrid(64, 40.0))
+        text = wavefunction_to_csv(psi)
+        with pytest.raises(ValueError, match="x column"):
+            wavefunction_from_csv(text, length=20.0)
+        rows = text.splitlines()
+        x, re, im = rows[10].split(",")
+        rows[10] = f"{float(x) + 1e-6},{re},{im}"
+        with pytest.raises(ValueError, match="x column"):
+            wavefunction_from_csv("\n".join(rows), length=40.0)
+        back = wavefunction_from_csv(text, length=40.0)
         assert np.max(np.abs(back.values - psi.values)) == 0.0
 
     def test_json_roundtrip(self):
