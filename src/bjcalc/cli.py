@@ -105,7 +105,7 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
     )
 
 
-def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float):
+def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degree: int):
     """Resolve a symbol argument: a named generator or a symbol expression."""
     if text == "harmonic":
         half = SymbolPoly.monomial(dim, coeff=_half(), x=(2,) + (0,) * (dim - 1))
@@ -133,7 +133,7 @@ def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float):
             raise UsageError(f"invalid null-point coordinates in {text!r}") from None
         symbol, _ = numeric.null_symbol(grid, hbar, x0, p0)
         return symbol
-    return symlang.parse(text, dim=dim)
+    return symlang.parse(text, dim=dim, max_degree=max_degree)
 
 
 def _half():
@@ -196,7 +196,7 @@ def _cmd_quantize(args, out) -> int:
         raise UsageError("missing rule (positional or --rule)")
     tau = _calc_point(rule_text)
     rule = BornJordan() if tau is None else Tau(tau)
-    a = symlang.parse(args.symbol, dim=args.dim)
+    a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
     if a.total_degree() > args.max_degree:
         raise ValueError(
             f"symbol degree {a.total_degree()} exceeds --max-degree {args.max_degree}"
@@ -221,7 +221,7 @@ def _convert_between(a: SymbolPoly, src: str, dst: str) -> SymbolPoly:
 
 
 def _cmd_convert(args, out) -> int:
-    a = symlang.parse(args.symbol, dim=args.dim)
+    a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
     if a.total_degree() > args.max_degree:
         raise ValueError(
             f"symbol degree {a.total_degree()} exceeds --max-degree {args.max_degree}"
@@ -294,7 +294,7 @@ def _cmd_apply(args, out) -> int:
         raise UsageError(str(exc)) from None
     scheme = _parse_scheme(args.scheme, args.quadrature)
     psi = _named_state(args.state, grid, args.hbar)
-    symbol = _named_symbol(args.symbol, 1, grid, args.hbar)
+    symbol = _named_symbol(args.symbol, 1, grid, args.hbar, args.max_degree)
     if isinstance(symbol, SymbolPoly) and symbol.total_degree() > args.max_degree:
         raise ValueError(
             f"symbol degree {symbol.total_degree()} exceeds "

@@ -1,13 +1,33 @@
 """Exact arithmetic substrate: Gaussian-rational scalars with formal hbar
 (plus auxiliary integration variables) and sparse multivariate polynomials.
 
+ExactScalar is an element of Q(i)[hbar, tau, t], stored as a map from
+(hbar, tau, t) exponents to pairs of Fractions.  It is the value type at the
+public boundary: what `terms`, `coefficient` and `sorted_terms` return and
+what the polynomial constructors accept.
+
+A polynomial (SymbolPoly, AmplitudePoly, and the OpPoly of operators.py)
+stores all of its terms in one flat map.  Each key concatenates the
+exponents of the variable blocks and of the scalar variables,
+
+    x_1..x_n, [y_1..y_n,] p_1..p_n, hbar, tau, t,
+
+and each value is a Gaussian-integer numerator (re, im) of Python ints; the
+whole polynomial shares one positive denominator.  The form is canonical:
+no entry is (0, 0), gcd(denominator, every numerator) = 1, and the zero
+polynomial has denominator 1.  Every operation builds its result over a
+common denominator and reduces it with one gcd pass, so `==` and `hash`
+compare the denominator and the map.  A term product is then a tuple sum
+and two or four int products, with no Fraction arithmetic.
+
 Everything here is immutable and exact; no floating point enters this layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, gcd, lcm, prod
+from operator import add
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -298,10 +318,15 @@ def falling_factorial(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sparse commutative polynomials with named variable blocks
+# Sparse polynomials: one flat map of integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
 VarId = tuple[str, int]  # e.g. ("x", 0) is x_1
+
+# Flat key: the block exponents, then these scalar slots (hbar, tau, t).
+_N_SCALAR = 3
+
+FlatMap = dict[tuple[int, ...], tuple[int, int]]
 
 
 def parse_var(var: Union[str, VarId], dim: int) -> VarId:
@@ -322,40 +347,261 @@ def parse_var(var: Union[str, VarId], dim: int) -> VarId:
     return (block, j)
 
 
-class Poly:
-    """Commutative sparse polynomial over ExactScalar with named exponent
-    blocks (e.g. x and p for symbols, x, y and p for amplitudes).
+def _canonical(num: FlatMap, den: int) -> tuple[FlatMap, int]:
+    """Drop zero entries and divide out gcd(den, every numerator)."""
+    g = den
+    zeros = []
+    for key, (re, im) in num.items():
+        if re or im:
+            if g != 1:
+                g = gcd(g, re, im)
+        else:
+            zeros.append(key)
+    for key in zeros:
+        del num[key]
+    if not num:
+        return num, 1
+    if g != 1:
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    return num, den // g
 
-    Terms map a tuple of per-block multi-indices to a scalar.  Canonical form:
-    no zero coefficients; block layout fixed by the subclass.
+
+def _flatten(pairs: Iterable[tuple[tuple, ExactScalar]]) -> tuple[FlatMap, int]:
+    """(block exponents, scalar) pairs with distinct exponents as one map of
+    numerators over the lcm of every denominator, not yet canonical."""
+    items = [(prefix, coeff._terms) for prefix, coeff in pairs]
+    den = lcm(*(q.denominator for _, values in items
+                for pair in values.values() for q in pair))
+    return {
+        prefix + skey: (re.numerator * (den // re.denominator),
+                        im.numerator * (den // im.denominator))
+        for prefix, values in items
+        for skey, (re, im) in values.items()
+    }, den
+
+
+def _scalar_map(coeff: ExactScalar, width: int) -> tuple[FlatMap, int]:
+    """An ExactScalar as a flat map with `width` zero block exponents."""
+    return _flatten([((0,) * width, coeff)])
+
+
+def _add_maps(n1: FlatMap, d1: int, n2: FlatMap, d2: int) -> tuple[FlatMap, int]:
+    """n1/d1 + n2/d2 over lcm(d1, d2), not yet canonical."""
+    g = gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    out = dict(n1) if m1 == 1 else {k: (a * m1, b * m1) for k, (a, b) in n1.items()}
+    get = out.get
+    for key, (c, d) in n2.items():
+        if m2 != 1:
+            c, d = c * m2, d * m2
+        prev = get(key)
+        out[key] = (c, d) if prev is None else (prev[0] + c, prev[1] + d)
+    return out, d1 * m1
+
+
+def _mul_maps(n1: FlatMap, n2: FlatMap, out: FlatMap | None = None) -> FlatMap:
+    """Commutative product of two numerator maps: keys add, values multiply.
+
+    The products are added into `out` when it is given.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    for k1, (a, b) in n1.items():
+        for k2, (c, d) in n2.items():
+            key = tuple(map(add, k1, k2))
+            if b or d:
+                re, im = a * c - b * d, a * d + b * c
+            else:
+                re, im = a * c, 0
+            prev = get(key)
+            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return out
+
+
+def _rotate(re: int, im: int, j: int) -> tuple[int, int]:
+    """(re + i im) (-i)^j."""
+    j %= 4
+    if j == 0:
+        return re, im
+    if j == 1:
+        return im, -re
+    if j == 2:
+        return -re, -im
+    return -im, re
+
+
+class _FlatPoly:
+    """Storage and linear operations shared by symbols, amplitudes and
+    normal-ordered operators.
+
+    `_num` maps flat keys (block exponents, then hbar, tau, t) to Gaussian
+    integers (re, im); the coefficient of a key is (re + i im) / `_den`.  The
+    pair is kept canonical (see the module docstring), so equality compares
+    the denominator and the map.
     """
 
     blocks: tuple[str, ...] = ()
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_num", "_den")
 
     def __init__(self, dim: int, terms: Mapping[tuple, ExactScalar] = ()):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
-        cleaned = {}
+        nblocks = len(self.blocks)
+        pairs = []
         for key, coeff in dict(terms).items():
-            if len(key) != len(self.blocks) or any(len(e) != dim for e in key):
+            if len(key) != nblocks or any(len(e) != dim for e in key):
                 raise ValueError(f"malformed term key {key!r} for {type(self).__name__}")
-            if not coeff.is_zero():
-                cleaned[key] = coeff
-        self._terms = cleaned
+            pairs.append((tuple(v for e in key for v in e), coeff))
+        self._num, self._den = _canonical(*_flatten(pairs))
+
+    @classmethod
+    def _from_flat(cls, dim: int, num: FlatMap, den: int):
+        """Wrap a numerator map over a positive denominator, canonicalizing it."""
+        out = object.__new__(cls)
+        out.dim = dim
+        out._num, out._den = _canonical(num, den)
+        return out
+
+    @property
+    def _width(self) -> int:
+        return self.dim * len(self.blocks)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "Poly":
+    def zero(cls, dim: int):
         return cls(dim)
 
     @classmethod
-    def constant(cls, dim: int, coeff: ExactScalar) -> "Poly":
-        key = tuple((0,) * dim for _ in cls.blocks)
-        return cls(dim, {key: coeff})
+    def constant(cls, dim: int, coeff: ExactScalar):
+        return cls._from_flat(dim, *_scalar_map(coeff, dim * len(cls.blocks)))
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[tuple, ExactScalar]:
+        n, m, den = self.dim, self._width, self._den
+        grouped: dict[tuple, dict] = {}
+        for key, (re, im) in self._num.items():
+            mono = tuple(key[i:i + n] for i in range(0, m, n))
+            grouped.setdefault(mono, {})[key[m:]] = (Fraction(re, den), Fraction(im, den))
+        return {mono: ExactScalar._from_clean(s) for mono, s in grouped.items()}
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def total_degree(self) -> int:
+        m = self._width
+        return max((sum(key[:m]) for key in self._num), default=0)
+
+    def block_degree(self, block: str, j: int | None = None) -> int:
+        start = self.blocks.index(block) * self.dim
+        if j is None:
+            return max((sum(key[start:start + self.dim]) for key in self._num), default=0)
+        return max((key[start + j] for key in self._num), default=0)
+
+    def coefficient(self, key: tuple) -> ExactScalar:
+        mono = tuple(v for e in key for v in e)
+        m, den = self._width, self._den
+        if len(mono) != m:
+            return ExactScalar.zero()
+        return ExactScalar._from_clean({
+            k[m:]: (Fraction(re, den), Fraction(im, den))
+            for k, (re, im) in self._num.items() if k[:m] == mono
+        })
+
+    def has_aux(self) -> bool:
+        return any(key[-2] or key[-1] for key in self._num)
+
+    def sorted_terms(self) -> list[tuple[tuple, ExactScalar]]:
+        """Graded-lex descending on the concatenated exponent tuple."""
+        def sort_key(item):
+            key, _ = item
+            flat = tuple(v for e in key for v in e)
+            return (sum(flat), flat)
+
+        return sorted(self.terms.items(), key=sort_key, reverse=True)
+
+    # -- linear operations -------------------------------------------------
+
+    def _check_compatible(self, other: "_FlatPoly") -> None:
+        if type(self) is not type(other) or self.dim != other.dim:
+            raise ValueError("incompatible polynomial operands")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._from_flat(
+            self.dim, *_add_maps(self._num, self._den, other._num, other._den)
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        out = object.__new__(type(self))
+        out.dim, out._den = self.dim, self._den
+        out._num = {key: (-re, -im) for key, (re, im) in self._num.items()}
+        return out
+
+    def scale(self, coeff: ExactScalar):
+        snum, sden = _scalar_map(coeff, self._width)
+        return self._from_flat(self.dim, _mul_maps(self._num, snum), self._den * sden)
+
+    # -- auxiliary-variable operations ------------------------------------
+
+    def _collect_aux(self, s: int, factor) -> FlatMap:
+        """Set key slot s to 0, multiplying each entry by factor(exponent)."""
+        out: FlatMap = {}
+        for key, (re, im) in self._num.items():
+            f = factor(key[s])
+            nkey = key[:s] + (0,) + key[s + 1:]
+            prev = out.get(nkey, (0, 0))
+            out[nkey] = (prev[0] + re * f, prev[1] + im * f)
+        return out
+
+    def integrate_unit_interval(self, name: str = "tau"):
+        """Coefficientwise exact integral of the auxiliary variable over [0,1]."""
+        s = self._width + _AUX_SLOTS[name]
+        scale = lcm(*(key[s] + 1 for key in self._num))
+        out = self._collect_aux(s, lambda k: scale // (k + 1))
+        return self._from_flat(self.dim, out, self._den * scale)
+
+    def substitute_aux(self, name: str, value: RationalLike):
+        value = _as_fraction(value)
+        vn, vd = value.numerator, value.denominator
+        s = self._width + _AUX_SLOTS[name]
+        top = max((key[s] for key in self._num), default=0)
+        out = self._collect_aux(s, lambda k: vn**k * vd ** (top - k))
+        return self._from_flat(self.dim, out, self._den * vd**top)
+
+    # -- comparisons -------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _FlatPoly):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self.dim == other.dim
+            and self._den == other._den
+            and self._num == other._num
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.dim, self._den,
+                     frozenset(self._num.items())))
+
+
+class Poly(_FlatPoly):
+    """Commutative sparse polynomial over ExactScalar with named exponent
+    blocks (e.g. x and p for symbols, x, y and p for amplitudes).
+
+    `terms` maps a tuple of per-block multi-indices to a scalar.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, dim: int, coeff: ExactScalar = ONE, **exponents: MultiIndex) -> "Poly":
@@ -373,66 +619,15 @@ class Poly:
         block, j = parse_var(var, dim)
         if block not in cls.blocks:
             raise ValueError(f"{cls.__name__} has no block {block!r}")
-        e = [0] * dim
-        e[j] = 1
-        return cls.monomial(dim, ONE, **{block: tuple(e)})
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[tuple, ExactScalar]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def total_degree(self) -> int:
-        return max((sum(mi_abs(e) for e in key) for key in self._terms), default=0)
-
-    def block_degree(self, block: str, j: int | None = None) -> int:
-        bi = self.blocks.index(block)
-        if j is None:
-            return max((mi_abs(key[bi]) for key in self._terms), default=0)
-        return max((key[bi][j] for key in self._terms), default=0)
-
-    def coefficient(self, key: tuple) -> ExactScalar:
-        return self._terms.get(key, ExactScalar.zero())
-
-    def has_aux(self) -> bool:
-        return any(c.has_aux() for c in self._terms.values())
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _like(self, terms: Mapping[tuple, ExactScalar]) -> "Poly":
-        return type(self)(self.dim, terms)
-
-    def _check_compatible(self, other: "Poly") -> None:
-        if type(self) is not type(other) or self.dim != other.dim:
-            raise ValueError("incompatible polynomial operands")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, ExactScalar.zero()) + coeff
-        return self._like(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return self._like({k: -c for k, c in self._terms.items()})
+        key = [0] * (dim * len(cls.blocks) + _N_SCALAR)
+        key[cls.blocks.index(block) * dim + j] = 1
+        return cls._from_flat(dim, {tuple(key): (1, 0)}, 1)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        out: dict[tuple, ExactScalar] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                key = tuple(mi_add(a, b) for a, b in zip(k1, k2))
-                acc = out.get(key)
-                prodc = c1 * c2
-                out[key] = prodc if acc is None else acc + prodc
-        return self._like(out)
+        return self._from_flat(
+            self.dim, _mul_maps(self._num, other._num), self._den * other._den
+        )
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -441,21 +636,6 @@ class Poly:
         for _ in range(n):
             result = result * self
         return result
-
-    def scale(self, coeff: ExactScalar) -> "Poly":
-        return self._like({k: c * coeff for k, c in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (
-            type(self) is type(other)
-            and self.dim == other.dim
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.dim, frozenset(self._terms.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -466,26 +646,14 @@ class Poly:
             raise ValueError(f"{type(self).__name__} has no variable block {block!r}")
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        bi = self.blocks.index(block)
-        out: dict[tuple, ExactScalar] = {}
-        for key, coeff in self._terms.items():
-            e = key[bi][j]
-            if e < order:
-                continue
-            factor = falling_factorial(e, order)
-            newblock = list(key[bi])
-            newblock[j] = e - order
-            nkey = key[:bi] + (tuple(newblock),) + key[bi + 1:]
-            acc = out.get(nkey, ExactScalar.zero())
-            out[nkey] = acc + coeff.scale(factor)
-        return self._like(out)
-
-    def integrate_unit_interval(self, name: str = "tau") -> "Poly":
-        """Coefficientwise exact integral of the auxiliary variable over [0,1]."""
-        return self._like({k: c.integrate_unit(name) for k, c in self._terms.items()})
-
-    def substitute_aux(self, name: str, value: RationalLike) -> "Poly":
-        return self._like({k: c.substitute_aux(name, value) for k, c in self._terms.items()})
+        i = self.blocks.index(block) * self.dim + j
+        out: FlatMap = {}
+        for key, (re, im) in self._num.items():
+            e = key[i]
+            if e >= order:
+                f = falling_factorial(e, order)
+                out[key[:i] + (e - order,) + key[i + 1:]] = (re * f, im * f)
+        return self._from_flat(self.dim, out, self._den)
 
     def substitute_affine(
         self,
@@ -501,32 +669,19 @@ class Poly:
         block, j = parse_var(var, self.dim)
         if block not in self.blocks:
             raise ValueError(f"unknown variable block {block!r}")
-        bi = self.blocks.index(block)
+        i = self.blocks.index(block) * self.dim + j
 
         replacement = type(self).constant(self.dim, constant)
         for v, c in dict(linear).items():
             replacement = replacement + type(self).variable(self.dim, v).scale(c)
 
         out = type(self).zero(self.dim)
-        for key, coeff in self._terms.items():
-            e = key[bi][j]
-            newblock = list(key[bi])
-            newblock[j] = 0
-            base_key = key[:bi] + (tuple(newblock),) + key[bi + 1:]
-            term = type(self)(self.dim, {base_key: coeff})
-            for _ in range(e):
+        for key, value in self._num.items():
+            term = self._from_flat(self.dim, {key[:i] + (0,) + key[i + 1:]: value}, self._den)
+            for _ in range(key[i]):
                 term = term * replacement
             out = out + term
         return out
-
-    def sorted_terms(self) -> list[tuple[tuple, ExactScalar]]:
-        """Graded-lex descending on the concatenated exponent tuple."""
-        def sort_key(item):
-            key, _ = item
-            flat = tuple(v for e in key for v in e)
-            return (sum(flat), flat)
-
-        return sorted(self._terms.items(), key=sort_key, reverse=True)
 
 
 class SymbolPoly(Poly):
@@ -534,12 +689,16 @@ class SymbolPoly(Poly):
 
     blocks = ("x", "p")
 
+    __slots__ = ()
+
     def promote(self) -> "AmplitudePoly":
         """View a(x, p) as an amplitude b(x, y, p) with no y dependence."""
-        zero = (0,) * self.dim
-        return AmplitudePoly(
-            self.dim, {(kx, zero, kp): c for (kx, kp), c in self._terms.items()}
-        )
+        n = self.dim
+        zero = (0,) * n
+        out = object.__new__(AmplitudePoly)
+        out.dim, out._den = n, self._den
+        out._num = {key[:n] + zero + key[n:]: v for key, v in self._num.items()}
+        return out
 
 
 class AmplitudePoly(Poly):
@@ -547,11 +706,14 @@ class AmplitudePoly(Poly):
 
     blocks = ("x", "y", "p")
 
+    __slots__ = ()
+
     def collapse_y(self) -> SymbolPoly:
         """Set y = x, producing a symbol."""
-        out: dict[tuple, ExactScalar] = {}
-        for (kx, ky, kp), coeff in self._terms.items():
-            key = (mi_add(kx, ky), kp)
-            acc = out.get(key, ExactScalar.zero())
-            out[key] = acc + coeff
-        return SymbolPoly(self.dim, out)
+        n = self.dim
+        out: FlatMap = {}
+        for key, (re, im) in self._num.items():
+            nkey = tuple(map(add, key[:n], key[n:2 * n])) + key[2 * n:]
+            prev = out.get(nkey, (0, 0))
+            out[nkey] = (prev[0] + re, prev[1] + im)
+        return SymbolPoly._from_flat(n, out, self._den)

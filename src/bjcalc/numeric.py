@@ -350,7 +350,10 @@ def _apply_sampled(
     """
     n = a.grid.n_points
     weighted = symplectic_ft(a).values
-    weighted *= multiplier
+    # symplectic_ft returns a transposed (Fortran-ordered) array; the
+    # multiplier depends only on q = m k, so it equals its transpose, and
+    # multiplying by multiplier.T walks both arrays in the same memory order
+    weighted *= multiplier.T
     modes = _cdft(weighted, +1, axis=1)  # modes[m, i]: function of x_i
     # windows[s, i] = psi[(s + i) mod n]; row n + n/2 - m is psi(x_i - x_m)
     windows = sliding_window_view(np.tile(psi.values, 3), n)
@@ -374,7 +377,10 @@ def _apply_poly(
         raise ValueError("the numeric layer is one-dimensional")
     x = psi.grid.x_values()
     p = psi.grid.p_values(hbar)
-    out = np.zeros_like(psi.values)
+    # transform each x^j psi once, and sum every term with the same outer
+    # power x^o in momentum space so that each o needs one inverse transform
+    g_hat: dict[int, np.ndarray] = {}
+    inner: dict[int, np.ndarray] = {}
     for ((r,), (s,)), coeff in a.terms.items():
         c = coeff.to_complex(hbar)
         for j in range(r + 1):
@@ -383,11 +389,16 @@ def _apply_poly(
             )
             if weight == 0.0:
                 continue
-            g = (x**j) * psi.values
-            g_hat = _cdft(g, -1)
-            g_hat *= p**s
-            back = _cdft(g_hat, +1) / psi.grid.n_points
-            out += c * weight * (x ** (r - j)) * back
+            if j not in g_hat:
+                g_hat[j] = _cdft((x**j) * psi.values, -1)
+            term = (c * weight) * (p**s) * g_hat[j]
+            if r - j in inner:
+                inner[r - j] += term
+            else:
+                inner[r - j] = term
+    out = np.zeros_like(psi.values)
+    for o, acc in inner.items():
+        out += (x**o) * (_cdft(acc, +1) / psi.grid.n_points)
     return out
 
 

@@ -4,20 +4,29 @@ operators, reduced with [xhat_j, phat_j] = i*hbar.
 This is the ground-truth representation: two operator expressions are equal
 iff their normal-ordered forms coincide.  Canonical form puts every xhat to
 the left of every phat within each dimension; distinct dimensions commute.
+An OpPoly stores the flat map of exact.py, keyed by x exponents, p
+exponents, then hbar, tau, t.
+
+The product needs one identity.  Moving phat^k past xhat^r in one
+dimension gives
+
+    phat^k xhat^r = sum_j C(k,j) r!/(r-j)! (-i hbar)^j xhat^(r-j) phat^(k-j),
+
+so xhat^a phat^b * xhat^c phat^d is a sum over j of integer multiples of
+(-i hbar)^j xhat^(a+c-j) phat^(b+d-j).  The integers come from a table per
+(k, r).  In several dimensions the factors of distinct dimensions commute:
+the keys concatenate and the per-dimension j's add into one power of
+(-i hbar).  The adjoint of xhat^a phat^b is phat^b xhat^a, the same
+identity with (k, r) = (b, a).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from functools import lru_cache
+from itertools import product
+from math import comb, perm
 
-from .exact import (
-    ExactScalar,
-    MultiIndex,
-    ONE,
-    RationalLike,
-    mi_abs,
-    mi_add,
-)
+from .exact import ExactScalar, FlatMap, MultiIndex, ONE, RationalLike, _FlatPoly, _rotate
 
 MAX_TOTAL_DEGREE = 64
 
@@ -26,62 +35,55 @@ class DegreeLimitError(Exception):
     """Raised when an operation would exceed the normal-ordering degree cap."""
 
 
-OpKey = tuple[MultiIndex, MultiIndex]  # (x exponents, p exponents)
+@lru_cache(maxsize=None)
+def _reorder_table(k: int, r: int) -> tuple[int, ...]:
+    """C(k,j) r!/(r-j)! for j = 0..min(k, r): phat^k xhat^r in normal order.
 
-
-def _reorder_1d(p_exp: int, x_exp: int) -> dict[tuple[int, int], ExactScalar]:
-    """Normal-order phat^p_exp * xhat^x_exp in one dimension.
-
-    Structural recursion on the identity phat xhat^k = xhat^k phat - i hbar k xhat^(k-1):
-    multiply by one phat at a time, acting on an already ordered sum.
+    Callers check the degree cap first, which bounds the cache.
     """
-    terms: dict[tuple[int, int], ExactScalar] = {(x_exp, 0): ONE}
-    minus_i_hbar = ExactScalar.hbar() * ExactScalar.rational(0, -1)
-    for _ in range(p_exp):
-        out: dict[tuple[int, int], ExactScalar] = {}
-        for (c, d), coeff in terms.items():
-            # phat * xhat^c phat^d = xhat^c phat^(d+1) - i hbar c xhat^(c-1) phat^d
-            key = (c, d + 1)
-            out[key] = out.get(key, ExactScalar.zero()) + coeff
-            if c:
-                key = (c - 1, d)
-                extra = coeff * minus_i_hbar.scale(c)
-                out[key] = out.get(key, ExactScalar.zero()) + extra
-        terms = out
-    return terms
+    return tuple(comb(k, j) * perm(r, j) for j in range(min(k, r) + 1))
 
 
-class OpPoly:
+def _reorder_terms(ks: tuple[int, ...], rs: tuple[int, ...]) -> list[tuple[tuple, int, int]]:
+    """phat^ks xhat^rs in normal order over all dimensions.
+
+    Each entry is (shift, coefficient, J mod 4) for the term
+    coefficient (-i hbar)^J xhat^(rs-js) phat^(ks-js), J = |js|.  A flat key
+    minus shift = js + js + (-J, 0, 0) lowers each x and p exponent by its j
+    and raises hbar by J.
+    """
+    out = []
+    rows = [_reorder_table(k, r) for k, r in zip(ks, rs)]
+    for js in product(*(range(len(row)) for row in rows)):
+        c = 1
+        for row, j in zip(rows, js):
+            c *= row[j]
+        total = sum(js)
+        out.append((js + js + (-total, 0, 0), c, total % 4))
+    return out
+
+
+def _accumulate(out: FlatMap, base: tuple, re: int, im: int, reorder) -> None:
+    """Add (re + i im) times a reordered word, shifted from the key base."""
+    for shift, c, quarter in reorder:
+        key = tuple([u - v for u, v in zip(base, shift)])
+        a, b = _rotate(re * c, im * c, quarter)
+        prev = out.get(key)
+        out[key] = (a, b) if prev is None else (prev[0] + a, prev[1] + b)
+
+
+class OpPoly(_FlatPoly):
     """Normal-ordered polynomial in xhat_1..xhat_n, phat_1..phat_n."""
 
-    __slots__ = ("dim", "_terms")
+    blocks = ("x", "p")
 
-    def __init__(self, dim: int, terms: Mapping[OpKey, ExactScalar] = ()):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = dim
-        cleaned = {}
-        for (kx, kp), coeff in dict(terms).items():
-            if len(kx) != dim or len(kp) != dim:
-                raise ValueError(f"malformed operator key {(kx, kp)!r}")
-            if not coeff.is_zero():
-                cleaned[(tuple(kx), tuple(kp))] = coeff
-        self._terms = cleaned
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "OpPoly":
-        return cls(dim)
-
-    @classmethod
     def identity(cls, dim: int) -> "OpPoly":
         return cls.constant(dim, ONE)
-
-    @classmethod
-    def constant(cls, dim: int, coeff: ExactScalar) -> "OpPoly":
-        zero = (0,) * dim
-        return cls(dim, {(zero, zero): coeff})
 
     @classmethod
     def word(cls, dim: int, x_exp: MultiIndex, p_exp: MultiIndex,
@@ -101,123 +103,65 @@ class OpPoly:
         e[j] = 1
         return cls.word(dim, (0,) * dim, tuple(e))
 
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[OpKey, ExactScalar]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def total_degree(self) -> int:
-        return max((mi_abs(kx) + mi_abs(kp) for kx, kp in self._terms), default=0)
-
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "OpPoly") -> None:
+    def _check_compatible(self, other: "OpPoly") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "OpPoly") -> "OpPoly":
-        self._check(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, ExactScalar.zero()) + coeff
-        return OpPoly(self.dim, out)
-
-    def __sub__(self, other: "OpPoly") -> "OpPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "OpPoly":
-        return OpPoly(self.dim, {k: -c for k, c in self._terms.items()})
-
-    def scale(self, coeff: ExactScalar) -> "OpPoly":
-        return OpPoly(self.dim, {k: c * coeff for k, c in self._terms.items()})
-
     def scale_rational(self, q: RationalLike) -> "OpPoly":
-        return OpPoly(self.dim, {k: c.scale(q) for k, c in self._terms.items()})
+        return self.scale(ExactScalar.rational(q))
 
     def __mul__(self, other: "OpPoly") -> "OpPoly":
         """Normal-ordered operator product."""
-        self._check(other)
+        self._check_compatible(other)
         if self.total_degree() + other.total_degree() > MAX_TOTAL_DEGREE:
             raise DegreeLimitError(
                 f"product degree exceeds cap {MAX_TOTAL_DEGREE}"
             )
-        out: dict[OpKey, ExactScalar] = {}
-        for (ax, ap), ca in self._terms.items():
-            for (bx, bp), cb in other._terms.items():
-                # xhat^ax phat^ap xhat^bx phat^bp: reorder phat^ap xhat^bx per dim
-                base = ca * cb
-                # accumulate per-dimension reorderings as a product of sums
-                partial: dict[tuple[MultiIndex, MultiIndex], ExactScalar] = {
-                    ((), ()): base
-                }
-                for j in range(self.dim):
-                    middle = _reorder_1d(ap[j], bx[j])
-                    nxt: dict[tuple[MultiIndex, MultiIndex], ExactScalar] = {}
-                    for (px, pp), pc in partial.items():
-                        for (c, d), mc in middle.items():
-                            key = (px + (c,), pp + (d,))
-                            acc = nxt.get(key, ExactScalar.zero())
-                            nxt[key] = acc + pc * mc
-                    partial = nxt
-                for (mx, mp), mc in partial.items():
-                    key = (mi_add(ax, mx), mi_add(mp, bp))
-                    out[key] = out.get(key, ExactScalar.zero()) + mc
-        return OpPoly(self.dim, out)
+        n = self.dim
+        # Group the right factor by its x exponents: the reordering of
+        # phat^ap xhat^bx depends on ap and bx only.
+        by_x: dict[tuple, list] = {}
+        for key, value in other._num.items():
+            by_x.setdefault(key[:n], []).append((key, value))
+        reorders: dict[tuple, list] = {}
+        out: FlatMap = {}
+        for ka, (a, b) in self._num.items():
+            ap = ka[n:2 * n]
+            for bx, group in by_x.items():
+                reorder = reorders.get((ap, bx))
+                if reorder is None:
+                    reorder = reorders[ap, bx] = _reorder_terms(ap, bx)
+                for kb, (c, d) in group:
+                    base = tuple([u + v for u, v in zip(ka, kb)])
+                    _accumulate(out, base, a * c - b * d, a * d + b * c, reorder)
+        return OpPoly._from_flat(n, out, self._den * other._den)
 
     def commutator(self, other: "OpPoly") -> "OpPoly":
         return self * other - other * self
 
     def adjoint(self) -> "OpPoly":
-        """Formal adjoint: conjugate coefficients, reverse factor order."""
-        out = OpPoly.zero(self.dim)
-        for (kx, kp), coeff in self._terms.items():
-            # (xhat^kx phat^kp)^dagger = phat^kp xhat^kx
-            word = OpPoly.word(self.dim, (0,) * self.dim, kp) * OpPoly.word(
-                self.dim, kx, (0,) * self.dim
+        """Formal adjoint: conjugate coefficients, reverse factor order.
+
+        (c xhat^kx phat^kp)^dagger = conj(c) phat^kp xhat^kx, normal-ordered
+        with the product's identity.
+        """
+        if self.total_degree() > MAX_TOTAL_DEGREE:
+            raise DegreeLimitError(
+                f"product degree exceeds cap {MAX_TOTAL_DEGREE}"
             )
-            out = out + word.scale(coeff.conjugate())
-        return out
-
-    # -- auxiliary-variable operations ------------------------------------
-
-    def integrate_unit_interval(self, name: str = "tau") -> "OpPoly":
-        return OpPoly(
-            self.dim, {k: c.integrate_unit(name) for k, c in self._terms.items()}
-        )
-
-    def substitute_aux(self, name: str, value: RationalLike) -> "OpPoly":
-        return OpPoly(
-            self.dim, {k: c.substitute_aux(name, value) for k, c in self._terms.items()}
-        )
-
-    def has_aux(self) -> bool:
-        return any(c.has_aux() for c in self._terms.values())
+        n = self.dim
+        out: FlatMap = {}
+        for key, (re, im) in self._num.items():
+            _accumulate(out, key, re, -im, _reorder_terms(key[n:2 * n], key[:n]))
+        return OpPoly._from_flat(n, out, self._den)
 
     # -- comparisons -------------------------------------------------------
 
     def equals(self, other: "OpPoly") -> bool:
-        self._check(other)
-        return self._terms == other._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpPoly):
-            return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
-
-    def sorted_terms(self) -> list[tuple[OpKey, ExactScalar]]:
-        def sort_key(item):
-            (kx, kp), _ = item
-            flat = kx + kp
-            return (sum(flat), flat)
-
-        return sorted(self._terms.items(), key=sort_key, reverse=True)
+        self._check_compatible(other)
+        return self == other
 
     def __repr__(self) -> str:
         from .symlang import format_operator

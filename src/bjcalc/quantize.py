@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from typing import Callable, Union
 
 from .exact import (
@@ -49,6 +49,7 @@ from .exact import (
     ExactScalar,
     RationalLike,
     SymbolPoly,
+    _rotate,
     mi_iter_box,
     mi_abs,
     mi_factorial,
@@ -76,8 +77,9 @@ class Tau:
 QuantizationScheme = Union[Weyl, BornJordan, Tau]
 
 # A scheme's weight maps (S, [c_0, ..., c_M]) to the coefficients, by power
-# of tau, of sum_L c_L (1-tau)^L tau^(S-L) under that scheme.
-Weight = Callable[[int, list[int]], dict[int, Fraction]]
+# of tau, of sum_L c_L (1-tau)^L tau^(S-L) under that scheme, as integer
+# numerators over one denominator: ({power: numerator}, denominator).
+Weight = Callable[[int, list[int]], tuple[dict[int, int], int]]
 
 
 @lru_cache(maxsize=None)
@@ -104,27 +106,27 @@ def _convolve(a: list[int], b: tuple[int, ...]) -> list[int]:
 def _rational_weight(tau: Fraction) -> Weight:
     num, den = tau.numerator, tau.denominator
 
-    def weight(total: int, c: list[int]) -> dict[int, Fraction]:
+    def weight(total: int, c: list[int]) -> tuple[dict[int, int], int]:
         # (1-tau)^L tau^(S-L) = (den-num)^L num^(S-L) / den^S
         w = sum(
             cl * (den - num) ** ell * num ** (total - ell) for ell, cl in enumerate(c)
         )
-        return {0: Fraction(w, den**total)} if w else {}
+        return {0: w}, den**total
 
     return weight
 
 
-def _born_jordan_weight(total: int, c: list[int]) -> dict[int, Fraction]:
+def _born_jordan_weight(total: int, c: list[int]) -> tuple[dict[int, int], int]:
     w = sum(cl * factorial(ell) * factorial(total - ell) for ell, cl in enumerate(c))
-    return {0: Fraction(w, factorial(total + 1))}
+    return {0: w}, factorial(total + 1)
 
 
-def _formal_weight(total: int, c: list[int]) -> dict[int, Fraction]:
+def _formal_weight(total: int, c: list[int]) -> tuple[dict[int, int], int]:
     powers = [0] * (total + 1)
     for ell, cl in enumerate(c):
         for i in range(ell + 1):
             powers[total - ell + i] += (-1) ** i * comb(ell, i) * cl
-    return {m: Fraction(e) for m, e in enumerate(powers) if e}
+    return dict(enumerate(powers)), 1
 
 
 def _scheme_weight(scheme: QuantizationScheme) -> Weight:
@@ -137,16 +139,6 @@ def _scheme_weight(scheme: QuantizationScheme) -> Weight:
             return _formal_weight
         return _rational_weight(Fraction(scheme.tau))
     raise TypeError(f"unknown quantization scheme {scheme!r}")
-
-
-# (-i)^j as (re, im), by j mod 4
-_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
-
-
-def _minus_i_hbar_power(j: int, weight: dict[int, Fraction]) -> ExactScalar:
-    """(-i hbar)^j times a polynomial in tau given by its coefficients."""
-    re, im = _MINUS_I_POWERS[j % 4]
-    return ExactScalar({(j, m, 0): (w * re, w * im) for m, w in weight.items()})
 
 
 def tau_average(op: OpPoly) -> OpPoly:
@@ -171,32 +163,46 @@ def quantize_symbol(scheme: QuantizationScheme, a: SymbolPoly) -> OpPoly:
     Monomials in distinct dimensions quantize at a shared ordering
     parameter; Born-Jordan averages their product over that parameter.
     Raises DegreeLimitError on a term of total degree above MAX_TOTAL_DEGREE.
+    Works on the flat map of a: each term's numerator is multiplied by
+    (-i)^J, the scheme's weight numerator and the denominator's cofactor,
+    and hbar^J and the tau powers shift the key.
     """
     weight = _scheme_weight(scheme)
-    out: dict[tuple, ExactScalar] = {}
-    for (kx, kp), coeff in a.terms.items():
-        degree = mi_abs(kx) + mi_abs(kp)
+    n = a.dim
+    parts = []  # (key, re, im, weight numerators, weight denominator)
+    for key, (re, im) in a._num.items():
+        kx, kp = key[:n], key[n:2 * n]
+        hbar, tau, t = key[2 * n:]
+        degree = sum(kx) + sum(kp)
         if degree > MAX_TOTAL_DEGREE:
             raise DegreeLimitError(
                 f"term degree {degree} exceeds cap {MAX_TOTAL_DEGREE}"
             )
-        total = mi_abs(kp)
+        total = sum(kp)
         tables = [_ordering_table(r, s) for r, s in zip(kx, kp)]
-        for js in product(*(range(len(t)) for t in tables)):
+        for js in product(*(range(len(row)) for row in tables)):
             c = [1]
             for table, j in zip(tables, js):
                 c = _convolve(c, table[j])
-            w = weight(total, c)
-            if not w:
-                continue
-            key = (
-                tuple(r - j for r, j in zip(kx, js)),
-                tuple(s - j for s, j in zip(kp, js)),
+            w, w_den = weight(total, c)
+            big_j = sum(js)
+            head = (
+                tuple(r - j for r, j in zip(kx, js))
+                + tuple(s - j for s, j in zip(kp, js))
             )
-            term = coeff * _minus_i_hbar_power(mi_abs(js), w)
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    return OpPoly(a.dim, out)
+            parts.append((head, hbar + big_j, tau, t,
+                          *_rotate(re, im, big_j), w, w_den))
+    den = lcm(*{part[-1] for part in parts})
+    out: dict[tuple, tuple[int, int]] = {}
+    for head, hbar, tau, t, re, im, w, w_den in parts:
+        f = den // w_den
+        for m, wm in w.items():
+            if wm:
+                key = head + (hbar, tau + m, t)
+                g = wm * f
+                prev = out.get(key, (0, 0))
+                out[key] = (prev[0] + re * g, prev[1] + im * g)
+    return OpPoly._from_flat(n, out, a._den * den)
 
 
 def amplitude_average(a: SymbolPoly) -> AmplitudePoly:

@@ -15,9 +15,9 @@ exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
-from .exact import ExactScalar, SymbolPoly
+from .exact import SymbolPoly
 from .operators import OpPoly
 
 MAX_DEPTH = 256
@@ -90,11 +90,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], dim: int):
+    def __init__(self, tokens: list[_Token], dim: int, max_degree: int | None):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
         self.depth = 0
+        self.max_degree = max_degree
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -132,11 +133,24 @@ class _Parser:
         finally:
             self._leave()
 
+    def _check_degree(self, degree: int, what: str, tok: _Token) -> None:
+        # exact: leading forms multiply in an integral domain, so a product
+        # of nonzero polynomials has the sum of their degrees
+        if degree > self.max_degree:
+            raise SymLangError(
+                f"{what} degree {degree} exceeds max degree {self.max_degree}", tok.pos
+            )
+
     def parse_term(self) -> SymbolPoly:
         acc = self.parse_factor()
         while self.peek().kind == "*":
-            self.advance()
-            acc = acc * self.parse_factor()
+            star = self.advance()
+            factor = self.parse_factor()
+            if self.max_degree is not None:
+                self._check_degree(
+                    acc.total_degree() + factor.total_degree(), "product", star
+                )
+            acc = acc * factor
         return acc
 
     def parse_factor(self) -> SymbolPoly:
@@ -153,7 +167,9 @@ class _Parser:
             exponent = int(tok.text)
             if exponent > MAX_EXPONENT:
                 raise SymLangError(f"exponent exceeds limit {MAX_EXPONENT}", tok.pos)
-            result = SymbolPoly.constant(self.dim, ExactScalar.one())
+            if self.max_degree is not None:
+                self._check_degree(base.total_degree() * exponent, "power", caret)
+            result = self._constant(1)
             for _ in range(exponent):
                 result = result * base
             return result
@@ -172,10 +188,8 @@ class _Parser:
                     den = int(den_tok.text)
                     if den == 0:
                         raise SymLangError("zero denominator", den_tok.pos)
-                    value = Fraction(num, den)
-                else:
-                    value = Fraction(num)
-                return SymbolPoly.constant(self.dim, ExactScalar.rational(value))
+                    return self._constant(num, 0, den)
+                return self._constant(num)
             if tok.kind == "ident":
                 self.advance()
                 return self._resolve_ident(tok)
@@ -195,12 +209,19 @@ class _Parser:
         finally:
             self._leave()
 
+    def _constant(self, re: int, im: int = 0, den: int = 1, slot: int | None = None):
+        """(re + i im)/den times the flat key's variable at slot, if any."""
+        key = [0] * (2 * self.dim + 3)
+        if slot is not None:
+            key[slot] = 1
+        return SymbolPoly._from_flat(self.dim, {tuple(key): (re, im)}, den)
+
     def _resolve_ident(self, tok: _Token) -> SymbolPoly:
         name = tok.text
         if name == "i":
-            return SymbolPoly.constant(self.dim, ExactScalar.i())
+            return self._constant(0, 1)
         if name == "hbar":
-            return SymbolPoly.constant(self.dim, ExactScalar.hbar())
+            return self._constant(1, slot=2 * self.dim)
         block = name[0]
         suffix = name[1:]
         if block in ("x", "p") and (suffix == "" or suffix.isdigit()):
@@ -216,20 +237,22 @@ class _Parser:
                 raise SymLangError(
                     f"variable {name!r} out of range for dimension {self.dim}", tok.pos
                 )
-            return SymbolPoly.variable(self.dim, (block, index))
+            return self._constant(1, slot=(self.dim if block == "p" else 0) + index)
         raise SymLangError(f"unknown identifier {name!r}", tok.pos)
 
 
-def parse(text: str, dim: int = 1) -> SymbolPoly:
+def parse(text: str, dim: int = 1, max_degree: int | None = None) -> SymbolPoly:
     """Parse a symbol expression into canonical form.
 
     Raises SymLangError with a character position on any invalid input.
+    With max_degree, a product or power whose degree would exceed it is
+    rejected before it is expanded, so the work stays bounded.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     if not isinstance(text, str):
         raise TypeError("input must be a string")
-    parser = _Parser(_tokenize(text), dim)
+    parser = _Parser(_tokenize(text), dim, max_degree)
     result = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "eof":
@@ -242,40 +265,33 @@ def parse(text: str, dim: int = 1) -> SymbolPoly:
 # ---------------------------------------------------------------------------
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)  # "3" or "1/6"
+def _format_rational(num: int, den: int) -> str:
+    """num/den in lowest terms: "3" or "1/6"."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _coeff_factors(re: Fraction, im: Fraction) -> list[str]:
-    """Factor strings for a Gaussian rational, sign already removed."""
+def _coeff_factors(re: int, im: int, den: int) -> list[str]:
+    """Factor strings for (re + i im)/den, sign already removed."""
     if im == 0:
-        if re == 1:
+        if re == den:
             return []
-        s = _format_rational(re)
+        s = _format_rational(re, den)
         return [f"({s})" if "/" in s else s]
     if re == 0:
         factors = []
-        if im != 1:
-            s = _format_rational(im)
+        if im != den:
+            s = _format_rational(im, den)
             factors.append(f"({s})" if "/" in s else s)
         factors.append("i")
         return factors
-    im_part = f"{_format_rational(abs(im))}*i" if abs(im) != 1 else "i"
+    im_part = f"{_format_rational(abs(im), den)}*i" if abs(im) != den else "i"
     sign = "+" if im > 0 else "-"
-    return [f"({_format_rational(re)}{sign}{im_part})"]
+    return [f"({_format_rational(re, den)}{sign}{im_part})"]
 
 
-def _aux_factors(hbar_pow: int, tau_pow: int, t_pow: int) -> list[str]:
-    out = []
-    for name, k in (("hbar", hbar_pow), ("tau", tau_pow), ("t", t_pow)):
-        if k == 1:
-            out.append(name)
-        elif k > 1:
-            out.append(f"{name}^{k}")
-    return out
-
-
-def _var_factors(names: list[str], exps: tuple[int, ...]) -> list[str]:
+def _var_factors(names, exps: tuple[int, ...]) -> list[str]:
     out = []
     for name, e in zip(names, exps):
         if e == 1:
@@ -285,63 +301,40 @@ def _var_factors(names: list[str], exps: tuple[int, ...]) -> list[str]:
     return out
 
 
-def _format_terms(pieces: list[tuple[tuple, int, int, int, Fraction, Fraction]],
-                  var_namer) -> str:
-    """pieces: (monomial key, hbar_pow, tau_pow, t_pow, re, im), canonical order."""
-    if not pieces:
+_SCALAR_NAMES = ("hbar", "tau", "t")
+
+
+def _format_poly(poly, names: list[str]) -> str:
+    """Canonical text of a flat map: terms in graded-lex descending order of
+    their exponents, scalar components (hbar, tau, t) ascending within each;
+    each term is its coefficient, then hbar, tau, t, then the variables."""
+    m, den = len(names), poly._den
+    items = sorted(poly._num.items(), key=lambda item: item[0][m:])
+    items.sort(key=lambda item: (sum(item[0][:m]), item[0][:m]), reverse=True)
+    if not items:
         return "0"
-    rendered = []
-    for key, h, tau_p, t_p, re, im in pieces:
+    out = []
+    for key, (re, im) in items:
         negative = re < 0 or (re == 0 and im < 0)
         if negative:
             re, im = -re, -im
-        factors = _coeff_factors(re, im) + _aux_factors(h, tau_p, t_p) + var_namer(key)
-        body = "*".join(factors) if factors else "1"
-        rendered.append((negative, body))
-    first_neg, first_body = rendered[0]
-    out = ("-" if first_neg else "") + first_body
-    for negative, body in rendered[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
-
-
-def _split_scalar(coeff: ExactScalar):
-    """Scalar components as (hbar_pow, tau_pow, t_pow, re, im), sorted."""
-    for key in sorted(coeff.terms):
-        re, im = coeff.terms[key]
-        yield key[0], key[1], key[2], re, im
+        factors = (_coeff_factors(re, im, den) + _var_factors(_SCALAR_NAMES, key[m:])
+                   + _var_factors(names, key[:m]))
+        out.append(" - " if negative else " + ")
+        out.append("*".join(factors) if factors else "1")
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def format_symbol(a: SymbolPoly) -> str:
     """Canonical string form; parse(format_symbol(a), a.dim) == a."""
-    names_x = ["x"] if a.dim == 1 else [f"x{j+1}" for j in range(a.dim)]
-    names_p = ["p"] if a.dim == 1 else [f"p{j+1}" for j in range(a.dim)]
-
-    def namer(key):
-        kx, kp = key
-        return _var_factors(names_x, kx) + _var_factors(names_p, kp)
-
-    pieces = []
-    for key, coeff in a.sorted_terms():
-        for h, tau_p, t_p, re, im in _split_scalar(coeff):
-            pieces.append((key, h, tau_p, t_p, re, im))
-    return _format_terms(pieces, namer)
+    if a.dim == 1:
+        return _format_poly(a, ["x", "p"])
+    return _format_poly(a, [f"{block}{j+1}" for block in "xp" for j in range(a.dim)])
 
 
 def format_operator(op: OpPoly) -> str:
     """Canonical text form of a normal-ordered operator polynomial."""
     if op.dim == 1:
-        names_x, names_p = ["xhat"], ["phat"]
-    else:
-        names_x = [f"xhat{j+1}" for j in range(op.dim)]
-        names_p = [f"phat{j+1}" for j in range(op.dim)]
-
-    def namer(key):
-        kx, kp = key
-        return _var_factors(names_x, kx) + _var_factors(names_p, kp)
-
-    pieces = []
-    for key, coeff in op.sorted_terms():
-        for h, tau_p, t_p, re, im in _split_scalar(coeff):
-            pieces.append((key, h, tau_p, t_p, re, im))
-    return _format_terms(pieces, namer)
+        return _format_poly(op, ["xhat", "phat"])
+    return _format_poly(op, [f"{block}hat{j+1}" for block in "xp" for j in range(op.dim)])

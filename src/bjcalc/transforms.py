@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Literal
 
 from .exact import (
@@ -28,9 +28,12 @@ from .exact import (
     I,
     ONE,
     ExactScalar,
+    FlatMap,
     MultiIndex,
     RationalLike,
     SymbolPoly,
+    _mul_maps,
+    _scalar_map,
     mi_abs,
 )
 
@@ -108,20 +111,22 @@ class CoeffTable:
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _apply_d(terms: dict) -> dict:
-    """One application of D = sum_j d_xj d_pj to a symbol's term map."""
-    out: dict = {}
-    for (kx, kp), coeff in terms.items():
-        for j, (ex, ep) in enumerate(zip(kx, kp)):
+def _apply_d(num: FlatMap, dim: int) -> FlatMap:
+    """One application of D = sum_j d_xj d_pj to a symbol's numerator map.
+
+    The denominator is unchanged, since D only multiplies by integers.
+    """
+    out: FlatMap = {}
+    for key, (re, im) in num.items():
+        for j in range(dim):
+            ex, ep = key[j], key[dim + j]
             if ex and ep:
-                key = (
-                    kx[:j] + (ex - 1,) + kx[j + 1:],
-                    kp[:j] + (ep - 1,) + kp[j + 1:],
-                )
-                term = coeff.scale(ex * ep)
-                acc = out.get(key)
-                out[key] = term if acc is None else acc + term
-    return {key: c for key, c in out.items() if not c.is_zero()}
+                f = ex * ep
+                nkey = (key[:j] + (ex - 1,) + key[j + 1:dim + j]
+                        + (ep - 1,) + key[dim + j + 1:])
+                prev = out.get(nkey, (0, 0))
+                out[nkey] = (prev[0] + re * f, prev[1] + im * f)
+    return {key: v for key, v in out.items() if v[0] or v[1]}
 
 
 def _d_series(
@@ -130,27 +135,35 @@ def _d_series(
     """sum_k weight(k) (i hbar)^k / k! D^k a.
 
     A rational weight becomes the one-term scalar i^k hbar^k w_k / k!, and
-    zero weights are skipped without touching the terms.
+    zero weights are skipped without touching the terms.  The scalars are
+    brought over one common denominator with the symbol's, and each D^k a
+    is multiplied into the flat map once.
     """
-    out: dict = {}
-    dk = a.terms
+    n = a.dim
+    width = 2 * n
+    series = []  # (D^k a numerators, scalar numerators, scalar denominator)
+    dk = a._num
     k = 0
     while dk:
         w = weight(k)
         if isinstance(w, ExactScalar):
             coeff = ((I * HBAR) ** k * w).scale(Fraction(1, factorial(k)))
+            smap, sden = _scalar_map(coeff, width)
         else:
             re, im = _I_POWERS[k % 4]
             q = w / factorial(k)
-            coeff = ExactScalar({(k, 0, 0): (re * q, im * q)})
-        if not coeff.is_zero():
-            for key, c in dk.items():
-                term = c * coeff
-                acc = out.get(key)
-                out[key] = term if acc is None else acc + term
-        dk = _apply_d(dk)
+            key = (0,) * width + (k, 0, 0)
+            smap, sden = {key: (re * q.numerator, im * q.numerator)}, q.denominator
+        if any(c or d for c, d in smap.values()):
+            series.append((dk, smap, sden))
+        dk = _apply_d(dk, n)
         k += 1
-    return SymbolPoly(a.dim, out)
+    den = lcm(*(sden for _, _, sden in series))
+    out: FlatMap = {}
+    for dk, smap, sden in series:
+        f = den // sden
+        _mul_maps(dk, {key: (c * f, d * f) for key, (c, d) in smap.items()}, out)
+    return SymbolPoly._from_flat(n, out, a._den * den)
 
 
 def bj_to_weyl(a: SymbolPoly) -> SymbolPoly:

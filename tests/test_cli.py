@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -54,6 +55,22 @@ class TestQuantize:
         code, _, err = run(["--max-degree", "3", "quantize", "weyl", "x^2*p^2"])
         assert code == 2
         assert "degree" in err
+
+
+class TestDegreeBudget:
+    @pytest.mark.parametrize("text", ["((x+p)^20)^20", "(x+p+x^2*p^3)^1000"])
+    @pytest.mark.parametrize("command", [
+        ["quantize", "weyl"], ["convert", "weyl-to-bj"], ["apply", "--scheme", "weyl"],
+    ], ids=["quantize", "convert", "apply"])
+    def test_rejected_while_parsing(self, command, text):
+        argv = ["--max-degree", "64"] + command + [text]
+        if command[0] == "apply":
+            argv.append("gaussian")
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert "degree" in err and "position" in err
 
 
 class TestConvert:

@@ -95,6 +95,44 @@ class TestExactScalar:
             ExactScalar.tau().to_complex(1.0)
 
 
+@st.composite
+def symbol_polys(draw, dim):
+    n_terms = draw(st.integers(0, 3))
+    terms = {}
+    for _ in range(n_terms):
+        kx = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+        kp = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+        terms[(kx, kp)] = draw(scalars())
+    return SymbolPoly(dim, terms)
+
+
+def _triples(draw):
+    dim = draw(st.integers(1, 2))
+    return tuple(draw(symbol_polys(dim)) for _ in range(3))
+
+
+class TestSymbolPolyRing:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_axioms(self, data):
+        a, b, c = _triples(data.draw)
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert (a + (-a)).is_zero() and a - a == SymbolPoly.zero(a.dim)
+        assert a * b == b * a
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_terms_roundtrip_and_hash(self, data):
+        a, b, c = _triples(data.draw)
+        assert SymbolPoly(a.dim, a.terms) == a
+        for lhs, rhs in (((a + b) + c, a + (b + c)), (a * b, b * a),
+                         (a * (b + c), a * b + a * c)):
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+
+
 class TestPoly:
     def test_monomial_constructors(self):
         a = SymbolPoly.monomial(2, x=(1, 0), p=(0, 2))

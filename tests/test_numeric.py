@@ -415,6 +415,88 @@ class TestSampledRouteOracle:
         assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def _oracle_apply_poly(a, psi, scheme):
+    """Polynomial route with two transforms per (term, j), a rolled centred
+    DFT, and the ordering weights averaged over the scheme's nodes."""
+    from math import comb
+
+    if isinstance(scheme, BJSinc):
+        a, scheme = bj_to_weyl(a), WeylScheme()
+    if isinstance(scheme, BJQuadrature):
+        nodes, weights = np.polynomial.legendre.leggauss(scheme.order)
+        nodes, weights = (nodes + 1) / 2, weights / 2
+    else:
+        tau = 0.5 if isinstance(scheme, WeylScheme) else scheme.tau
+        nodes, weights = np.array([tau]), np.array([1.0])
+    grid, hbar = psi.grid, psi.hbar
+    x, p = grid.x_values(), grid.p_values(hbar)
+    out = np.zeros(grid.n_points, dtype=complex)
+    for ((r,), (s,)), coeff in a.terms.items():
+        c = coeff.to_complex(hbar)
+        for j in range(r + 1):
+            weight = comb(r, j) * np.sum(weights * (1 - nodes) ** (r - j) * nodes**j)
+            g_hat = _centred_dft(x**j * psi.values, -1, 0) * p**s
+            back = _centred_dft(g_hat, +1, 0) / grid.n_points
+            out += c * weight * x ** (r - j) * back
+    return out
+
+
+def _random_degree6_symbols(seed, count):
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(count):
+        forms = []
+        for _ in range(6):
+            a, b, c = rng.integers(-3, 4, 3)
+            da, db = rng.integers(1, 5, 2)
+            forms.append(f"({a}/{da}*x + {b}/{db}*p + {c})")
+        texts.append("*".join(forms))
+    return [parse(t) for t in texts]
+
+
+POLY_SCHEMES = (
+    WeylScheme(),
+    TauScheme(0.0),
+    TauScheme(1 / 3),
+    TauScheme(1.0),
+    BJQuadrature(8),
+    BJQuadrature(16),
+    BJSinc(),
+)
+
+
+class TestPolyRouteOracle:
+    @pytest.mark.parametrize("n, box", [(64, 16.0), (128, 20.0)])
+    def test_matches_per_term_transforms(self, n, box):
+        # compared on the inner half of the box: near the edge, where the
+        # exact result is tiny, both routes return rounding noise of the
+        # transforms times x^(r-j) (up to (box/2)^12), and two summation
+        # orders give different noise there
+        grid = UniformGrid(n, box)
+        inner = np.abs(grid.x_values()) <= box / 4
+        symbols = [parse("(x+p)^12")] + _random_degree6_symbols(n, 3)
+        for k in (0, 2):
+            psi = hermite_state(grid, k)
+            for a in symbols:
+                for scheme in POLY_SCHEMES:
+                    fast = apply_operator(a, psi, scheme).values[inner]
+                    ref = _oracle_apply_poly(a, psi, scheme)[inner]
+                    assert np.max(np.abs(fast - ref)) < 1e-12 * np.max(np.abs(ref)), scheme
+
+    def test_transform_count(self, monkeypatch):
+        # one forward transform per power x^j and one inverse per outer
+        # power x^(r-j): at most 2 (degree + 1) for a symbol of that degree
+        calls = []
+        for name in ("fft", "ifft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *args, _real=real, **kw: calls.append(1) or _real(*args, **kw)
+            )
+        grid = UniformGrid(512, 40.0)
+        apply_operator(parse("(x+p)^12"), hermite_state(grid, 2), BJQuadrature(16))
+        assert len(calls) <= 26
+
+
 class TestSymbolConversionOnGrid:
     def test_sinc_filter_interior_matches_exact_conversion(self):
         grid = UniformGrid(1024, 28.0)

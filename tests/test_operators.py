@@ -58,6 +58,90 @@ def _random_op(rng: random.Random, dim: int = 1, n_words: int = 3, deg: int = 3)
     return out
 
 
+# -- independent oracle: one phat at a time ---------------------------------
+# phat xhat^c phat^d = xhat^c phat^(d+1) - i hbar c xhat^(c-1) phat^d, applied
+# once per phat, normal-orders phat^k xhat^r in one dimension; a product or
+# adjoint reorders each dimension this way and multiplies the sums.
+
+
+def _reorder_1d(p_exp: int, x_exp: int) -> dict:
+    terms = {(x_exp, 0): ONE}
+    minus_i_hbar = -I_HBAR
+    for _ in range(p_exp):
+        out: dict = {}
+        for (c, d), coeff in terms.items():
+            out[(c, d + 1)] = out.get((c, d + 1), ExactScalar.zero()) + coeff
+            if c:
+                key = (c - 1, d)
+                out[key] = out.get(key, ExactScalar.zero()) + coeff * minus_i_hbar.scale(c)
+        terms = out
+    return terms
+
+
+def _reordered_word(dim, ax, ap, bx, bp, coeff) -> dict:
+    """coeff xhat^ax phat^ap xhat^bx phat^bp as {(kx, kp): scalar}."""
+    partial = {((), ()): coeff}
+    for j in range(dim):
+        nxt: dict = {}
+        for (px, pp), pc in partial.items():
+            for (c, d), mc in _reorder_1d(ap[j], bx[j]).items():
+                key = (px + (ax[j] + c,), pp + (d + bp[j],))
+                nxt[key] = nxt.get(key, ExactScalar.zero()) + pc * mc
+        partial = nxt
+    return partial
+
+
+def _oracle_product(a: OpPoly, b: OpPoly) -> OpPoly:
+    out: dict = {}
+    for (ax, ap), ca in a.terms.items():
+        for (bx, bp), cb in b.terms.items():
+            for key, c in _reordered_word(a.dim, ax, ap, bx, bp, ca * cb).items():
+                out[key] = out.get(key, ExactScalar.zero()) + c
+    return OpPoly(a.dim, out)
+
+
+def _oracle_adjoint(a: OpPoly) -> OpPoly:
+    zero = (0,) * a.dim
+    out: dict = {}
+    for (kx, kp), coeff in a.terms.items():
+        for key, c in _reordered_word(a.dim, zero, kp, kx, zero, coeff.conjugate()).items():
+            out[key] = out.get(key, ExactScalar.zero()) + c
+    return OpPoly(a.dim, out)
+
+
+def _rich_op(rng: random.Random, dim: int, n_words: int, deg: int) -> OpPoly:
+    """Random operator with complex, hbar and formal-tau coefficients."""
+    out = OpPoly.zero(dim)
+    for _ in range(n_words):
+        kx = tuple(rng.randrange(deg + 1) for _ in range(dim))
+        kp = tuple(rng.randrange(deg + 1) for _ in range(dim))
+        coeff = ExactScalar.rational(
+            Fraction(rng.randrange(-6, 7), rng.randrange(1, 6)),
+            Fraction(rng.randrange(-6, 7), rng.randrange(1, 6)),
+        )
+        coeff = coeff + ExactScalar.hbar(rng.randrange(1, 3)).scale(
+            Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+        )
+        if rng.random() < 0.5:
+            coeff = coeff + (ExactScalar.tau() ** rng.randrange(1, 3)) * I_HBAR.scale(
+                rng.randrange(-2, 3)
+            )
+        out = out + OpPoly.word(dim, kx, kp, coeff)
+    return out
+
+
+class TestAgainstReorderingOracle:
+    @pytest.mark.parametrize("dim, deg, n_words", [(1, 5, 5), (2, 3, 4), (3, 2, 4)])
+    def test_product_commutator_adjoint(self, dim, deg, n_words):
+        rng = random.Random(100 + dim)
+        for _ in range(6):
+            a = _rich_op(rng, dim, n_words, deg)
+            b = _rich_op(rng, dim, n_words, deg)
+            assert a * b == _oracle_product(a, b)
+            assert a.commutator(b) == _oracle_product(a, b) - _oracle_product(b, a)
+            assert a.adjoint() == _oracle_adjoint(a)
+
+
 class TestAgainstDifferentialOracle:
     def test_canonical_commutator(self):
         x, p = OpPoly.x_op(1), OpPoly.p_op(1)

@@ -1,7 +1,10 @@
 """Parser and canonical formatter for the symbol language."""
 
 import random
+import re
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +126,158 @@ class TestRoundTrip:
             parse(text)
         except SymLangError:
             pass
+
+
+# -- independent oracle: evaluate the text at a point ------------------------
+# A recursive-descent evaluator of the grammar over Gaussian rationals
+# (pairs of Fractions), sharing nothing with bjcalc.
+
+
+def _g_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _evaluate_text(text: str, point: dict):
+    tokens = re.findall(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*^/()]", text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        acc = term()
+        while peek() in ("+", "-"):
+            sign = 1 if take() == "+" else -1
+            rhs = term()
+            acc = (acc[0] + sign * rhs[0], acc[1] + sign * rhs[1])
+        return acc
+
+    def term():
+        acc = factor()
+        while peek() == "*":
+            take()
+            acc = _g_mul(acc, factor())
+        return acc
+
+    def factor():
+        base = atom()
+        if peek() == "^":
+            take()
+            out = (Fraction(1), Fraction(0))
+            for _ in range(int(take())):
+                out = _g_mul(out, base)
+            return out
+        return base
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            inner = expr()
+            assert take() == ")"
+            return inner
+        if tok == "-":
+            v = factor()
+            return (-v[0], -v[1])
+        if tok.isdigit():
+            if peek() == "/":
+                take()
+                return (Fraction(int(tok), int(take())), Fraction(0))
+            return (Fraction(int(tok)), Fraction(0))
+        if tok == "i":
+            return (Fraction(0), Fraction(1))
+        return (point[tok], Fraction(0))
+
+    value = expr()
+    assert pos == len(tokens)
+    return value
+
+
+def _evaluate_poly(a: SymbolPoly, point: dict, names: list[str]):
+    """Value of a parsed symbol at the point, read off its public terms."""
+    total = (Fraction(0), Fraction(0))
+    for key, coeff in a.terms.items():
+        mono = Fraction(1)
+        for name, e in zip(names, (v for block in key for v in block)):
+            mono *= point[name] ** e
+        for (h, tau, t), (re, im) in coeff.terms.items():
+            assert tau == t == 0
+            scale = mono * point["hbar"] ** h
+            total = (total[0] + re * scale, total[1] + im * scale)
+    return total
+
+
+def _random_text(rng, names, depth=0):
+    """Linear forms, products, powers, nested parentheses and unary minus."""
+    r = rng.random()
+    if depth > 3 or r < 0.2:
+        return rng.choice(names + ["hbar", "i", f"{rng.randrange(13)}/{rng.randrange(1, 9)}",
+                                   str(rng.randrange(20))])
+    if r < 0.35:
+        return " + ".join(f"{rng.randrange(1, 7)}/{rng.randrange(1, 5)}*{n}" for n in names)
+    if r < 0.55:
+        return f"({_random_text(rng, names, depth + 1)} {rng.choice('+-')} " \
+               f"{_random_text(rng, names, depth + 1)})"
+    if r < 0.75:
+        return f"({_random_text(rng, names, depth + 1)})*({_random_text(rng, names, depth + 1)})"
+    if r < 0.9:
+        return f"({_random_text(rng, names, depth + 1)})^{rng.randrange(4)}"
+    return f"-{_random_text(rng, names, depth + 1)}"
+
+
+class TestAgainstEvaluator:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_parse_agrees_at_random_points(self, dim):
+        rng = random.Random(300 + dim)
+        names = ["x", "p"] if dim == 1 else [
+            f"{b}{j + 1}" for b in "xp" for j in range(dim)
+        ]
+        aliases = ["x1", "p1"] if dim == 1 else names
+        for _ in range(60):
+            text = _random_text(rng, names)
+            a = parse(text, dim)
+            for _ in range(2):
+                point = {n: Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+                         for n in names + ["hbar"]}
+                point.update(zip(aliases, (point[n] for n in names)))
+                assert _evaluate_poly(a, point, aliases) == _evaluate_text(text, point), text
+
+
+class TestDegreeBudget:
+    @pytest.mark.parametrize("text", ["((x+p)^20)^20", "(x+p+x^2*p^3)^1000"])
+    def test_rejected_before_expanding(self, text):
+        start = time.perf_counter()
+        with pytest.raises(SymLangError) as exc:
+            parse(text, max_degree=64)
+        assert time.perf_counter() - start < 0.5
+        assert "degree" in str(exc.value)
+        assert exc.value.position == text.rindex("^")
+
+    def test_product_checked_at_its_operator(self):
+        text = "x^40*p^30"
+        with pytest.raises(SymLangError) as exc:
+            parse(text, max_degree=64)
+        assert "degree 70" in str(exc.value) and exc.value.position == text.index("*")
+        assert parse(text, max_degree=70) == parse(text)
+
+    def test_budget_is_exact(self):
+        # a cancelling sum inside does not count against the budget, and
+        # a power of exactly the budget passes
+        assert parse("(x - x + p)^64", max_degree=64) == parse("p^64")
+        with pytest.raises(SymLangError):
+            parse("(x - x + p)^65", max_degree=64)
+
+    def test_unbounded_power_unchanged(self):
+        a = parse("(x+p)^200")
+        assert a == sum(
+            (SymbolPoly.monomial(1, ExactScalar.rational(comb(200, k)), x=(k,), p=(200 - k,))
+             for k in range(201)),
+            SymbolPoly.zero(1),
+        )
 
 
 class TestOperatorFormatting:
