@@ -6,7 +6,12 @@ symbols, normal-ordered operator polynomials, the symmetric / ordering-family
 symbols.  The numeric layer realizes the same calculi on a periodic grid via
 FFT-based application routes, plus phase-space diagnostics (symplectic
 transform, reflection operators, coherent-state averages, growth-order fits).
+
+Only the exact layer is imported with the package.  The numeric names (and
+NumPy with them) load on first access, so exact work never pays for NumPy.
 """
+
+from importlib import import_module
 
 from .exact import (
     AmplitudePoly,
@@ -41,35 +46,6 @@ from .transforms import (
     weyl_to_bj,
 )
 from .symlang import SymLangError, format_operator, format_symbol, parse
-from .numeric import (
-    BJQuadrature,
-    BJSinc,
-    BoundaryDecayWarning,
-    NumericParams,
-    SampledSymbol,
-    SampledWavefunction,
-    ShubinOrderEstimate,
-    TauScheme,
-    UniformGrid,
-    WeylScheme,
-    antiwick_apply,
-    apply_operator,
-    bj_weyl_symbol_numeric,
-    estimate_shubin_order,
-    gaussian_state,
-    grossmann_royer_apply,
-    heisenberg_shift,
-    hermite_state,
-    null_symbol,
-    q_norm_estimate,
-    sample_symbol,
-    symplectic_ft,
-    wavefunction_from_csv,
-    wavefunction_from_json,
-    wavefunction_to_csv,
-    wavefunction_to_json,
-    weyl_via_grossmann_royer,
-)
 
 __version__ = "0.1.0"
 
@@ -135,3 +111,23 @@ __all__ = [
     "weyl_via_grossmann_royer",
     "__version__",
 ]
+
+# The numeric layer needs NumPy, which costs more to import than the whole
+# exact layer.  The names of __all__ not bound above are its names, resolved
+# on first access (PEP 562), so `import bjcalc` and exact work start without
+# it.
+_NUMERIC_NAMES = frozenset(__all__).difference(globals())
+
+
+def __getattr__(name: str):
+    # `bjcalc.numeric` stays reachable without an explicit submodule import
+    if name in _NUMERIC_NAMES or name == "numeric":
+        numeric = import_module(".numeric", __name__)
+        value = numeric if name == "numeric" else getattr(numeric, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,6 +3,11 @@
 Subcommands: quantize, convert, coeffs, apply, verify.  Exit codes: 0 on
 success, 1 on usage errors, 2 on computation errors, 3 when a verification
 check fails.  Output is deterministic for a fixed command line.
+
+quantize, convert and coeffs are pure rational algebra and never import
+NumPy: only apply and verify, and the helpers that apply alone reaches,
+import the numeric layer, where they run.  `verify --output json` reports
+each numeric check's residual next to its tolerance.
 """
 
 from __future__ import annotations
@@ -11,22 +16,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import numeric, symlang
-from .exact import SymbolPoly
-from .numeric import (
-    BJQuadrature,
-    BJSinc,
-    NumericParams,
-    SampledSymbol,
-    TauScheme,
-    UniformGrid,
-    WeylScheme,
-)
+from . import symlang
+from .exact import ExactScalar, SymbolPoly
 from .operators import OpPoly
-from .quantize import BornJordan, Tau, Weyl, quantize_symbol
+from .quantize import BornJordan, Tau, Weyl, quantize_monomial, quantize_symbol, tau_average
 from .transforms import (
     CoeffTable,
     bj_to_tau,
@@ -34,6 +29,14 @@ from .transforms import (
     tau_shift,
     weyl_to_bj,
 )
+
+if TYPE_CHECKING:
+    from .numeric import UniformGrid
+
+
+# Largest `coeffs --max`: the exact table up to this order builds in about a
+# second.
+MAX_COEFF_ORDER = 700
 
 
 class UsageError(Exception):
@@ -69,6 +72,8 @@ def _calc_point(text: str) -> Fraction | None:
 
 
 def _parse_scheme(text: str, quadrature: int):
+    from .numeric import BJQuadrature, BJSinc, TauScheme
+
     if text == "bj-quadrature":
         return BJQuadrature(quadrature)
     if text == "bj-sinc":
@@ -83,6 +88,8 @@ def _parse_scheme(text: str, quadrature: int):
 
 
 def _named_state(text: str, grid: UniformGrid, hbar: float):
+    from . import numeric
+
     if text == "gaussian":
         return numeric.gaussian_state(grid, hbar)
     if text.startswith("hermite:"):
@@ -108,9 +115,9 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
 def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degree: int):
     """Resolve a symbol argument: a named generator or a symbol expression."""
     if text == "harmonic":
-        half = SymbolPoly.monomial(dim, coeff=_half(), x=(2,) + (0,) * (dim - 1))
-        half = half + SymbolPoly.monomial(dim, coeff=_half(), p=(2,) + (0,) * (dim - 1))
-        return half
+        half = ExactScalar.rational(Fraction(1, 2))
+        return (SymbolPoly.monomial(dim, coeff=half, x=(2,) + (0,) * (dim - 1))
+                + SymbolPoly.monomial(dim, coeff=half, p=(2,) + (0,) * (dim - 1)))
     if text.startswith("monomial:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -131,15 +138,11 @@ def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degre
             x0, p0 = float(parts[1]), float(parts[2])
         except ValueError:
             raise UsageError(f"invalid null-point coordinates in {text!r}") from None
-        symbol, _ = numeric.null_symbol(grid, hbar, x0, p0)
+        from .numeric import null_symbol
+
+        symbol, _ = null_symbol(grid, hbar, x0, p0)
         return symbol
     return symlang.parse(text, dim=dim, max_degree=max_degree)
-
-
-def _half():
-    from .exact import ExactScalar
-
-    return ExactScalar.rational(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +266,8 @@ def _cmd_convert(args, out) -> int:
 
 
 def _cmd_coeffs(args, out) -> int:
-    if args.max < 0:
-        raise UsageError("--max must be non-negative")
+    if not 0 <= args.max <= MAX_COEFF_ORDER:
+        raise UsageError(f"--max must be between 0 and {MAX_COEFF_ORDER}")
     table = CoeffTable.build(args.max)
     if args.output == "json":
         _emit_json(_table_json(table), out)
@@ -280,6 +283,11 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_apply(args, out) -> int:
+    import numpy as np
+
+    from . import numeric
+    from .numeric import NumericParams, UniformGrid
+
     if args.dim != 1:
         raise UsageError("apply supports dimension 1 only")
     try:
@@ -317,8 +325,12 @@ def _cmd_apply(args, out) -> int:
 
 
 def _verify_checks():
-    from .exact import ExactScalar
-    from .quantize import quantize_monomial, tau_average
+    """(name, check) pairs.  An exact check returns a bool; a numeric check
+    returns (residual, tolerance) and passes when residual < tolerance."""
+    import numpy as np
+
+    from . import numeric
+    from .numeric import BJQuadrature, BJSinc, SampledSymbol, TauScheme, UniformGrid, WeylScheme
 
     def commutator_normalization():
         x, p = OpPoly.x_op(1), OpPoly.p_op(1)
@@ -357,7 +369,7 @@ def _verify_checks():
         values = np.exp(-np.add.outer(x**2, p**2) / 2)
         a = SampledSymbol(grid, values.astype(complex), 1.0)
         twice = numeric.symplectic_ft(numeric.symplectic_ft(a))
-        return float(np.max(np.abs(twice.values - a.values))) < 1e-10
+        return float(np.max(np.abs(twice.values - a.values))), 1e-10
 
     def conversion_vs_quantizer():
         a = symlang.parse("x^2*p^2 + 3*x*p")
@@ -378,15 +390,14 @@ def _verify_checks():
         ):
             got = numeric.apply_operator(a, psi, scheme)
             worst = max(worst, float(np.max(np.abs(got.values - reference.values))))
-        return worst < 1e-8
+        return worst, 1e-8
 
     def harmonic_ground_state():
         grid = UniformGrid(256, 20.0)
         psi = numeric.gaussian_state(grid)
         a = symlang.parse("1/2*x^2 + 1/2*p^2")
         result = numeric.apply_operator(a, psi, WeylScheme())
-        err = float(np.max(np.abs(result.values - 0.5 * psi.values)))
-        return err < 1e-8
+        return float(np.max(np.abs(result.values - 0.5 * psi.values))), 1e-8
 
     return [
         ("commutator-normalization", commutator_normalization),
@@ -401,16 +412,27 @@ def _verify_checks():
     ]
 
 
+def _run_check(name: str, check) -> dict:
+    outcome = check()
+    if isinstance(outcome, tuple):
+        residual, tolerance = outcome
+        passed = residual < tolerance
+    else:
+        residual = tolerance = None
+        passed = bool(outcome)
+    return {"name": name, "passed": passed, "residual": residual, "tolerance": tolerance}
+
+
 def _cmd_verify(args, out) -> int:
-    checks = _verify_checks()
-    failures = 0
-    for name, check in checks:
-        ok = bool(check())
-        out.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
-        if not ok:
-            failures += 1
-    out.write(f"{'ok' if not failures else 'failed'}: "
-              f"{len(checks) - failures}/{len(checks)} checks\n")
+    results = [_run_check(name, check) for name, check in _verify_checks()]
+    failures = sum(not r["passed"] for r in results)
+    if args.output == "json":
+        _emit_json({"kind": "verify", "checks": results}, out)
+    else:
+        for r in results:
+            out.write(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}\n")
+        out.write(f"{'ok' if not failures else 'failed'}: "
+                  f"{len(results) - failures}/{len(results)} checks\n")
     return 0 if not failures else 3
 
 
@@ -471,7 +493,8 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("coeffs", help="tabulate the conversion coefficients")
     _add_common(t, top=False)
-    t.add_argument("--max", type=int, default=12, help="largest order")
+    t.add_argument("--max", type=int, default=12,
+                   help=f"largest order (at most {MAX_COEFF_ORDER})")
     t.set_defaults(func=_cmd_coeffs)
 
     a = sub.add_parser("apply", help="apply a quantized operator to a state")
@@ -494,6 +517,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_degree < 0:
+            raise UsageError("--max-degree must be non-negative")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

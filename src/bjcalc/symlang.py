@@ -15,13 +15,18 @@ exactly.
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd, prod
 
 from .exact import SymbolPoly
 from .operators import OpPoly
 
 MAX_DEPTH = 256
 MAX_EXPONENT = 1000
+# Term-pair products one parse may spend, summed over its products and
+# powers.  (x1+p1+x2+p2+x3+p3)^16 needs 325,584 and (x+p)^200 40,200; the
+# most expensive text within the budget parses in about a second (2-vCPU
+# host, Python 3.11).
+MAX_TERM_PRODUCTS = 500_000
 
 
 class SymLangError(ValueError):
@@ -96,6 +101,7 @@ class _Parser:
         self.dim = dim
         self.depth = 0
         self.max_degree = max_degree
+        self.products = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -141,6 +147,14 @@ class _Parser:
                 f"{what} degree {degree} exceeds max degree {self.max_degree}", tok.pos
             )
 
+    def _charge(self, pairs: int, tok: _Token) -> None:
+        """Count term-pair products before they are formed."""
+        self.products += pairs
+        if self.products > MAX_TERM_PRODUCTS:
+            raise SymLangError(
+                f"expansion exceeds {MAX_TERM_PRODUCTS} term products", tok.pos
+            )
+
     def parse_term(self) -> SymbolPoly:
         acc = self.parse_factor()
         while self.peek().kind == "*":
@@ -150,6 +164,7 @@ class _Parser:
                 self._check_degree(
                     acc.total_degree() + factor.total_degree(), "product", star
                 )
+            self._charge(len(acc._num) * len(factor._num), star)
             acc = acc * factor
         return acc
 
@@ -169,6 +184,7 @@ class _Parser:
                 raise SymLangError(f"exponent exceeds limit {MAX_EXPONENT}", tok.pos)
             if self.max_degree is not None:
                 self._check_degree(base.total_degree() * exponent, "power", caret)
+            self._charge(_power_products(base, exponent), caret)
             result = self._constant(1)
             for _ in range(exponent):
                 result = result * base
@@ -241,12 +257,33 @@ class _Parser:
         raise SymLangError(f"unknown identifier {name!r}", tok.pos)
 
 
+def _power_products(base: SymbolPoly, exponent: int) -> int:
+    """An upper bound on the term-pair products of base^exponent, formed as
+    exponent successive products by base.
+
+    base^k has at most as many terms as there are multisets of k of base's n
+    terms, and at most as many as there are keys in the box each of whose
+    exponents ranges over k times that exponent's range in base.  The sum
+    stops once it exceeds the budget.
+    """
+    n = len(base._num)
+    spans = [max(column) - min(column) for column in zip(*base._num)]
+    total = 0
+    for k in range(exponent if n else 0):
+        total += n * min(comb(n + k - 1, k), prod(k * span + 1 for span in spans))
+        if total > MAX_TERM_PRODUCTS:
+            break
+    return total
+
+
 def parse(text: str, dim: int = 1, max_degree: int | None = None) -> SymbolPoly:
     """Parse a symbol expression into canonical form.
 
     Raises SymLangError with a character position on any invalid input.
     With max_degree, a product or power whose degree would exceed it is
-    rejected before it is expanded, so the work stays bounded.
+    rejected before it is expanded.  Whatever the degree, a product or power
+    that would take the parse past MAX_TERM_PRODUCTS term-pair products is
+    rejected the same way, so the work stays bounded.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")

@@ -48,14 +48,17 @@ class CoefficientCapError(Exception):
 def bernoulli(k: int) -> Fraction:
     """First-kind Bernoulli number (B_1 = -1/2 convention), exactly.
 
-    Standard recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0.
+    Standard recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, over the nonzero
+    terms only: B_j = 0 for odd j >= 3.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(k):
+    if k <= 1:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2:
+        return Fraction(0)
+    acc = Fraction(1) - Fraction(k + 1, 2)  # j = 0 and j = 1
+    for j in range(2, k, 2):
         acc += comb(k + 1, j) * bernoulli(j)
     return -acc / (k + 1)
 

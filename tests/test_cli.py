@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bjcalc.cli import main
+from bjcalc.cli import MAX_COEFF_ORDER, main
 
 
 def run(argv):
@@ -72,6 +72,23 @@ class TestDegreeBudget:
         assert code == 2 and out == ""
         assert "degree" in err and "position" in err
 
+    @pytest.mark.parametrize("command", [["quantize", "weyl"], ["convert", "weyl-to-bj"]],
+                             ids=["quantize", "convert"])
+    def test_term_budget(self, command):
+        # degree 0, so only the term budget stops it
+        start = time.perf_counter()
+        code, out, err = run(command + ["((1+hbar)^100)^40"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert "term products" in err and "position 14" in err
+
+    def test_negative_budget_is_usage_error(self):
+        code, out, err = run(["--max-degree", "-1", "quantize", "weyl", "x"])
+        assert code == 1 and out == ""
+        assert "--max-degree" in err
+        assert run(["--max-degree", "0", "quantize", "weyl", "7"])[:2] == (0, "7\n")
+        assert run(["--max-degree", "0", "quantize", "weyl", "x"])[0] == 2
+
 
 class TestConvert:
     def test_weyl_to_bj(self):
@@ -117,6 +134,18 @@ class TestCoeffs:
     def test_csv_table(self):
         code, out, _ = run(["--output", "csv", "coeffs", "--max", "2"])
         assert out == "order,c,bernoulli\n0,1,1\n2,-1/3,1/6\n"
+
+    def test_order_limit(self):
+        assert run(["coeffs", "--max", "0"])[0] == 0
+        code, out, _ = run(["--output", "csv", "coeffs", "--max", str(MAX_COEFF_ORDER)])
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 2 + MAX_COEFF_ORDER // 2
+        assert rows[-1].startswith(f"{MAX_COEFF_ORDER},")
+        for bad in ("-1", str(MAX_COEFF_ORDER + 1)):
+            code, out, err = run(["coeffs", "--max", bad])
+            assert code == 1 and out == ""
+            assert f"between 0 and {MAX_COEFF_ORDER}" in err
 
 
 class TestApply:
@@ -254,12 +283,62 @@ class TestFlagStyle:
         assert code == 0
 
 
+VERIFY_CHECKS = (
+    "commutator-normalization", "monomial-equal-weight-average", "symmetric-midpoint",
+    "conversion-roundtrip", "conversion-vs-quantizer", "coefficient-table",
+    "scheme-coherence", "grid-involution", "harmonic-ground-state",
+)
+NUMERIC_CHECKS = ("scheme-coherence", "grid-involution", "harmonic-ground-state")
+
+
 class TestVerifyAndErrors:
     def test_verify_passes(self):
         code, out, _ = run(["verify"])
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 9
+
+    def test_verify_text_lines(self):
+        assert run(["verify"])[1] == "".join(f"PASS {name}\n" for name in VERIFY_CHECKS) + (
+            "ok: 9/9 checks\n")
+
+    def test_verify_json_margins(self):
+        code, out, _ = run(["--output", "json", "verify"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "verify"
+        checks = payload["checks"]
+        assert [c["name"] for c in checks] == list(VERIFY_CHECKS)
+        for check in checks:
+            assert set(check) == {"name", "passed", "residual", "tolerance"}
+            assert check["passed"] is True
+            if check["name"] in NUMERIC_CHECKS:
+                assert 0 <= check["residual"] < check["tolerance"]
+            else:
+                assert check["residual"] is None and check["tolerance"] is None
+        tolerances = {c["name"]: c["tolerance"] for c in checks}
+        assert tolerances["grid-involution"] == 1e-10
+        assert tolerances["scheme-coherence"] == tolerances["harmonic-ground-state"] == 1e-8
+
+    def test_verify_reports_failures(self, monkeypatch):
+        from bjcalc import cli
+
+        monkeypatch.setattr(cli, "_verify_checks", lambda: [
+            ("exact-ok", lambda: True), ("exact-bad", lambda: False),
+            ("inside", lambda: (0.5, 1.0)), ("at-tolerance", lambda: (1.0, 1.0)),
+        ])
+        code, out, _ = run(["verify"])
+        assert code == 3
+        assert out == ("PASS exact-ok\nFAIL exact-bad\nPASS inside\n"
+                       "FAIL at-tolerance\nfailed: 2/4 checks\n")
+        code, out, _ = run(["--output", "json", "verify"])
+        assert code == 3
+        assert json.loads(out)["checks"] == [
+            {"name": "exact-ok", "passed": True, "residual": None, "tolerance": None},
+            {"name": "exact-bad", "passed": False, "residual": None, "tolerance": None},
+            {"name": "inside", "passed": True, "residual": 0.5, "tolerance": 1.0},
+            {"name": "at-tolerance", "passed": False, "residual": 1.0, "tolerance": 1.0},
+        ]
 
     def test_usage_error_exit_1(self):
         code, _, _ = run(["frobnicate"])

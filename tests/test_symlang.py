@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from bjcalc.exact import ExactScalar, SymbolPoly
 from bjcalc.symlang import (
     MAX_EXPONENT,
+    MAX_TERM_PRODUCTS,
+    _power_products,
     SymLangError,
     format_operator,
     format_symbol,
@@ -278,6 +280,63 @@ class TestDegreeBudget:
              for k in range(201)),
             SymbolPoly.zero(1),
         )
+
+
+class TestTermBudget:
+    DENSE_3D = "(x1+p1+x2+p2+x3+p3)"
+
+    @pytest.mark.parametrize("text, dim, max_degree, operator", [
+        ("((1+hbar)^100)^40", 1, 64, 14),
+        ("(x1+p1+x2+p2+x3+p3)^64", 3, 64, 19),
+        ("(x+p+x^2*p^3)^1000", 1, None, 13),
+    ])
+    def test_rejected_before_expanding(self, text, dim, max_degree, operator):
+        start = time.perf_counter()
+        with pytest.raises(SymLangError) as exc:
+            parse(text, dim, max_degree)
+        assert time.perf_counter() - start < 0.5
+        assert "term products" in str(exc.value)
+        assert exc.value.position == operator
+
+    def test_dense_power_fits(self):
+        a = parse(self.DENSE_3D + "^16", 3, max_degree=64)
+        assert len(a.terms) == comb(21, 5)
+        assert _power_products(parse(self.DENSE_3D, 3), 16) <= MAX_TERM_PRODUCTS
+
+    def test_powers_of_collinear_terms_fit(self):
+        # counting multisets of terms alone would charge these millions
+        assert len(parse("(1+x+x^2)^200")._num) == 401
+        assert parse("((1+hbar)^10)^30") == parse("(1+hbar)^300")
+
+    def test_product_checked_at_its_operator(self):
+        text = f"{self.DENSE_3D}^8*{self.DENSE_3D}^8"
+        with pytest.raises(SymLangError) as exc:
+            parse(text, 3)
+        assert "term products" in str(exc.value) and exc.value.position == text.index("*")
+
+    def test_budget_is_cumulative(self):
+        # (x+p)^500 alone fits; twice it does not, and the second power is blamed
+        assert _power_products(parse("x+p"), 500) == 2 * comb(501, 2)
+        parse("(x+p)^500")
+        text = "(x+p)^500 + (x+p)^500"
+        with pytest.raises(SymLangError) as exc:
+            parse(text)
+        assert exc.value.position == text.rindex("^")
+
+    @pytest.mark.parametrize("base, dim", [
+        ("x+p", 1), ("1+hbar", 1), ("1+x+x^2", 1), ("x*p+x+p+1", 1),
+        ("x-x", 1), ("7", 1), ("x+i*p+hbar*x^2", 1), ("x1+p2+x1*p1+hbar", 2),
+        ("x1+p1+x2+p2+x3+p3", 3), ("(1+hbar)^3 + x", 1),
+    ])
+    def test_power_bound_covers_the_work(self, base, dim):
+        b = parse(base, dim)
+        for exponent in range(8):
+            work, power = 0, parse("1", dim)
+            for _ in range(exponent):
+                work += len(power._num) * len(b._num)
+                power = power * b
+            assert work <= _power_products(b, exponent), exponent
+            assert parse(f"({base})^{exponent}", dim) == power
 
 
 class TestOperatorFormatting:

@@ -56,6 +56,17 @@ class TestCoefficients:
             F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(0), F(1, 42)
         ]
 
+    def test_bernoulli_against_akiyama_tanigawa(self):
+        # an independent O(n^2) table, B_1 = +1/2 by that algorithm
+        row, expected = [], []
+        for m in range(61):
+            row.append(F(1, m + 1))
+            for j in range(m, 0, -1):
+                row[j - 1] = j * (row[j - 1] - row[j])
+            expected.append(row[0])
+        expected[1] = -expected[1]
+        assert [bernoulli(k) for k in range(61)] == expected
+
     def test_c_table_values(self):
         expected = {0: F(1), 2: F(-1, 3), 4: F(7, 15), 6: F(-31, 21), 8: F(127, 15)}
         table = CoeffTable.build(8)
