@@ -157,20 +157,13 @@ def _scalar_entries(coeff):
         yield {"re": str(re), "im": str(im), "hbar_pow": h}
 
 
-def _symbol_json(a: SymbolPoly) -> dict:
+def _poly_json(kind: str, poly: SymbolPoly | OpPoly) -> dict:
+    """A symbol (kind "symbol") or an operator (kind "oppoly") as JSON."""
     terms = []
-    for (kx, kp), coeff in a.sorted_terms():
+    for (kx, kp), coeff in poly.sorted_terms():
         for entry in _scalar_entries(coeff):
             terms.append({"x": list(kx), "p": list(kp), "coeff": entry})
-    return {"kind": "symbol", "dimension": a.dim, "terms": terms}
-
-
-def _operator_json(op: OpPoly) -> dict:
-    terms = []
-    for (kx, kp), coeff in op.sorted_terms():
-        for entry in _scalar_entries(coeff):
-            terms.append({"x": list(kx), "p": list(kp), "coeff": entry})
-    return {"kind": "oppoly", "dimension": op.dim, "terms": terms}
+    return {"kind": kind, "dimension": poly.dim, "terms": terms}
 
 
 def _table_json(table: CoeffTable) -> dict:
@@ -200,15 +193,11 @@ def _cmd_quantize(args, out) -> int:
     tau = _calc_point(rule_text)
     rule = BornJordan() if tau is None else Tau(tau)
     a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
-    if a.total_degree() > args.max_degree:
-        raise ValueError(
-            f"symbol degree {a.total_degree()} exceeds --max-degree {args.max_degree}"
-        )
     op = quantize_symbol(rule, a)
     if op.has_aux():
         raise ValueError("result carries a formal ordering parameter")
     if args.output == "json":
-        _emit_json(_operator_json(op), out)
+        _emit_json(_poly_json("oppoly", op), out)
     else:
         out.write(symlang.format_operator(op) + "\n")
     return 0
@@ -225,10 +214,6 @@ def _convert_between(a: SymbolPoly, src: str, dst: str) -> SymbolPoly:
 
 def _cmd_convert(args, out) -> int:
     a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
-    if a.total_degree() > args.max_degree:
-        raise ValueError(
-            f"symbol degree {a.total_degree()} exceeds --max-degree {args.max_degree}"
-        )
     d = args.direction
     if d is not None and (args.from_calc is not None or args.to_calc is not None):
         raise UsageError(
@@ -259,7 +244,7 @@ def _cmd_convert(args, out) -> int:
             "bj-to-tau:VALUE, or tau-shift:FROM:TO)"
         )
     if args.output == "json":
-        _emit_json(_symbol_json(result), out)
+        _emit_json(_poly_json("symbol", result), out)
     else:
         out.write(symlang.format_symbol(result) + "\n")
     return 0
@@ -519,6 +504,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.max_degree < 0:
             raise UsageError("--max-degree must be non-negative")
+        if args.dim < 1:
+            raise UsageError("--dim must be positive")
+        if args.output == "csv" and args.command not in ("coeffs", "apply"):
+            raise UsageError(f"{args.command} has no csv output (use text or json)")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

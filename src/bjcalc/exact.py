@@ -1,24 +1,26 @@
 """Exact arithmetic substrate: Gaussian-rational scalars with formal hbar
 (plus auxiliary integration variables) and sparse multivariate polynomials.
 
-ExactScalar is an element of Q(i)[hbar, tau, t], stored as a map from
-(hbar, tau, t) exponents to pairs of Fractions.  It is the value type at the
-public boundary: what `terms`, `coefficient` and `sorted_terms` return and
-what the polynomial constructors accept.
-
-A polynomial (SymbolPoly, AmplitudePoly, and the OpPoly of operators.py)
-stores all of its terms in one flat map.  Each key concatenates the
-exponents of the variable blocks and of the scalar variables,
+Scalars and polynomials (SymbolPoly, AmplitudePoly, and the OpPoly of
+operators.py) share one storage form: all terms in one flat map.  Each key
+concatenates the exponents of the variable blocks and of the scalar
+variables,
 
     x_1..x_n, [y_1..y_n,] p_1..p_n, hbar, tau, t,
 
 and each value is a Gaussian-integer numerator (re, im) of Python ints; the
-whole polynomial shares one positive denominator.  The form is canonical:
-no entry is (0, 0), gcd(denominator, every numerator) = 1, and the zero
-polynomial has denominator 1.  Every operation builds its result over a
-common denominator and reduces it with one gcd pass, so `==` and `hash`
-compare the denominator and the map.  A term product is then a tuple sum
-and two or four int products, with no Fraction arithmetic.
+whole map shares one positive denominator.  The form is canonical: no entry
+is (0, 0), gcd(denominator, every numerator) = 1, and the zero map has
+denominator 1.  Every operation builds its result over a common denominator
+and reduces it with one gcd pass, so `==` and `hash` compare the
+denominator and the map.  A term product is then a tuple sum and two or
+four int products, with no Fraction arithmetic.
+
+ExactScalar, an element of Q(i)[hbar, tau, t], is the flat map with no
+variable blocks: its keys are (hbar, tau, t).  It is the value type at the
+public boundary: what `terms`, `coefficient` and `sorted_terms` return and
+what the polynomial constructors accept.  Its own `terms` gives each
+coefficient as a pair of Fractions (re, im).
 
 Everything here is immutable and exact; no floating point enters this layer.
 """
@@ -39,8 +41,6 @@ _AUX_SLOTS = {"tau": _TAU, "t": _T}
 
 ScalarKey = tuple[int, int, int]
 
-_ZERO = Fraction(0)
-
 
 def _as_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, Fraction):
@@ -48,229 +48,6 @@ def _as_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
-
-
-class ExactScalar:
-    """An element of Q(i)[hbar, tau, t].
-
-    Stored as a sparse map from (hbar, tau, t) exponent triples to Gaussian
-    rationals (re, im).  Zero coefficients are never stored.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[ScalarKey, tuple[Fraction, Fraction]] = ()):
-        cleaned = {}
-        for key, (re, im) in dict(terms).items():
-            if re or im:
-                cleaned[key] = (re, im)
-        self._terms = cleaned
-
-    @classmethod
-    def _from_clean(
-        cls, terms: dict[ScalarKey, tuple[Fraction, Fraction]]
-    ) -> "ExactScalar":
-        """Wrap a dict that already holds no zero coefficient, without copying."""
-        out = object.__new__(cls)
-        out._terms = terms
-        return out
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ExactScalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "ExactScalar":
-        return cls.rational(1)
-
-    @classmethod
-    def rational(cls, re: RationalLike, im: RationalLike = 0) -> "ExactScalar":
-        return cls({(0, 0, 0): (_as_fraction(re), _as_fraction(im))})
-
-    @classmethod
-    def i(cls) -> "ExactScalar":
-        return cls.rational(0, 1)
-
-    @classmethod
-    def hbar(cls, power: int = 1) -> "ExactScalar":
-        return cls({(power, 0, 0): (Fraction(1), Fraction(0))})
-
-    @classmethod
-    def aux(cls, name: str, power: int = 1) -> "ExactScalar":
-        slot = _AUX_SLOTS[name]
-        key = [0, 0, 0]
-        key[slot] = power
-        return cls({tuple(key): (Fraction(1), Fraction(0))})
-
-    @classmethod
-    def tau(cls) -> "ExactScalar":
-        return cls.aux("tau")
-
-    @classmethod
-    def t_var(cls) -> "ExactScalar":
-        return cls.aux("t")
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[ScalarKey, tuple[Fraction, Fraction]]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def has_aux(self) -> bool:
-        return any(k[_TAU] or k[_T] for k in self._terms)
-
-    def aux_degree(self, name: str) -> int:
-        slot = _AUX_SLOTS[name]
-        return max((k[slot] for k in self._terms), default=0)
-
-    def is_real(self) -> bool:
-        return all(im == 0 for (_, im) in self._terms.values())
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        out = dict(self._terms)
-        for key, value in other._terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = value
-                continue
-            re, im = prev[0] + value[0], prev[1] + value[1]
-            if re or im:
-                out[key] = (re, im)
-            else:
-                del out[key]
-        return ExactScalar._from_clean(out)
-
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
-
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar._from_clean(
-            {k: (-re, -im) for k, (re, im) in self._terms.items()}
-        )
-
-    def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        out: dict[ScalarKey, tuple[Fraction, Fraction]] = {}
-        for k1, (a, b) in self._terms.items():
-            for k2, (c, d) in other._terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                # (a + bi)(c + di), skipping the products with a zero factor
-                re = a * c if a and c else _ZERO
-                im = a * d if a and d else _ZERO
-                if b:
-                    if d:
-                        re -= b * d
-                    if c:
-                        im += b * c
-                prev = out.get(key)
-                if prev is not None:
-                    re, im = prev[0] + re, prev[1] + im
-                    if not (re or im):
-                        del out[key]
-                        continue
-                out[key] = (re, im)
-        return ExactScalar._from_clean(out)
-
-    def __pow__(self, n: int) -> "ExactScalar":
-        if n < 0:
-            raise ValueError("negative scalar powers are not defined")
-        result = ExactScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, q: RationalLike) -> "ExactScalar":
-        q = _as_fraction(q)
-        if not q:
-            return ExactScalar()
-        return ExactScalar._from_clean(
-            {k: (re * q, im * q) for k, (re, im) in self._terms.items()}
-        )
-
-    def conjugate(self) -> "ExactScalar":
-        """Complex conjugation; hbar, tau and t are treated as real."""
-        return ExactScalar._from_clean(
-            {k: (re, -im) for k, (re, im) in self._terms.items()}
-        )
-
-    # -- auxiliary-variable operations ------------------------------------
-
-    def integrate_unit(self, name: str) -> "ExactScalar":
-        """Exact integral over the named auxiliary variable from 0 to 1."""
-        slot = _AUX_SLOTS[name]
-        out: dict[ScalarKey, tuple[Fraction, Fraction]] = {}
-        for key, (re, im) in self._terms.items():
-            k = key[slot]
-            nk = list(key)
-            nk[slot] = 0
-            nkey = tuple(nk)
-            q = Fraction(1, k + 1)
-            cre, cim = out.get(nkey, (Fraction(0), Fraction(0)))
-            out[nkey] = (cre + re * q, cim + im * q)
-        return ExactScalar(out)
-
-    def substitute_aux(self, name: str, value: RationalLike) -> "ExactScalar":
-        slot = _AUX_SLOTS[name]
-        value = _as_fraction(value)
-        out: dict[ScalarKey, tuple[Fraction, Fraction]] = {}
-        for key, (re, im) in self._terms.items():
-            q = value ** key[slot]
-            nk = list(key)
-            nk[slot] = 0
-            nkey = tuple(nk)
-            cre, cim = out.get(nkey, (Fraction(0), Fraction(0)))
-            out[nkey] = (cre + re * q, cim + im * q)
-        return ExactScalar(out)
-
-    # -- conversions -------------------------------------------------------
-
-    def to_complex(self, hbar: float) -> complex:
-        """Numeric value at a concrete hbar; requires no auxiliary variables."""
-        if self.has_aux():
-            raise ValueError("scalar still carries an auxiliary variable")
-        total = 0j
-        for key, (re, im) in self._terms.items():
-            total += complex(re, im) * hbar ** key[_HBAR]
-        return total
-
-    # -- comparisons -------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "ExactScalar(0)"
-        parts = []
-        for key in sorted(self._terms):
-            re, im = self._terms[key]
-            mono = "".join(
-                f"*{name}^{key[slot]}"
-                for name, slot in (("hbar", _HBAR), ("tau", _TAU), ("t", _T))
-                if key[slot]
-            )
-            parts.append(f"({re}{'+' if im >= 0 else '-'}{abs(im)}i){mono}")
-        return "ExactScalar(" + " + ".join(parts) + ")"
-
-
-ONE = ExactScalar.one()
-I = ExactScalar.i()
-HBAR = ExactScalar.hbar()
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +65,11 @@ def mi_factorial(alpha: MultiIndex) -> int:
     return prod(factorial(a) for a in alpha)
 
 
-def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     out = tuple(x - y for x, y in zip(a, b))
     if any(v < 0 for v in out):
         raise ValueError(f"multi-index subtraction {a} - {b} went negative")
     return out
-
-
-def mi_le(a: MultiIndex, b: MultiIndex) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mi_iter_box(bounds: MultiIndex) -> Iterable[MultiIndex]:
@@ -366,23 +135,10 @@ def _canonical(num: FlatMap, den: int) -> tuple[FlatMap, int]:
     return num, den // g
 
 
-def _flatten(pairs: Iterable[tuple[tuple, ExactScalar]]) -> tuple[FlatMap, int]:
-    """(block exponents, scalar) pairs with distinct exponents as one map of
-    numerators over the lcm of every denominator, not yet canonical."""
-    items = [(prefix, coeff._terms) for prefix, coeff in pairs]
-    den = lcm(*(q.denominator for _, values in items
-                for pair in values.values() for q in pair))
-    return {
-        prefix + skey: (re.numerator * (den // re.denominator),
-                        im.numerator * (den // im.denominator))
-        for prefix, values in items
-        for skey, (re, im) in values.items()
-    }, den
-
-
 def _scalar_map(coeff: ExactScalar, width: int) -> tuple[FlatMap, int]:
     """An ExactScalar as a flat map with `width` zero block exponents."""
-    return _flatten([((0,) * width, coeff)])
+    zero = (0,) * width
+    return {zero + key: value for key, value in coeff._num.items()}, coeff._den
 
 
 def _add_maps(n1: FlatMap, d1: int, n2: FlatMap, d2: int) -> tuple[FlatMap, int]:
@@ -432,7 +188,7 @@ def _rotate(re: int, im: int, j: int) -> tuple[int, int]:
 
 
 class _FlatPoly:
-    """Storage and linear operations shared by symbols, amplitudes and
+    """Storage and ring operations shared by scalars, symbols, amplitudes and
     normal-ordered operators.
 
     `_num` maps flat keys (block exponents, then hbar, tau, t) to Gaussian
@@ -444,18 +200,6 @@ class _FlatPoly:
     blocks: tuple[str, ...] = ()
 
     __slots__ = ("dim", "_num", "_den")
-
-    def __init__(self, dim: int, terms: Mapping[tuple, ExactScalar] = ()):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = dim
-        nblocks = len(self.blocks)
-        pairs = []
-        for key, coeff in dict(terms).items():
-            if len(key) != nblocks or any(len(e) != dim for e in key):
-                raise ValueError(f"malformed term key {key!r} for {type(self).__name__}")
-            pairs.append((tuple(v for e in key for v in e), coeff))
-        self._num, self._den = _canonical(*_flatten(pairs))
 
     @classmethod
     def _from_flat(cls, dim: int, num: FlatMap, den: int):
@@ -469,61 +213,13 @@ class _FlatPoly:
     def _width(self) -> int:
         return self.dim * len(self.blocks)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int):
-        return cls(dim)
-
-    @classmethod
-    def constant(cls, dim: int, coeff: ExactScalar):
-        return cls._from_flat(dim, *_scalar_map(coeff, dim * len(cls.blocks)))
-
     # -- queries -----------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[tuple, ExactScalar]:
-        n, m, den = self.dim, self._width, self._den
-        grouped: dict[tuple, dict] = {}
-        for key, (re, im) in self._num.items():
-            mono = tuple(key[i:i + n] for i in range(0, m, n))
-            grouped.setdefault(mono, {})[key[m:]] = (Fraction(re, den), Fraction(im, den))
-        return {mono: ExactScalar._from_clean(s) for mono, s in grouped.items()}
 
     def is_zero(self) -> bool:
         return not self._num
 
-    def total_degree(self) -> int:
-        m = self._width
-        return max((sum(key[:m]) for key in self._num), default=0)
-
-    def block_degree(self, block: str, j: int | None = None) -> int:
-        start = self.blocks.index(block) * self.dim
-        if j is None:
-            return max((sum(key[start:start + self.dim]) for key in self._num), default=0)
-        return max((key[start + j] for key in self._num), default=0)
-
-    def coefficient(self, key: tuple) -> ExactScalar:
-        mono = tuple(v for e in key for v in e)
-        m, den = self._width, self._den
-        if len(mono) != m:
-            return ExactScalar.zero()
-        return ExactScalar._from_clean({
-            k[m:]: (Fraction(re, den), Fraction(im, den))
-            for k, (re, im) in self._num.items() if k[:m] == mono
-        })
-
     def has_aux(self) -> bool:
         return any(key[-2] or key[-1] for key in self._num)
-
-    def sorted_terms(self) -> list[tuple[tuple, ExactScalar]]:
-        """Graded-lex descending on the concatenated exponent tuple."""
-        def sort_key(item):
-            key, _ = item
-            flat = tuple(v for e in key for v in e)
-            return (sum(flat), flat)
-
-        return sorted(self.terms.items(), key=sort_key, reverse=True)
 
     # -- linear operations -------------------------------------------------
 
@@ -546,9 +242,20 @@ class _FlatPoly:
         out._num = {key: (-re, -im) for key, (re, im) in self._num.items()}
         return out
 
-    def scale(self, coeff: ExactScalar):
-        snum, sden = _scalar_map(coeff, self._width)
-        return self._from_flat(self.dim, _mul_maps(self._num, snum), self._den * sden)
+    def __mul__(self, other):
+        """Commutative product; OpPoly overrides it with the operator product."""
+        self._check_compatible(other)
+        return self._from_flat(
+            self.dim, _mul_maps(self._num, other._num), self._den * other._den
+        )
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        result = self._from_flat(self.dim, {(0,) * (self._width + _N_SCALAR): (1, 0)}, 1)
+        for _ in range(n):
+            result = result * self
+        return result
 
     # -- auxiliary-variable operations ------------------------------------
 
@@ -594,7 +301,210 @@ class _FlatPoly:
                      frozenset(self._num.items())))
 
 
-class Poly(_FlatPoly):
+class ExactScalar(_FlatPoly):
+    """An element of Q(i)[hbar, tau, t]: the flat map with no variable blocks.
+
+    Keys are (hbar, tau, t) exponent triples, and `dim` is 0.  `terms` gives
+    each nonzero coefficient as a pair of Fractions (re, im).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[ScalarKey, tuple[RationalLike, RationalLike]] = ()):
+        items = []
+        for key, (re, im) in dict(terms).items():
+            if not (isinstance(key, tuple) and len(key) == _N_SCALAR
+                    and all(isinstance(e, int) and e >= 0 for e in key)):
+                raise ValueError(
+                    f"malformed scalar key {key!r}: expected three non-negative ints"
+                )
+            items.append((key, _as_fraction(re), _as_fraction(im)))
+        den = lcm(*(q.denominator for _, re, im in items for q in (re, im)))
+        self.dim = 0
+        self._num, self._den = _canonical({
+            key: (re.numerator * (den // re.denominator),
+                  im.numerator * (den // im.denominator))
+            for key, re, im in items
+        }, den)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "ExactScalar":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "ExactScalar":
+        return cls.rational(1)
+
+    @classmethod
+    def rational(cls, re: RationalLike, im: RationalLike = 0) -> "ExactScalar":
+        return cls({(0, 0, 0): (re, im)})
+
+    @classmethod
+    def i(cls) -> "ExactScalar":
+        return cls.rational(0, 1)
+
+    @classmethod
+    def hbar(cls, power: int = 1) -> "ExactScalar":
+        return cls({(power, 0, 0): (1, 0)})
+
+    @classmethod
+    def aux(cls, name: str, power: int = 1) -> "ExactScalar":
+        slot = _AUX_SLOTS[name]
+        key = [0, 0, 0]
+        key[slot] = power
+        return cls({tuple(key): (1, 0)})
+
+    @classmethod
+    def tau(cls) -> "ExactScalar":
+        return cls.aux("tau")
+
+    @classmethod
+    def t_var(cls) -> "ExactScalar":
+        return cls.aux("t")
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[ScalarKey, tuple[Fraction, Fraction]]:
+        den = self._den
+        return {key: (Fraction(re, den), Fraction(im, den))
+                for key, (re, im) in self._num.items()}
+
+    def aux_degree(self, name: str) -> int:
+        slot = _AUX_SLOTS[name]
+        return max((k[slot] for k in self._num), default=0)
+
+    def is_real(self) -> bool:
+        return all(im == 0 for (_, im) in self._num.values())
+
+    # -- arithmetic --------------------------------------------------------
+
+    def scale(self, q: RationalLike) -> "ExactScalar":
+        return self * ExactScalar.rational(q)
+
+    def conjugate(self) -> "ExactScalar":
+        """Complex conjugation; hbar, tau and t are treated as real."""
+        return ExactScalar._from_flat(
+            0, {k: (re, -im) for k, (re, im) in self._num.items()}, self._den
+        )
+
+    integrate_unit = _FlatPoly.integrate_unit_interval
+
+    # -- conversions -------------------------------------------------------
+
+    def to_complex(self, hbar: float) -> complex:
+        """Numeric value at a concrete hbar; requires no auxiliary variables.
+
+        Each coefficient is rounded once, from its exact Fraction.
+        """
+        if self.has_aux():
+            raise ValueError("scalar still carries an auxiliary variable")
+        total = 0j
+        for key, (re, im) in self.terms.items():
+            total += complex(re, im) * hbar ** key[_HBAR]
+        return total
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "ExactScalar(0)"
+        terms = self.terms
+        parts = []
+        for key in sorted(terms):
+            re, im = terms[key]
+            mono = "".join(
+                f"*{name}^{key[slot]}"
+                for name, slot in (("hbar", _HBAR), ("tau", _TAU), ("t", _T))
+                if key[slot]
+            )
+            parts.append(f"({re}{'+' if im >= 0 else '-'}{abs(im)}i){mono}")
+        return "ExactScalar(" + " + ".join(parts) + ")"
+
+
+ONE = ExactScalar.one()
+I = ExactScalar.i()
+HBAR = ExactScalar.hbar()
+
+
+class _BlockPoly(_FlatPoly):
+    """A flat map with variable blocks: the constructors and queries that
+    address terms by one multi-index per block.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, dim: int, terms: Mapping[tuple, ExactScalar] = ()):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        self.dim = dim
+        nblocks = len(self.blocks)
+        terms = dict(terms)
+        den = lcm(*(coeff._den for coeff in terms.values()))
+        num: FlatMap = {}
+        for key, coeff in terms.items():
+            if len(key) != nblocks or any(len(e) != dim for e in key):
+                raise ValueError(f"malformed term key {key!r} for {type(self).__name__}")
+            prefix, f = tuple(v for e in key for v in e), den // coeff._den
+            for skey, (re, im) in coeff._num.items():
+                num[prefix + skey] = (re * f, im * f)
+        self._num, self._den = _canonical(num, den)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, dim: int):
+        return cls(dim)
+
+    @classmethod
+    def constant(cls, dim: int, coeff: ExactScalar):
+        return cls._from_flat(dim, *_scalar_map(coeff, dim * len(cls.blocks)))
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[tuple, ExactScalar]:
+        n, m, den = self.dim, self._width, self._den
+        grouped: dict[tuple, FlatMap] = {}
+        for key, value in self._num.items():
+            mono = tuple(key[i:i + n] for i in range(0, m, n))
+            grouped.setdefault(mono, {})[key[m:]] = value
+        return {mono: ExactScalar._from_flat(0, num, den) for mono, num in grouped.items()}
+
+    def total_degree(self) -> int:
+        m = self._width
+        return max((sum(key[:m]) for key in self._num), default=0)
+
+    def block_degree(self, block: str, j: int | None = None) -> int:
+        start = self.blocks.index(block) * self.dim
+        if j is None:
+            return max((sum(key[start:start + self.dim]) for key in self._num), default=0)
+        return max((key[start + j] for key in self._num), default=0)
+
+    def coefficient(self, key: tuple) -> ExactScalar:
+        mono = tuple(v for e in key for v in e)
+        m = self._width
+        return ExactScalar._from_flat(
+            0, {k[m:]: v for k, v in self._num.items() if k[:m] == mono}, self._den
+        )
+
+    def sorted_terms(self) -> list[tuple[tuple, ExactScalar]]:
+        """Graded-lex descending on the concatenated exponent tuple."""
+        def sort_key(item):
+            key, _ = item
+            flat = tuple(v for e in key for v in e)
+            return (sum(flat), flat)
+
+        return sorted(self.terms.items(), key=sort_key, reverse=True)
+
+    # -- linear operations -------------------------------------------------
+
+    def scale(self, coeff: ExactScalar):
+        snum, sden = _scalar_map(coeff, self._width)
+        return self._from_flat(self.dim, _mul_maps(self._num, snum), self._den * sden)
+
+
+class Poly(_BlockPoly):
     """Commutative sparse polynomial over ExactScalar with named exponent
     blocks (e.g. x and p for symbols, x, y and p for amplitudes).
 
@@ -622,20 +532,6 @@ class Poly(_FlatPoly):
         key = [0] * (dim * len(cls.blocks) + _N_SCALAR)
         key[cls.blocks.index(block) * dim + j] = 1
         return cls._from_flat(dim, {tuple(key): (1, 0)}, 1)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        return self._from_flat(
-            self.dim, _mul_maps(self._num, other._num), self._den * other._den
-        )
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = type(self).constant(self.dim, ONE)
-        for _ in range(n):
-            result = result * self
-        return result
 
     # -- calculus ----------------------------------------------------------
 

@@ -264,27 +264,28 @@ def symplectic_ft(a: SampledSymbol) -> SampledSymbol:
     return a.with_values(transformed.T / a.grid.n_points)
 
 
-def _sinc(u: np.ndarray) -> np.ndarray:
-    """sin(u)/u with a Taylor guard near u = 0."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-4
-    safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
-
-
-def _sinc_multiplier(grid: UniformGrid, hbar: float) -> np.ndarray:
-    x = grid.x_values()
-    p = grid.p_values(hbar)
-    return _sinc(np.outer(x, p) / (2.0 * hbar))
+def _over_q(n: int, head: np.ndarray) -> np.ndarray:
+    """head[q mod len(head)] / q at every centred mode (m, k), q = m k, and 1
+    where q = 0; len(head) is a power of two."""
+    c = np.arange(n) - n // 2
+    recip = np.divide(1.0, c, out=np.zeros(n), where=c != 0)
+    out = head[np.multiply.outer(c, c) & (len(head) - 1)]
+    out *= np.outer(recip, recip)
+    out[n // 2, :] = out[:, n // 2] = 1.0
+    return out
 
 
 def bj_weyl_symbol_numeric(a: SampledSymbol) -> SampledSymbol:
     """Symmetric-rule symbol of the Born-Jordan operator of a, on the grid.
 
-    Realized as F_sigma -> pointwise sinc(px/2hbar) multiply -> F_sigma.
+    Realized as F_sigma -> pointwise sinc(px/2hbar) multiply -> F_sigma.  At
+    the mode (x_m, p_k), px/2hbar = pi q/n with q = m k, so the filter is
+    tabulated from the integer q: sin(pi q/n) = -sin(pi (q - n)/n).
     """
+    n = a.grid.n_points
+    half = np.sin(pi * np.arange(n) / n) * (n / pi)
     a_sig = symplectic_ft(a)
-    filtered = a_sig.with_values(a_sig.values * _sinc_multiplier(a.grid, a.hbar))
+    filtered = a_sig.with_values(a_sig.values * _over_q(n, np.concatenate([half, -half])))
     return symplectic_ft(filtered)
 
 
@@ -316,16 +317,11 @@ def _mode_multiplier(n: int, scheme: Scheme) -> np.ndarray:
     uniform average over t in [0, 1] is exp(-i theta/2) sinc(theta/2)
     = exp(-i pi b/n) sin(pi b/n) n/(pi q), with the value 1 at q = 0.
     """
-    c = np.arange(n) - n // 2
-    q = np.multiply.outer(c, c)
     if isinstance(scheme, BJSinc):
         b = np.arange(n)
-        head = np.exp(-1j * pi * b / n) * np.sin(pi * b / n) * (n / pi)
-        recip = np.divide(1.0, c, out=np.zeros(n), where=c != 0)
-        multiplier = head[q & (n - 1)]  # q mod n, n a power of two
-        multiplier *= np.outer(recip, recip)
-        multiplier[n // 2, :] = multiplier[:, n // 2] = 1.0
-        return multiplier
+        return _over_q(n, np.exp(-1j * pi * b / n) * np.sin(pi * b / n) * (n / pi))
+    c = np.arange(n) - n // 2
+    q = np.multiply.outer(c, c)
     nodes, weights = _ordering_measure(scheme)
     a = np.arange(-(n // 4), n // 4 + 1)
     b = np.arange(n)

@@ -4,8 +4,10 @@ operators, reduced with [xhat_j, phat_j] = i*hbar.
 This is the ground-truth representation: two operator expressions are equal
 iff their normal-ordered forms coincide.  Canonical form puts every xhat to
 the left of every phat within each dimension; distinct dimensions commute.
-An OpPoly stores the flat map of exact.py, keyed by x exponents, p
-exponents, then hbar, tau, t.
+An OpPoly is a flat map of exact.py with the blocks x and p, keyed by x
+exponents, p exponents, then hbar, tau, t.  It shares its storage, sums
+and powers with its ExactScalar coefficients and with the symbols; only
+the product and the adjoint are its own.
 
 The product needs one identity.  Moving phat^k past xhat^r in one
 dimension gives
@@ -26,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, perm
 
-from .exact import ExactScalar, FlatMap, MultiIndex, ONE, RationalLike, _FlatPoly, _rotate
+from .exact import ExactScalar, FlatMap, MultiIndex, ONE, RationalLike, _BlockPoly, _rotate
 
 MAX_TOTAL_DEGREE = 64
 
@@ -72,7 +74,7 @@ def _accumulate(out: FlatMap, base: tuple, re: int, im: int, reorder) -> None:
         out[key] = (a, b) if prev is None else (prev[0] + a, prev[1] + b)
 
 
-class OpPoly(_FlatPoly):
+class OpPoly(_BlockPoly):
     """Normal-ordered polynomial in xhat_1..xhat_n, phat_1..phat_n."""
 
     blocks = ("x", "p")

@@ -281,7 +281,8 @@ def parse(text: str, dim: int = 1, max_degree: int | None = None) -> SymbolPoly:
 
     Raises SymLangError with a character position on any invalid input.
     With max_degree, a product or power whose degree would exceed it is
-    rejected before it is expanded.  Whatever the degree, a product or power
+    rejected before it is expanded, and so is a result above it (a lone
+    variable under max_degree 0).  Whatever the degree, a product or power
     that would take the parse past MAX_TERM_PRODUCTS term-pair products is
     rejected the same way, so the work stays bounded.
     """
@@ -294,6 +295,8 @@ def parse(text: str, dim: int = 1, max_degree: int | None = None) -> SymbolPoly:
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise SymLangError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+    if max_degree is not None:
+        parser._check_degree(result.total_degree(), "symbol", parser.tokens[0])
     return result
 
 

@@ -89,6 +89,36 @@ class TestDegreeBudget:
         assert run(["--max-degree", "0", "quantize", "weyl", "7"])[:2] == (0, "7\n")
         assert run(["--max-degree", "0", "quantize", "weyl", "x"])[0] == 2
 
+    @pytest.mark.parametrize("command", [["quantize", "weyl"], ["convert", "weyl-to-bj"]],
+                             ids=["quantize", "convert"])
+    def test_lone_variable_checked_by_the_parser(self, command):
+        code, out, err = run(["--max-degree", "0"] + command + ["x"])
+        assert code == 2 and out == ""
+        assert "symbol degree 1 exceeds max degree 0" in err and "position 0" in err
+
+
+class TestFlagChecks:
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "0", "quantize", "weyl", "x"],
+        ["--dim", "-3", "coeffs"],
+        ["--dim", "-3", "verify"],
+        ["convert", "weyl-to-bj", "x", "--dim", "0"],
+    ], ids=["quantize", "coeffs", "verify", "convert-after"])
+    def test_dim_below_one_is_usage_error(self, argv):
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert "--dim" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--output", "csv", "quantize", "weyl", "x*p"],
+        ["convert", "weyl-to-bj", "x^2*p^2", "--output", "csv"],
+        ["--output", "csv", "verify"],
+    ], ids=["quantize", "convert", "verify"])
+    def test_csv_only_where_there_is_a_table(self, argv):
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert "csv" in err
+
 
 class TestConvert:
     def test_weyl_to_bj(self):

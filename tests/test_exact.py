@@ -95,6 +95,94 @@ class TestExactScalar:
             ExactScalar.tau().to_complex(1.0)
 
 
+def _g_add(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def _g_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _evaluate(s, hbar, tau, t):
+    """s at a rational point, from its terms, as a Gaussian rational (re, im)."""
+    total = (Fraction(0), Fraction(0))
+    for (h, a, b), value in s.terms.items():
+        total = _g_add(total, _g_mul(value, (hbar**h * tau**a * t**b, Fraction(0))))
+    return total
+
+
+class TestScalarEvaluation:
+    """Evaluation at a rational (hbar, tau, t) commutes with every operation."""
+
+    @given(scalars(), scalars(), rationals, rationals, rationals, rationals, st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations(self, a, b, hbar, tau, t, q, k):
+        def ev(s):
+            return _evaluate(s, hbar, tau, t)
+
+        va, vb = ev(a), ev(b)
+        assert ev(a + b) == _g_add(va, vb)
+        assert ev(a - b) == _g_add(va, (-vb[0], -vb[1]))
+        assert ev(a * b) == _g_mul(va, vb)
+        power = (Fraction(1), Fraction(0))
+        for _ in range(k):
+            power = _g_mul(power, va)
+        assert ev(a**k) == power
+        assert ev(a.scale(q)) == (q * va[0], q * va[1])
+        assert ev(a.conjugate()) == (va[0], -va[1])
+
+    @given(scalars(), rationals, rationals, rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_aux_operations(self, a, hbar, tau, t):
+        assert _evaluate(a.substitute_aux("tau", tau), hbar, Fraction(5), t) == _evaluate(
+            a, hbar, tau, t
+        )
+        assert _evaluate(a.substitute_aux("t", t), hbar, tau, Fraction(-3)) == _evaluate(
+            a, hbar, tau, t
+        )
+        # integral over [0, 1] of tau^e is 1/(e + 1)
+        integral = (Fraction(0), Fraction(0))
+        for (h, e, c), value in a.terms.items():
+            w = hbar**h * t**c / (e + 1)
+            integral = _g_add(integral, _g_mul(value, (w, Fraction(0))))
+        assert _evaluate(a.integrate_unit("tau"), hbar, Fraction(7), t) == integral
+
+
+class TestScalarValidation:
+    @pytest.mark.parametrize("terms, error", [
+        ({(0, 0): (1, 0)}, ValueError),
+        ({(0, 0, 0, 0): (1, 0)}, ValueError),
+        ({(-1, 0, 0): (1, 0)}, ValueError),
+        ({(0, 0, 1.0): (1, 0)}, ValueError),
+        ({"hbar": (1, 0)}, ValueError),
+        ({(0, 0, 0): (0.5, 0)}, TypeError),
+        ({(0, 0, 0): (1, 0.25)}, TypeError),
+    ])
+    def test_malformed_terms_are_rejected(self, terms, error):
+        with pytest.raises(error):
+            ExactScalar(terms)
+
+    def test_negative_powers_are_rejected(self):
+        with pytest.raises(ValueError):
+            ExactScalar.hbar(-1)
+        with pytest.raises(ValueError):
+            ExactScalar.aux("tau", -2)
+
+    def test_short_key_never_reaches_a_polynomial(self):
+        with pytest.raises(ValueError):
+            SymbolPoly.constant(1, ExactScalar({(0, 0): (Fraction(1, 2), 0)}))
+
+    @pytest.mark.parametrize("q", [
+        Fraction(10**20 + 1, 3 * 10**20),
+        # float(num) / float(den) and num * (1 / den) are both off by one ulp here
+        Fraction(10**20 + 2, 3 * 10**19 + 3),
+    ])
+    def test_to_complex_is_correctly_rounded(self, q):
+        v = ExactScalar.rational(q, -q) + ExactScalar.hbar(2).scale(q)
+        assert v.to_complex(0.0) == complex(float(q), float(-q))
+        assert ExactScalar.hbar().scale(q).to_complex(1.0) == complex(float(q), 0.0)
+
+
 @st.composite
 def symbol_polys(draw, dim):
     n_terms = draw(st.integers(0, 3))

@@ -512,6 +512,17 @@ class TestSymbolConversionOnGrid:
             scale = np.max(np.abs(exact.values[lo:hi, lo:hi]))
             assert err / scale < 1e-4, expr
 
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_filter_matches_numpy_sinc(self, n, hbar):
+        grid = UniformGrid(n, 20.0)
+        a = _smooth_symbol(grid, seed=n, hbar=hbar)
+        a_sig = symplectic_ft(a)
+        sinc = np.sinc(np.outer(grid.x_values(), grid.p_values(hbar)) / (2 * np.pi * hbar))
+        ref = symplectic_ft(a_sig.with_values(a_sig.values * sinc)).values
+        out = bj_weyl_symbol_numeric(a).values
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
     def test_filter_is_identity_on_x_only_symbols(self):
         grid = _grid()
         a = sample_symbol(parse("x^2"), grid)

@@ -273,6 +273,14 @@ class TestDegreeBudget:
         with pytest.raises(SymLangError):
             parse("(x - x + p)^65", max_degree=64)
 
+    @pytest.mark.parametrize("text", ["x", "p + 1", "hbar - x", "-(x)"])
+    def test_result_above_budget(self, text):
+        with pytest.raises(SymLangError) as exc:
+            parse(text, max_degree=0)
+        assert "symbol degree 1 exceeds max degree 0" in str(exc.value)
+        assert exc.value.position == 0
+        assert parse(text, max_degree=1) == parse(text)
+
     def test_unbounded_power_unchanged(self):
         a = parse("(x+p)^200")
         assert a == sum(
