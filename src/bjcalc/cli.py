@@ -151,8 +151,8 @@ def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degre
 
 
 def _scalar_entries(coeff):
-    for (h, tau_p, t_p), (re, im) in sorted(coeff.terms.items()):
-        if tau_p or t_p:
+    for (h, tau_p), (re, im) in sorted(coeff.terms.items()):
+        if tau_p:
             raise ValueError("cannot serialize a formal ordering parameter")
         yield {"re": str(re), "im": str(im), "hbar_pow": h}
 

@@ -1,12 +1,13 @@
 """Exact arithmetic substrate: Gaussian-rational scalars with formal hbar
-(plus auxiliary integration variables) and sparse multivariate polynomials.
+(plus the auxiliary integration variable tau) and sparse multivariate
+polynomials.
 
 Scalars and polynomials (SymbolPoly, AmplitudePoly, and the OpPoly of
 operators.py) share one storage form: all terms in one flat map.  Each key
 concatenates the exponents of the variable blocks and of the scalar
 variables,
 
-    x_1..x_n, [y_1..y_n,] p_1..p_n, hbar, tau, t,
+    x_1..x_n, [y_1..y_n,] p_1..p_n, hbar, tau,
 
 and each value is a Gaussian-integer numerator (re, im) of Python ints; the
 whole map shares one positive denominator.  The form is canonical: no entry
@@ -16,10 +17,10 @@ and reduces it with one gcd pass, so `==` and `hash` compare the
 denominator and the map.  A term product is then a tuple sum and two or
 four int products, with no Fraction arithmetic.
 
-ExactScalar, an element of Q(i)[hbar, tau, t], is the flat map with no
-variable blocks: its keys are (hbar, tau, t).  It is the value type at the
-public boundary: what `terms`, `coefficient` and `sorted_terms` return and
-what the polynomial constructors accept.  Its own `terms` gives each
+ExactScalar, an element of Q(i)[hbar, tau], is the flat map with no
+variable blocks: its keys are (hbar, tau).  It is the value type at the
+public boundary: what `terms` and `sorted_terms` return and what the
+polynomial constructors accept.  Its own `terms` gives each
 coefficient as a pair of Fractions (re, im).
 
 Everything here is immutable and exact; no floating point enters this layer.
@@ -34,12 +35,12 @@ from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
-# Scalar exponent slots: (hbar, tau, t).  tau and t are the auxiliary
-# variables used for tau-averaging and for nested unit-interval integrals.
-_HBAR, _TAU, _T = 0, 1, 2
-_AUX_SLOTS = {"tau": _TAU, "t": _T}
+# Scalar exponent slots: (hbar, tau).  tau is the auxiliary variable of
+# tau-averaging.
+_HBAR, _TAU = 0, 1
+_AUX_SLOTS = {"tau": _TAU}
 
-ScalarKey = tuple[int, int, int]
+ScalarKey = tuple[int, int]
 
 
 def _as_fraction(v: RationalLike) -> Fraction:
@@ -92,8 +93,8 @@ def falling_factorial(n: int, k: int) -> int:
 
 VarId = tuple[str, int]  # e.g. ("x", 0) is x_1
 
-# Flat key: the block exponents, then these scalar slots (hbar, tau, t).
-_N_SCALAR = 3
+# Flat key: the block exponents, then these scalar slots (hbar, tau).
+_N_SCALAR = 2
 
 FlatMap = dict[tuple[int, ...], tuple[int, int]]
 
@@ -191,7 +192,7 @@ class _FlatPoly:
     """Storage and ring operations shared by scalars, symbols, amplitudes and
     normal-ordered operators.
 
-    `_num` maps flat keys (block exponents, then hbar, tau, t) to Gaussian
+    `_num` maps flat keys (block exponents, then hbar, tau) to Gaussian
     integers (re, im); the coefficient of a key is (re + i im) / `_den`.  The
     pair is kept canonical (see the module docstring), so equality compares
     the denominator and the map.
@@ -219,7 +220,7 @@ class _FlatPoly:
         return not self._num
 
     def has_aux(self) -> bool:
-        return any(key[-2] or key[-1] for key in self._num)
+        return any(key[-1] for key in self._num)
 
     # -- linear operations -------------------------------------------------
 
@@ -302,9 +303,9 @@ class _FlatPoly:
 
 
 class ExactScalar(_FlatPoly):
-    """An element of Q(i)[hbar, tau, t]: the flat map with no variable blocks.
+    """An element of Q(i)[hbar, tau]: the flat map with no variable blocks.
 
-    Keys are (hbar, tau, t) exponent triples, and `dim` is 0.  `terms` gives
+    Keys are (hbar, tau) exponent pairs, and `dim` is 0.  `terms` gives
     each nonzero coefficient as a pair of Fractions (re, im).
     """
 
@@ -316,7 +317,7 @@ class ExactScalar(_FlatPoly):
             if not (isinstance(key, tuple) and len(key) == _N_SCALAR
                     and all(isinstance(e, int) and e >= 0 for e in key)):
                 raise ValueError(
-                    f"malformed scalar key {key!r}: expected three non-negative ints"
+                    f"malformed scalar key {key!r}: expected two non-negative ints"
                 )
             items.append((key, _as_fraction(re), _as_fraction(im)))
         den = lcm(*(q.denominator for _, re, im in items for q in (re, im)))
@@ -339,7 +340,7 @@ class ExactScalar(_FlatPoly):
 
     @classmethod
     def rational(cls, re: RationalLike, im: RationalLike = 0) -> "ExactScalar":
-        return cls({(0, 0, 0): (re, im)})
+        return cls({(0, 0): (re, im)})
 
     @classmethod
     def i(cls) -> "ExactScalar":
@@ -347,22 +348,17 @@ class ExactScalar(_FlatPoly):
 
     @classmethod
     def hbar(cls, power: int = 1) -> "ExactScalar":
-        return cls({(power, 0, 0): (1, 0)})
+        return cls({(power, 0): (1, 0)})
 
     @classmethod
     def aux(cls, name: str, power: int = 1) -> "ExactScalar":
-        slot = _AUX_SLOTS[name]
-        key = [0, 0, 0]
-        key[slot] = power
+        key = [0] * _N_SCALAR
+        key[_AUX_SLOTS[name]] = power
         return cls({tuple(key): (1, 0)})
 
     @classmethod
     def tau(cls) -> "ExactScalar":
         return cls.aux("tau")
-
-    @classmethod
-    def t_var(cls) -> "ExactScalar":
-        return cls.aux("t")
 
     # -- queries -----------------------------------------------------------
 
@@ -372,20 +368,13 @@ class ExactScalar(_FlatPoly):
         return {key: (Fraction(re, den), Fraction(im, den))
                 for key, (re, im) in self._num.items()}
 
-    def aux_degree(self, name: str) -> int:
-        slot = _AUX_SLOTS[name]
-        return max((k[slot] for k in self._num), default=0)
-
-    def is_real(self) -> bool:
-        return all(im == 0 for (_, im) in self._num.values())
-
     # -- arithmetic --------------------------------------------------------
 
     def scale(self, q: RationalLike) -> "ExactScalar":
         return self * ExactScalar.rational(q)
 
     def conjugate(self) -> "ExactScalar":
-        """Complex conjugation; hbar, tau and t are treated as real."""
+        """Complex conjugation; hbar and tau are treated as real."""
         return ExactScalar._from_flat(
             0, {k: (re, -im) for k, (re, im) in self._num.items()}, self._den
         )
@@ -415,7 +404,7 @@ class ExactScalar(_FlatPoly):
             re, im = terms[key]
             mono = "".join(
                 f"*{name}^{key[slot]}"
-                for name, slot in (("hbar", _HBAR), ("tau", _TAU), ("t", _T))
+                for name, slot in (("hbar", _HBAR), ("tau", _TAU))
                 if key[slot]
             )
             parts.append(f"({re}{'+' if im >= 0 else '-'}{abs(im)}i){mono}")
@@ -480,13 +469,6 @@ class _BlockPoly(_FlatPoly):
         if j is None:
             return max((sum(key[start:start + self.dim]) for key in self._num), default=0)
         return max((key[start + j] for key in self._num), default=0)
-
-    def coefficient(self, key: tuple) -> ExactScalar:
-        mono = tuple(v for e in key for v in e)
-        m = self._width
-        return ExactScalar._from_flat(
-            0, {k[m:]: v for k, v in self._num.items() if k[:m] == mono}, self._den
-        )
 
     def sorted_terms(self) -> list[tuple[tuple, ExactScalar]]:
         """Graded-lex descending on the concatenated exponent tuple."""

@@ -18,8 +18,8 @@ multiplier, the measure's average of that phase: exp(-i tau theta), a
 weighted sum over the nodes, or exp(-i theta/2) sinc(theta/2).  All three are
 tabulated from the integer m k without N^2 transcendental calls, and every
 scheme costs one symplectic transform and one pass.  On the polynomial route
-the measure averages the binomial ordering weights instead, and BJSinc
-converts the symbol exactly to its symmetric-rule symbol.
+the measure averages the binomial ordering weights instead; the uniform
+measure (BJSinc) averages each of them exactly, to 1/(r + 1) on x^r p^s.
 
 All transforms are periodic; symbols and states are expected to decay at the
 box boundary (violations emit a warning, not an error).
@@ -37,7 +37,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import SymbolPoly
-from .transforms import bj_to_weyl
 
 __all__ = [
     "UniformGrid",
@@ -357,11 +356,21 @@ def _apply_sampled(
     return np.einsum("mi,mi->i", modes, shifted) / n
 
 
+def _ordering_weight(scheme: Scheme) -> Callable[[int, int], float]:
+    """The scheme's average over tau of C(r, j) (1-tau)^(r-j) tau^j."""
+    if isinstance(scheme, BJSinc):
+        # the uniform average C(r, j) B(r-j+1, j+1) is 1/(r+1) for every j
+        return lambda r, j: 1.0 / (r + 1)
+    nodes, weights = _ordering_measure(scheme)
+    return lambda r, j: comb(r, j) * float(
+        np.sum(weights * (1.0 - nodes) ** (r - j) * nodes**j)
+    )
+
+
 def _apply_poly(
     a: SymbolPoly,
     psi: SampledWavefunction,
-    nodes: np.ndarray,
-    weights: np.ndarray,
+    ordering_weight: Callable[[int, int], float],
     hbar: float,
 ) -> np.ndarray:
     """Exact pseudospectral route for one-dimensional polynomial symbols.
@@ -380,9 +389,7 @@ def _apply_poly(
     for ((r,), (s,)), coeff in a.terms.items():
         c = coeff.to_complex(hbar)
         for j in range(r + 1):
-            weight = comb(r, j) * float(
-                np.sum(weights * (1.0 - nodes) ** (r - j) * nodes**j)
-            )
+            weight = ordering_weight(r, j)
             if weight == 0.0:
                 continue
             if j not in g_hat:
@@ -413,8 +420,8 @@ def apply_operator(
     which tau enters each mode only as the phase exp(-i tau theta); the
     scheme's average of that phase is one per-mode multiplier, so every
     scheme costs one pass.  Polynomial symbols use the exact pseudospectral
-    route with the averaged ordering weights; BJSinc converts a polynomial
-    symbol exactly to its symmetric-rule symbol and applies that.
+    route with the scheme's average of the binomial ordering weights; under
+    BJSinc each is averaged exactly to 1/(r+1) for a term of x-degree r.
     """
     params = params or NumericParams()
     if isinstance(symbol, SampledSymbol):
@@ -427,10 +434,7 @@ def apply_operator(
     if isinstance(symbol, SampledSymbol):
         multiplier = _mode_multiplier(psi.grid.n_points, scheme)
         return psi.with_values(_apply_sampled(symbol, psi, multiplier))
-    if isinstance(scheme, BJSinc):
-        symbol, scheme = bj_to_weyl(symbol), WeylScheme()
-    nodes, weights = _ordering_measure(scheme)
-    return psi.with_values(_apply_poly(symbol, psi, nodes, weights, psi.hbar))
+    return psi.with_values(_apply_poly(symbol, psi, _ordering_weight(scheme), psi.hbar))
 
 
 # ---------------------------------------------------------------------------

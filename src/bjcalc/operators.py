@@ -5,7 +5,7 @@ This is the ground-truth representation: two operator expressions are equal
 iff their normal-ordered forms coincide.  Canonical form puts every xhat to
 the left of every phat within each dimension; distinct dimensions commute.
 An OpPoly is a flat map of exact.py with the blocks x and p, keyed by x
-exponents, p exponents, then hbar, tau, t.  It shares its storage, sums
+exponents, p exponents, then hbar, tau.  It shares its storage, sums
 and powers with its ExactScalar coefficients and with the symbols; only
 the product and the adjoint are its own.
 
@@ -51,7 +51,7 @@ def _reorder_terms(ks: tuple[int, ...], rs: tuple[int, ...]) -> list[tuple[tuple
 
     Each entry is (shift, coefficient, J mod 4) for the term
     coefficient (-i hbar)^J xhat^(rs-js) phat^(ks-js), J = |js|.  A flat key
-    minus shift = js + js + (-J, 0, 0) lowers each x and p exponent by its j
+    minus shift = js + js + (-J, 0) lowers each x and p exponent by its j
     and raises hbar by J.
     """
     out = []
@@ -61,7 +61,7 @@ def _reorder_terms(ks: tuple[int, ...], rs: tuple[int, ...]) -> list[tuple[tuple
         for row, j in zip(rows, js):
             c *= row[j]
         total = sum(js)
-        out.append((js + js + (-total, 0, 0), c, total % 4))
+        out.append((js + js + (-total, 0), c, total % 4))
     return out
 
 
@@ -106,10 +106,6 @@ class OpPoly(_BlockPoly):
         return cls.word(dim, (0,) * dim, tuple(e))
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "OpPoly") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def scale_rational(self, q: RationalLike) -> "OpPoly":
         return self.scale(ExactScalar.rational(q))
@@ -158,12 +154,6 @@ class OpPoly(_BlockPoly):
         for key, (re, im) in self._num.items():
             _accumulate(out, key, re, -im, _reorder_terms(key[n:2 * n], key[:n]))
         return OpPoly._from_flat(n, out, self._den)
-
-    # -- comparisons -------------------------------------------------------
-
-    def equals(self, other: "OpPoly") -> bool:
-        self._check_compatible(other)
-        return self == other
 
     def __repr__(self) -> str:
         from .symlang import format_operator

@@ -172,7 +172,7 @@ def quantize_symbol(scheme: QuantizationScheme, a: SymbolPoly) -> OpPoly:
     parts = []  # (key, re, im, weight numerators, weight denominator)
     for key, (re, im) in a._num.items():
         kx, kp = key[:n], key[n:2 * n]
-        hbar, tau, t = key[2 * n:]
+        hbar, tau = key[2 * n:]
         degree = sum(kx) + sum(kp)
         if degree > MAX_TOTAL_DEGREE:
             raise DegreeLimitError(
@@ -190,15 +190,14 @@ def quantize_symbol(scheme: QuantizationScheme, a: SymbolPoly) -> OpPoly:
                 tuple(r - j for r, j in zip(kx, js))
                 + tuple(s - j for s, j in zip(kp, js))
             )
-            parts.append((head, hbar + big_j, tau, t,
-                          *_rotate(re, im, big_j), w, w_den))
+            parts.append((head, hbar + big_j, tau, *_rotate(re, im, big_j), w, w_den))
     den = lcm(*{part[-1] for part in parts})
     out: dict[tuple, tuple[int, int]] = {}
-    for head, hbar, tau, t, re, im, w, w_den in parts:
+    for head, hbar, tau, re, im, w, w_den in parts:
         f = den // w_den
         for m, wm in w.items():
             if wm:
-                key = head + (hbar, tau + m, t)
+                key = head + (hbar, tau + m)
                 g = wm * f
                 prev = out.get(key, (0, 0))
                 out[key] = (prev[0] + re * g, prev[1] + im * g)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb, gcd, prod
 
-from .exact import SymbolPoly
+from .exact import _N_SCALAR, SymbolPoly
 from .operators import OpPoly
 
 MAX_DEPTH = 256
@@ -185,10 +185,7 @@ class _Parser:
             if self.max_degree is not None:
                 self._check_degree(base.total_degree() * exponent, "power", caret)
             self._charge(_power_products(base, exponent), caret)
-            result = self._constant(1)
-            for _ in range(exponent):
-                result = result * base
-            return result
+            return base ** exponent
         return base
 
     def parse_atom(self) -> SymbolPoly:
@@ -227,7 +224,7 @@ class _Parser:
 
     def _constant(self, re: int, im: int = 0, den: int = 1, slot: int | None = None):
         """(re + i im)/den times the flat key's variable at slot, if any."""
-        key = [0] * (2 * self.dim + 3)
+        key = [0] * (2 * self.dim + _N_SCALAR)
         if slot is not None:
             key[slot] = 1
         return SymbolPoly._from_flat(self.dim, {tuple(key): (re, im)}, den)
@@ -341,13 +338,13 @@ def _var_factors(names, exps: tuple[int, ...]) -> list[str]:
     return out
 
 
-_SCALAR_NAMES = ("hbar", "tau", "t")
+_SCALAR_NAMES = ("hbar", "tau")
 
 
 def _format_poly(poly, names: list[str]) -> str:
     """Canonical text of a flat map: terms in graded-lex descending order of
-    their exponents, scalar components (hbar, tau, t) ascending within each;
-    each term is its coefficient, then hbar, tau, t, then the variables."""
+    their exponents, scalar components (hbar, tau) ascending within each;
+    each term is its coefficient, then hbar, tau, then the variables."""
     m, den = len(names), poly._den
     items = sorted(poly._num.items(), key=lambda item: item[0][m:])
     items.sort(key=lambda item: (sum(item[0][:m]), item[0][:m]), reverse=True)

@@ -24,16 +24,13 @@ from math import comb, factorial, lcm
 from typing import Callable, Literal
 
 from .exact import (
-    HBAR,
-    I,
-    ONE,
     ExactScalar,
     FlatMap,
     MultiIndex,
     RationalLike,
     SymbolPoly,
     _mul_maps,
-    _scalar_map,
+    _rotate,
     mi_abs,
 )
 
@@ -111,9 +108,6 @@ class CoeffTable:
 # Symbol-level conversions: finite power series in D
 # ---------------------------------------------------------------------------
 
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
 def _apply_d(num: FlatMap, dim: int) -> FlatMap:
     """One application of D = sum_j d_xj d_pj to a symbol's numerator map.
 
@@ -132,33 +126,33 @@ def _apply_d(num: FlatMap, dim: int) -> FlatMap:
     return {key: v for key, v in out.items() if v[0] or v[1]}
 
 
-def _d_series(
-    a: SymbolPoly, weight: Callable[[int], Fraction | ExactScalar]
-) -> SymbolPoly:
+# w_k by power of tau, as integer numerators over one denominator:
+# ({power: numerator}, denominator), the form of quantize's weights.
+Weight = tuple[dict[int, int], int]
+
+
+def _rational(q: Fraction) -> Weight:
+    return {0: q.numerator}, q.denominator
+
+
+def _d_series(a: SymbolPoly, weight: Callable[[int], Weight]) -> SymbolPoly:
     """sum_k weight(k) (i hbar)^k / k! D^k a.
 
-    A rational weight becomes the one-term scalar i^k hbar^k w_k / k!, and
-    zero weights are skipped without touching the terms.  The scalars are
-    brought over one common denominator with the symbol's, and each D^k a
-    is multiplied into the flat map once.
+    Each weight becomes the scalar i^k hbar^k w_k / k!, and zero weights are
+    skipped without touching the terms.  The scalars are brought over one
+    common denominator with the symbol's, and each D^k a is multiplied into
+    the flat map once.
     """
     n = a.dim
-    width = 2 * n
+    zero = (0,) * (2 * n)
     series = []  # (D^k a numerators, scalar numerators, scalar denominator)
     dk = a._num
     k = 0
     while dk:
-        w = weight(k)
-        if isinstance(w, ExactScalar):
-            coeff = ((I * HBAR) ** k * w).scale(Fraction(1, factorial(k)))
-            smap, sden = _scalar_map(coeff, width)
-        else:
-            re, im = _I_POWERS[k % 4]
-            q = w / factorial(k)
-            key = (0,) * width + (k, 0, 0)
-            smap, sden = {key: (re * q.numerator, im * q.numerator)}, q.denominator
-        if any(c or d for c, d in smap.values()):
-            series.append((dk, smap, sden))
+        w, w_den = weight(k)
+        if any(w.values()):
+            smap = {zero + (k, m): _rotate(wm, 0, -k) for m, wm in w.items()}
+            series.append((dk, smap, w_den * factorial(k)))
         dk = _apply_d(dk, n)
         k += 1
     den = lcm(*(sden for _, _, sden in series))
@@ -183,23 +177,22 @@ def weyl_to_bj(a: SymbolPoly) -> SymbolPoly:
     s/sinh(s) at s = i hbar D / 2, i.e. weights c_k / 2^k; exact two-sided
     inverse of bj_to_weyl on polynomials.
     """
-    return _d_series(a, lambda k: c_coeff_1d(k) / 2**k)
+    return _d_series(a, lambda k: _rational(c_coeff_1d(k) / 2**k))
 
 
 def bj_to_tau(a: SymbolPoly, tau: RationalLike | None = None) -> SymbolPoly:
     """Ordering-parameter symbol of the operator with Born-Jordan symbol a.
 
     Integral of exp(i hbar u D) a over u from tau - 1 to tau, i.e. weights
-    (tau^(k+1) - (tau-1)^(k+1)) / (k+1).  tau=None keeps the parameter formal.
+    (tau^(k+1) - (tau-1)^(k+1)) / (k+1).  tau=None keeps the parameter formal:
+    the coefficient of tau^m in that weight is (-1)^(k-m) C(k+1, m) / (k+1).
     """
     if tau is None:
-        t = ExactScalar.tau()
         return _d_series(
-            a,
-            lambda k: (t ** (k + 1) - (t - ONE) ** (k + 1)).scale(Fraction(1, k + 1)),
+            a, lambda k: ({m: (-1) ** (k - m) * comb(k + 1, m) for m in range(k + 1)}, k + 1)
         )
     t = Fraction(tau)
-    return _d_series(a, lambda k: (t ** (k + 1) - (t - 1) ** (k + 1)) / (k + 1))
+    return _d_series(a, lambda k: _rational((t ** (k + 1) - (t - 1) ** (k + 1)) / (k + 1)))
 
 
 def tau_shift(
@@ -212,7 +205,7 @@ def tau_shift(
     yield the same operator.
     """
     shift = Fraction(tau_to) - Fraction(tau_from)
-    return _d_series(a, lambda k: shift**k)
+    return _d_series(a, lambda k: _rational(shift**k))
 
 
 Direction = Literal["weyl_of_bj", "bj_of_weyl"]

@@ -417,13 +417,13 @@ class TestSampledRouteOracle:
 
 def _oracle_apply_poly(a, psi, scheme):
     """Polynomial route with two transforms per (term, j), a rolled centred
-    DFT, and the ordering weights averaged over the scheme's nodes."""
+    DFT, and the ordering weights averaged over the scheme's nodes; BJSinc's
+    uniform measure is 32 Gauss-Legendre nodes, exact for tau-degree <= 63."""
     from math import comb
 
-    if isinstance(scheme, BJSinc):
-        a, scheme = bj_to_weyl(a), WeylScheme()
-    if isinstance(scheme, BJQuadrature):
-        nodes, weights = np.polynomial.legendre.leggauss(scheme.order)
+    if isinstance(scheme, (BJQuadrature, BJSinc)):
+        order = 32 if isinstance(scheme, BJSinc) else scheme.order
+        nodes, weights = np.polynomial.legendre.leggauss(order)
         nodes, weights = (nodes + 1) / 2, weights / 2
     else:
         tau = 0.5 if isinstance(scheme, WeylScheme) else scheme.tau
@@ -482,6 +482,16 @@ class TestPolyRouteOracle:
                     fast = apply_operator(a, psi, scheme).values[inner]
                     ref = _oracle_apply_poly(a, psi, scheme)[inner]
                     assert np.max(np.abs(fast - ref)) < 1e-12 * np.max(np.abs(ref)), scheme
+
+    def test_sinc_matches_quadrature(self):
+        # both average the ordering weights over the uniform measure, which
+        # 16 nodes do exactly for tau-degree <= 31
+        grid = UniformGrid(512, 20.0)
+        psi = hermite_state(grid, 3)
+        a = parse("(x+p)^12")
+        sinc = apply_operator(a, psi, BJSinc()).values
+        quad = apply_operator(a, psi, BJQuadrature(16)).values
+        assert np.max(np.abs(sinc - quad)) < 1e-10 * np.max(np.abs(quad))
 
     def test_transform_count(self, monkeypatch):
         # one forward transform per power x^j and one inverse per outer

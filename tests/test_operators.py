@@ -1,12 +1,13 @@
 """Normal-ordering correctness, checked against an independent
 differential-operator representation on polynomial wavefunctions."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from bjcalc.exact import ExactScalar, ONE, falling_factorial
+from bjcalc.exact import ExactScalar, ONE, SymbolPoly, falling_factorial
 from bjcalc.operators import DegreeLimitError, MAX_TOTAL_DEGREE, OpPoly
 
 I_HBAR = ExactScalar.i() * ExactScalar.hbar()
@@ -220,6 +221,18 @@ class TestStructure:
     def test_self_adjoint_generators(self):
         assert OpPoly.x_op(1).adjoint() == OpPoly.x_op(1)
         assert OpPoly.p_op(1).adjoint() == OpPoly.p_op(1)
+
+    @pytest.mark.parametrize(
+        "other", [SymbolPoly.variable(1, "x"), ExactScalar.hbar(), OpPoly.x_op(2)]
+    )
+    def test_mixed_operands_are_rejected(self, other):
+        # a symbol's monomials are not operator words, in either order
+        op = OpPoly.p_op(1)
+        for combine in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                combine(op, other)
+            with pytest.raises(ValueError):
+                combine(other, op)
 
     def test_degree_guardrail(self):
         big = OpPoly.word(1, (MAX_TOTAL_DEGREE // 2 + 1,), (0,))

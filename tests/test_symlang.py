@@ -206,8 +206,8 @@ def _evaluate_poly(a: SymbolPoly, point: dict, names: list[str]):
         mono = Fraction(1)
         for name, e in zip(names, (v for block in key for v in block)):
             mono *= point[name] ** e
-        for (h, tau, t), (re, im) in coeff.terms.items():
-            assert tau == t == 0
+        for (h, tau), (re, im) in coeff.terms.items():
+            assert tau == 0
             scale = mono * point["hbar"] ** h
             total = (total[0] + re * scale, total[1] + im * scale)
     return total
