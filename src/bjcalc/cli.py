@@ -53,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _parse_fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid {what} {text!r}: {exc}") from None
-
-
 def _calc_point(text: str) -> Fraction | None:
     """Map a calculus name to its ordering parameter (None for Born-Jordan)."""
     if text in ("bj", "born-jordan"):
@@ -67,7 +60,10 @@ def _calc_point(text: str) -> Fraction | None:
     if text == "weyl":
         return Fraction(1, 2)
     if text.startswith("tau:"):
-        return _parse_fraction(text[4:], "ordering parameter")
+        try:
+            return Fraction(text[4:])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"invalid ordering parameter {text[4:]!r}: {exc}") from None
     raise UsageError(f"unknown calculus {text!r} (expected weyl, bj, or tau:VALUE)")
 
 
@@ -222,27 +218,22 @@ def _cmd_convert(args, out) -> int:
     if d is None:
         if args.from_calc is None or args.to_calc is None:
             raise UsageError("missing direction (positional or --from/--to)")
-        result = _convert_between(a, args.from_calc, args.to_calc)
-    elif d == "bj-to-weyl":
-        result = bj_to_weyl(a)
-    elif d == "weyl-to-bj":
-        result = weyl_to_bj(a)
+        src, dst = args.from_calc, args.to_calc
+    elif d in ("bj-to-weyl", "weyl-to-bj"):
+        src, _, dst = d.split("-")
     elif d.startswith("bj-to-tau:"):
-        result = bj_to_tau(a, _parse_fraction(d.split(":", 1)[1], "ordering parameter"))
+        src, dst = "bj", d[len("bj-to-"):]
     elif d.startswith("tau-shift:"):
         parts = d.split(":")
         if len(parts) != 3:
             raise UsageError("expected tau-shift:FROM:TO")
-        result = tau_shift(
-            a,
-            _parse_fraction(parts[1], "ordering parameter"),
-            _parse_fraction(parts[2], "ordering parameter"),
-        )
+        src, dst = "tau:" + parts[1], "tau:" + parts[2]
     else:
         raise UsageError(
             f"unknown direction {d!r} (expected bj-to-weyl, weyl-to-bj, "
             "bj-to-tau:VALUE, or tau-shift:FROM:TO)"
         )
+    result = _convert_between(a, src, dst)
     if args.output == "json":
         _emit_json(_poly_json("symbol", result), out)
     else:
@@ -279,10 +270,12 @@ def _cmd_apply(args, out) -> int:
         grid = UniformGrid(args.grid, args.box)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if not args.hbar > 0:
+        raise UsageError("hbar must be positive")
+    if args.quadrature < 2:
+        raise UsageError("quadrature order must be at least 2")
     try:
-        params = NumericParams(
-            hbar=args.hbar, quadrature_order=args.quadrature, tolerance=args.tolerance
-        )
+        params = NumericParams(tolerance=args.tolerance)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     scheme = _parse_scheme(args.scheme, args.quadrature)

@@ -38,9 +38,15 @@ RationalLike = Union[int, Fraction]
 # Scalar exponent slots: (hbar, tau).  tau is the auxiliary variable of
 # tau-averaging.
 _HBAR, _TAU = 0, 1
-_AUX_SLOTS = {"tau": _TAU}
 
 ScalarKey = tuple[int, int]
+
+
+def _aux_slot(name: str) -> int:
+    """The scalar slot of an auxiliary variable; tau is the only one."""
+    if name != "tau":
+        raise ValueError(f"unknown auxiliary variable {name!r}: the only one is 'tau'")
+    return _TAU
 
 
 def _as_fraction(v: RationalLike) -> Fraction:
@@ -81,10 +87,6 @@ def mi_iter_box(bounds: MultiIndex) -> Iterable[MultiIndex]:
     for head in range(bounds[0] + 1):
         for rest in mi_iter_box(bounds[1:]):
             yield (head,) + rest
-
-
-def falling_factorial(n: int, k: int) -> int:
-    return prod(n - j for j in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ class _FlatPoly:
 
     def integrate_unit_interval(self, name: str = "tau"):
         """Coefficientwise exact integral of the auxiliary variable over [0,1]."""
-        s = self._width + _AUX_SLOTS[name]
+        s = self._width + _aux_slot(name)
         scale = lcm(*(key[s] + 1 for key in self._num))
         out = self._collect_aux(s, lambda k: scale // (k + 1))
         return self._from_flat(self.dim, out, self._den * scale)
@@ -280,7 +282,7 @@ class _FlatPoly:
     def substitute_aux(self, name: str, value: RationalLike):
         value = _as_fraction(value)
         vn, vd = value.numerator, value.denominator
-        s = self._width + _AUX_SLOTS[name]
+        s = self._width + _aux_slot(name)
         top = max((key[s] for key in self._num), default=0)
         out = self._collect_aux(s, lambda k: vn**k * vd ** (top - k))
         return self._from_flat(self.dim, out, self._den * vd**top)
@@ -353,7 +355,7 @@ class ExactScalar(_FlatPoly):
     @classmethod
     def aux(cls, name: str, power: int = 1) -> "ExactScalar":
         key = [0] * _N_SCALAR
-        key[_AUX_SLOTS[name]] = power
+        key[_aux_slot(name)] = power
         return cls({tuple(key): (1, 0)})
 
     @classmethod
@@ -464,12 +466,6 @@ class _BlockPoly(_FlatPoly):
         m = self._width
         return max((sum(key[:m]) for key in self._num), default=0)
 
-    def block_degree(self, block: str, j: int | None = None) -> int:
-        start = self.blocks.index(block) * self.dim
-        if j is None:
-            return max((sum(key[start:start + self.dim]) for key in self._num), default=0)
-        return max((key[start + j] for key in self._num), default=0)
-
     def sorted_terms(self) -> list[tuple[tuple, ExactScalar]]:
         """Graded-lex descending on the concatenated exponent tuple."""
         def sort_key(item):
@@ -515,52 +511,6 @@ class Poly(_BlockPoly):
         key[cls.blocks.index(block) * dim + j] = 1
         return cls._from_flat(dim, {tuple(key): (1, 0)}, 1)
 
-    # -- calculus ----------------------------------------------------------
-
-    def differentiate(self, var: Union[str, VarId], order: int = 1) -> "Poly":
-        """Exact partial derivative of the given order."""
-        block, j = parse_var(var, self.dim)
-        if block not in self.blocks:
-            raise ValueError(f"{type(self).__name__} has no variable block {block!r}")
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
-        i = self.blocks.index(block) * self.dim + j
-        out: FlatMap = {}
-        for key, (re, im) in self._num.items():
-            e = key[i]
-            if e >= order:
-                f = falling_factorial(e, order)
-                out[key[:i] + (e - order,) + key[i + 1:]] = (re * f, im * f)
-        return self._from_flat(self.dim, out, self._den)
-
-    def substitute_affine(
-        self,
-        var: Union[str, VarId],
-        constant: ExactScalar = ExactScalar.zero(),
-        linear: Mapping[Union[str, VarId], ExactScalar] = (),
-    ) -> "Poly":
-        """Replace one variable by an affine combination of variables.
-
-        The replacement variables must belong to this polynomial's blocks;
-        use promote()/AmplitudePoly first when introducing y.
-        """
-        block, j = parse_var(var, self.dim)
-        if block not in self.blocks:
-            raise ValueError(f"unknown variable block {block!r}")
-        i = self.blocks.index(block) * self.dim + j
-
-        replacement = type(self).constant(self.dim, constant)
-        for v, c in dict(linear).items():
-            replacement = replacement + type(self).variable(self.dim, v).scale(c)
-
-        out = type(self).zero(self.dim)
-        for key, value in self._num.items():
-            term = self._from_flat(self.dim, {key[:i] + (0,) + key[i + 1:]: value}, self._den)
-            for _ in range(key[i]):
-                term = term * replacement
-            out = out + term
-        return out
-
 
 class SymbolPoly(Poly):
     """Classical observable: polynomial in (x, p)."""
@@ -569,15 +519,6 @@ class SymbolPoly(Poly):
 
     __slots__ = ()
 
-    def promote(self) -> "AmplitudePoly":
-        """View a(x, p) as an amplitude b(x, y, p) with no y dependence."""
-        n = self.dim
-        zero = (0,) * n
-        out = object.__new__(AmplitudePoly)
-        out.dim, out._den = n, self._den
-        out._num = {key[:n] + zero + key[n:]: v for key, v in self._num.items()}
-        return out
-
 
 class AmplitudePoly(Poly):
     """Amplitude b(x, y, p): polynomial with two spatial argument blocks."""
@@ -585,13 +526,3 @@ class AmplitudePoly(Poly):
     blocks = ("x", "y", "p")
 
     __slots__ = ()
-
-    def collapse_y(self) -> SymbolPoly:
-        """Set y = x, producing a symbol."""
-        n = self.dim
-        out: FlatMap = {}
-        for key, (re, im) in self._num.items():
-            nkey = tuple(map(add, key[:n], key[n:2 * n])) + key[2 * n:]
-            prev = out.get(nkey, (0, 0))
-            out[nkey] = (prev[0] + re, prev[1] + im)
-        return SymbolPoly._from_flat(n, out, self._den)

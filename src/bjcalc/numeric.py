@@ -147,15 +147,11 @@ class SampledSymbol:
 
 @dataclass(frozen=True)
 class NumericParams:
-    hbar: float = 1.0
-    quadrature_order: int = 16
+    """apply_operator's boundary-decay tolerance."""
+
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
-        if self.quadrature_order < 2:
-            raise ValueError("quadrature order must be at least 2")
         if not (isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}"

@@ -31,6 +31,9 @@ that polynomial once:
   the product at a shared tau, not the product of per-dimension averages;
 * a formal tau (Tau(None)) expands it into powers of tau.
 
+The amplitude route is the same kind of closed form: integer tables per
+dimension, multiplied into one polynomial in (1-tau) and tau, weighed once.
+
 The operator product of operators.py is not used here, so the tests can
 check this module against products of OpPoly words.
 """
@@ -41,19 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, lcm, perm, prod
 from typing import Callable, Union
 
-from .exact import (
-    AmplitudePoly,
-    ExactScalar,
-    RationalLike,
-    SymbolPoly,
-    _rotate,
-    mi_iter_box,
-    mi_abs,
-    mi_factorial,
-)
+from .exact import AmplitudePoly, RationalLike, SymbolPoly, _rotate
 from .operators import MAX_TOTAL_DEGREE, DegreeLimitError, OpPoly
 
 
@@ -191,30 +185,58 @@ def quantize_symbol(scheme: QuantizationScheme, a: SymbolPoly) -> OpPoly:
                 + tuple(s - j for s, j in zip(kp, js))
             )
             parts.append((head, hbar + big_j, tau, *_rotate(re, im, big_j), w, w_den))
-    den = lcm(*{part[-1] for part in parts})
+    return OpPoly._from_flat(n, *_collect(parts, a._den))
+
+
+def _collect(parts: list, den: int) -> tuple[dict, int]:
+    """Sum parts (head, hbar, tau, re, im, weight numerators, weight
+    denominator) into one flat map over den times the lcm of the weight
+    denominators; weight numerator m shifts the tau exponent by m."""
+    common = lcm(*{part[-1] for part in parts})
     out: dict[tuple, tuple[int, int]] = {}
     for head, hbar, tau, re, im, w, w_den in parts:
-        f = den // w_den
+        f = common // w_den
         for m, wm in w.items():
             if wm:
                 key = head + (hbar, tau + m)
                 g = wm * f
                 prev = out.get(key, (0, 0))
                 out[key] = (prev[0] + re * g, prev[1] + im * g)
-    return OpPoly._from_flat(n, out, a._den * den)
+    return out, den * common
 
 
 def amplitude_average(a: SymbolPoly) -> AmplitudePoly:
-    """The averaged amplitude b(x,y,p) = integral over tau of a((1-tau)x+tau y, p)."""
-    tau = ExactScalar.tau()
-    one_minus_tau = ExactScalar.one() - tau
-    b = a.promote()
-    for j in range(a.dim):
-        b = b.substitute_affine(
-            ("x", j),
-            linear={("x", j): one_minus_tau, ("y", j): tau},
-        )
-    return b.integrate_unit_interval("tau")
+    """The averaged amplitude b(x,y,p) = integral over tau of a((1-tau)x+tau y, p).
+
+    Closed form: a term x^r p^s tau^t (the tau of a coefficient is averaged
+    along) gives, for each multi-index j <= r, with R = |r| and J = |j|,
+
+        prod_d C(r_d, j_d) (R-J)! (J+t)! / (R+t+1)!  x^(r-j) y^j p^s,
+
+    the Beta integral of (1-tau)^(R-J) tau^(J+t).
+    """
+    n = a.dim
+    parts = []
+    for key, (re, im) in a._num.items():
+        kx, kp = key[:n], key[n:2 * n]
+        hbar, t = key[2 * n:]
+        big_r = sum(kx)
+        for js in product(*(range(r + 1) for r in kx)):
+            big_j = sum(js)
+            w = prod(map(comb, kx, js)) * factorial(big_r - big_j) * factorial(big_j + t)
+            head = tuple(r - j for r, j in zip(kx, js)) + js + kp
+            parts.append((head, hbar, 0, re, im, {0: w}, factorial(big_r + t + 1)))
+    return AmplitudePoly._from_flat(n, *_collect(parts, a._den))
+
+
+def _amplitude_table(a: int, c: int, e: int) -> list[tuple[int, ...]]:
+    """Row s of the tau-symbol of x^a y^c p^e, for s = beta + gamma: the
+    integer (-1)^gamma C(a, s-gamma) C(c, gamma) e!/(e-s)! for gamma = 0..s,
+    the weight of (1-tau)^gamma tau^(s-gamma) in x^(a+c-s) p^(e-s)."""
+    return [
+        tuple((-1) ** g * comb(a, s - g) * comb(c, g) * perm(e, s) for g in range(s + 1))
+        for s in range(min(a + c, e) + 1)
+    ]
 
 
 def amplitude_to_tau_symbol(
@@ -222,41 +244,35 @@ def amplitude_to_tau_symbol(
 ) -> SymbolPoly:
     """Exact symbol of the amplitude operator in the tau calculus.
 
-    Finite sum over pairs of multi-indices (beta, gamma):
-        (1/(beta! gamma!)) tau^|beta| (1-tau)^|gamma|
-        d_p^(beta+gamma) (i hbar d_x)^beta (-i hbar d_y)^gamma b |_{y=x}.
+    It is the finite sum over pairs of multi-indices (beta, gamma) of
+    (1/(beta! gamma!)) tau^|beta| (1-tau)^|gamma|
+    d_p^(beta+gamma) (i hbar d_x)^beta (-i hbar d_y)^gamma b |_{y=x}.  In
+    closed form, a term x^a y^c p^e gives, for beta <= a, gamma <= c and
+    beta + gamma <= e in each dimension, with B = |beta| and G = |gamma|,
+
+        C(a,beta) C(c,gamma) e!/(e-beta-gamma)! (-i)^(G-B) hbar^(B+G)
+            tau^B (1-tau)^G  x^(a-beta+c-gamma) p^(e-beta-gamma).
+
+    The Tau(tau) weight of quantize_symbol weighs the tau factors, and
     tau=None keeps the ordering parameter formal.
     """
+    weight = _scheme_weight(Tau(tau))
     n = b.dim
-    tau_s = ExactScalar.tau() if tau is None else ExactScalar.rational(Fraction(tau))
-    one_minus_tau = ExactScalar.one() - tau_s
-
-    x_bounds = tuple(b.block_degree("x", j) for j in range(n))
-    y_bounds = tuple(b.block_degree("y", j) for j in range(n))
-    p_bound = b.block_degree("p")
-
-    i_hbar = ExactScalar.i() * ExactScalar.hbar()
-    out = SymbolPoly.zero(n)
-    for beta in mi_iter_box(x_bounds):
-        for gamma in mi_iter_box(y_bounds):
-            if mi_abs(beta) + mi_abs(gamma) > p_bound:
-                continue
-            d = b
-            for j in range(n):
-                if beta[j]:
-                    d = d.differentiate(("x", j), beta[j])
-                if gamma[j]:
-                    d = d.differentiate(("y", j), gamma[j])
-                total = beta[j] + gamma[j]
-                if total:
-                    d = d.differentiate(("p", j), total)
-            if d.is_zero():
-                continue
-            coeff = (tau_s ** mi_abs(beta)) * (one_minus_tau ** mi_abs(gamma))
-            coeff = coeff * (i_hbar ** mi_abs(beta))
-            coeff = coeff * ((-i_hbar) ** mi_abs(gamma))
-            coeff = coeff.scale(
-                Fraction(1, mi_factorial(beta) * mi_factorial(gamma))
+    parts = []
+    for key, (re, im) in b._num.items():
+        kx, ky, kp = key[:n], key[n:2 * n], key[2 * n:3 * n]
+        hbar, t = key[3 * n:]
+        tables = [_amplitude_table(*e) for e in zip(kx, ky, kp)]
+        for ss in product(*(range(len(table)) for table in tables)):
+            c = [1]
+            for table, s in zip(tables, ss):
+                c = _convolve(c, table[s])
+            big_s = sum(ss)
+            w, w_den = weight(big_s, c)
+            head = (
+                tuple(r + q - s for r, q, s in zip(kx, ky, ss))
+                + tuple(e - s for e, s in zip(kp, ss))
             )
-            out = out + d.collapse_y().scale(coeff)
-    return out
+            # i^B (-i)^G = (-1)^G (-i)^(-S); the tables carry the (-1)^G
+            parts.append((head, hbar + big_s, t, *_rotate(re, im, -big_s), w, w_den))
+    return SymbolPoly._from_flat(n, *_collect(parts, b._den))

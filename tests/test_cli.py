@@ -218,6 +218,15 @@ class TestApply:
             assert code == 1
             assert "length" in err
 
+    @pytest.mark.parametrize("scheme", ["weyl", "tau:1/3", "bj-quadrature", "bj-sinc"])
+    def test_bad_hbar_and_quadrature_are_usage_errors(self, scheme):
+        for flag, value, message in (("--hbar", "0", "hbar must be positive"),
+                                     ("--quadrature", "1", "at least 2")):
+            code, out, err = run([flag, value, "apply", "harmonic", "gaussian",
+                                  "--scheme", scheme])
+            assert code == 1 and out == ""
+            assert message in err
+
     def test_bad_tolerance_is_usage_error(self):
         for tol in ("nan", "0", "-1e-8"):
             code, _, err = run(["--tolerance", tol, "apply", "harmonic", "hermite:2"])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bjcalc.exact import (
-    AmplitudePoly,
     ExactScalar,
     ONE,
     SymbolPoly,
@@ -156,11 +155,11 @@ class TestScalarValidation:
 
     def test_tau_is_the_only_auxiliary_variable(self):
         v = ExactScalar.tau() + ExactScalar.hbar()
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="tau"):
             ExactScalar.aux("t")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="tau"):
             v.integrate_unit("t")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="tau"):
             v.substitute_aux("t", 1)
 
     def test_short_key_never_reaches_a_polynomial(self):
@@ -224,50 +223,7 @@ class TestPoly:
         p2 = SymbolPoly.variable(2, "p2")
         assert a == x1 * p2 * p2
         assert b == x1
-
-    def test_differentiate(self):
-        x = SymbolPoly.variable(1, "x")
-        p = SymbolPoly.variable(1, "p")
-        a = x * x * x * p  # x^3 p
-        assert a.differentiate("x") == (x * x * p).scale(ExactScalar.rational(3))
-        assert a.differentiate("x", 2) == (x * p).scale(ExactScalar.rational(6))
-        assert a.differentiate("x", 4).is_zero()
-        assert a.differentiate("p") == x * x * x
-
-    def test_derivatives_commute(self):
-        x = SymbolPoly.variable(1, "x")
-        p = SymbolPoly.variable(1, "p")
-        a = (x + p) ** 5
-        assert a.differentiate("x").differentiate("p") == a.differentiate(
-            "p"
-        ).differentiate("x")
-
-    def test_substitute_affine_expands_binomially(self):
-        # x -> (1-tau)x + tau y inside x^2
-        x2 = AmplitudePoly.monomial(1, x=(2,))
-        tau = ExactScalar.tau()
-        out = x2.substitute_affine(
-            ("x", 0), linear={("x", 0): ONE - tau, ("y", 0): tau}
-        )
-        expected = (
-            AmplitudePoly.monomial(1, coeff=(ONE - tau) ** 2, x=(2,))
-            + AmplitudePoly.monomial(1, coeff=((ONE - tau) * tau).scale(2), x=(1,), y=(1,))
-            + AmplitudePoly.monomial(1, coeff=tau**2, y=(2,))
-        )
-        assert out == expected
-
-    def test_promote_collapse_roundtrip(self):
-        x = SymbolPoly.variable(1, "x")
-        p = SymbolPoly.variable(1, "p")
-        a = x * x * p + p.scale(ExactScalar.rational(Fraction(1, 3)))
-        assert a.promote().collapse_y() == a
-
-    def test_block_degree(self):
-        a = SymbolPoly.monomial(2, x=(3, 1), p=(0, 2))
-        assert a.block_degree("x") == 4
-        assert a.block_degree("x", 0) == 3
-        assert a.block_degree("p", 1) == 2
-        assert a.total_degree() == 6
+        assert SymbolPoly.monomial(2, x=(3, 1), p=(0, 2)).total_degree() == 6
 
     def test_parse_var(self):
         assert parse_var("x", 1) == ("x", 0)

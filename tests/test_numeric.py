@@ -102,10 +102,6 @@ class TestGridBasics:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            NumericParams(hbar=0.0)
-        with pytest.raises(ValueError):
-            NumericParams(quadrature_order=1)
-        with pytest.raises(ValueError):
             BJQuadrature(1)
 
     def test_tolerance_and_tau_validation(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bjcalc.exact import ExactScalar, ONE, SymbolPoly, falling_factorial
+from bjcalc.exact import ExactScalar, ONE, SymbolPoly
 from bjcalc.operators import DegreeLimitError, MAX_TOTAL_DEGREE, OpPoly
 
 I_HBAR = ExactScalar.i() * ExactScalar.hbar()
@@ -238,8 +238,3 @@ class TestStructure:
         big = OpPoly.word(1, (MAX_TOTAL_DEGREE // 2 + 1,), (0,))
         with pytest.raises(DegreeLimitError):
             big * big
-
-    def test_falling_factorial_helper(self):
-        assert falling_factorial(5, 2) == 20
-        assert falling_factorial(3, 0) == 1
-        assert falling_factorial(2, 3) == 0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bjcalc.quantize
-from bjcalc.exact import ExactScalar, SymbolPoly
+from bjcalc.exact import AmplitudePoly, ExactScalar, SymbolPoly
 from bjcalc.operators import DegreeLimitError, MAX_TOTAL_DEGREE, OpPoly
 from bjcalc.quantize import (
     BornJordan,
@@ -235,8 +235,6 @@ class TestAmplitudeRoute:
         # integral over tau of ((1-tau)x + tau y)^2 = (x^2 + x y + y^2)/3
         a = SymbolPoly.monomial(1, x=(2,))
         b = amplitude_average(a)
-        from bjcalc.exact import AmplitudePoly
-
         third = ExactScalar.rational(Fraction(1, 3))
         expected = (
             AmplitudePoly.monomial(1, coeff=third, x=(2,))
@@ -258,3 +256,40 @@ class TestAmplitudeRoute:
         tau = Fraction(1, 3)
         sym = amplitude_to_tau_symbol(amplitude_average(a), tau)
         assert quantize_symbol(Tau(tau), sym) == quantize_symbol(BornJordan(), a)
+
+    def test_average_integrates_a_coefficient_tau(self):
+        # integral over tau of tau ((1-tau)x + tau y) = x/6 + y/3
+        a = SymbolPoly.monomial(1, coeff=ExactScalar.tau(), x=(1,))
+        expected = (
+            AmplitudePoly.monomial(1, coeff=ExactScalar.rational(Fraction(1, 6)), x=(1,))
+            + AmplitudePoly.monomial(1, coeff=ExactScalar.rational(Fraction(1, 3)), y=(1,))
+        )
+        assert amplitude_average(a) == expected
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("tau", [Fraction(1, 3), Fraction(-2, 7), None])
+    def test_averaged_amplitude_matches_conversion(self, dim, tau):
+        rng = random.Random(43 + dim)
+        for _ in range(4):
+            a = _random_symbol(rng, dim, 5, n_terms=3, hbar=True)
+            assert amplitude_to_tau_symbol(amplitude_average(a), tau) == bj_to_tau(a, tau)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("tau", [0, Fraction(1, 3), Fraction(1, 2), 1])
+    def test_general_amplitude_matches_operator_words(self, dim, tau):
+        # b = sum c x^a y^c p^e is the operator sum c xhat^a phat^e xhat^c:
+        # x acts on the left and y on the right of the momentum
+        rng = random.Random(59 + dim)
+        zero = (0,) * dim
+        for _ in range(8):
+            b, op = AmplitudePoly.zero(dim), OpPoly.zero(dim)
+            for _ in range(3):
+                ka, kc, ke = (tuple(rng.randrange(3) for _ in range(dim)) for _ in range(3))
+                coeff = ExactScalar.rational(
+                    Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)), rng.randrange(-2, 3)
+                ) * ExactScalar.hbar(rng.randrange(2))
+                b = b + AmplitudePoly.monomial(dim, coeff=coeff, x=ka, y=kc, p=ke)
+                word = (OpPoly.word(dim, ka, zero) * OpPoly.word(dim, zero, ke)
+                        * OpPoly.word(dim, kc, zero))
+                op = op + word.scale(coeff)
+            assert quantize_symbol(Tau(tau), amplitude_to_tau_symbol(b, tau)) == op
