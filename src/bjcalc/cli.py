@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
+from math import inf, isfinite
 from typing import TYPE_CHECKING
 
 from . import symlang
@@ -146,20 +148,17 @@ def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degre
 # ---------------------------------------------------------------------------
 
 
-def _scalar_entries(coeff):
-    for (h, tau_p), (re, im) in sorted(coeff.terms.items()):
-        if tau_p:
-            raise ValueError("cannot serialize a formal ordering parameter")
-        yield {"re": str(re), "im": str(im), "hbar_pow": h}
-
-
 def _poly_json(kind: str, poly: SymbolPoly | OpPoly) -> dict:
     """A symbol (kind "symbol") or an operator (kind "oppoly") as JSON."""
+    n, den = poly.dim, poly._den
     terms = []
-    for (kx, kp), coeff in poly.sorted_terms():
-        for entry in _scalar_entries(coeff):
-            terms.append({"x": list(kx), "p": list(kp), "coeff": entry})
-    return {"kind": kind, "dimension": poly.dim, "terms": terms}
+    for key, (re, im) in symlang._sorted_entries(poly):
+        if key[2 * n + 1]:
+            raise ValueError("cannot serialize a formal ordering parameter")
+        coeff = {"re": str(Fraction(re, den)), "im": str(Fraction(im, den)),
+                 "hbar_pow": key[2 * n]}
+        terms.append({"x": list(key[:n]), "p": list(key[n:2 * n]), "coeff": coeff})
+    return {"kind": kind, "dimension": n, "terms": terms}
 
 
 def _table_json(table: CoeffTable) -> dict:
@@ -266,12 +265,14 @@ def _cmd_apply(args, out) -> int:
 
     if args.dim != 1:
         raise UsageError("apply supports dimension 1 only")
+    if not 0 < args.hbar < inf:
+        raise UsageError("--hbar must be positive and finite")
+    if not isfinite(args.box):
+        raise UsageError("--box must be finite")
     try:
         grid = UniformGrid(args.grid, args.box)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if not args.hbar > 0:
-        raise UsageError("hbar must be positive")
     if args.quadrature < 2:
         raise UsageError("quadrature order must be at least 2")
     try:
@@ -505,7 +506,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args, sys.stdout)
+        with warnings.catch_warnings():
+            # each warning is one stderr line, without its source location
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.func(args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

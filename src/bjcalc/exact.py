@@ -17,10 +17,14 @@ and reduces it with one gcd pass, so `==` and `hash` compare the
 denominator and the map.  A term product is then a tuple sum and two or
 four int products, with no Fraction arithmetic.
 
+`_collect` is the one kernel for weighted sums over a common denominator:
+the quantizer, the amplitude route, the D series of transforms.py, the tau
+integral and tau substitution all hand it their parts.
+
 ExactScalar, an element of Q(i)[hbar, tau], is the flat map with no
 variable blocks: its keys are (hbar, tau).  It is the value type at the
-public boundary: what `terms` and `sorted_terms` return and what the
-polynomial constructors accept.  Its own `terms` gives each
+public boundary: what `terms` returns and what the polynomial constructors
+accept.  Its own `terms` gives each
 coefficient as a pair of Fractions (re, im).
 
 Everything here is immutable and exact; no floating point enters this layer.
@@ -158,13 +162,9 @@ def _add_maps(n1: FlatMap, d1: int, n2: FlatMap, d2: int) -> tuple[FlatMap, int]
     return out, d1 * m1
 
 
-def _mul_maps(n1: FlatMap, n2: FlatMap, out: FlatMap | None = None) -> FlatMap:
-    """Commutative product of two numerator maps: keys add, values multiply.
-
-    The products are added into `out` when it is given.
-    """
-    if out is None:
-        out = {}
+def _mul_maps(n1: FlatMap, n2: FlatMap) -> FlatMap:
+    """Commutative product of two numerator maps: keys add, values multiply."""
+    out: FlatMap = {}
     get = out.get
     for k1, (a, b) in n1.items():
         for k2, (c, d) in n2.items():
@@ -188,6 +188,27 @@ def _rotate(re: int, im: int, j: int) -> tuple[int, int]:
     if j == 2:
         return -re, -im
     return -im, re
+
+
+# A polynomial in tau: ({power: integer numerator}, positive denominator).
+Weight = tuple[dict[int, int], int]
+
+
+def _collect(parts: list, den: int) -> tuple[dict, int]:
+    """Sum parts (head, hbar, tau, re, im, *weight) into one flat map over
+    den times the lcm of the weight denominators; weight numerator m shifts
+    the tau exponent by m."""
+    common = lcm(*{part[-1] for part in parts})
+    out: dict[tuple, tuple[int, int]] = {}
+    for head, hbar, tau, re, im, w, w_den in parts:
+        f = common // w_den
+        for m, wm in w.items():
+            if wm:
+                key = head + (hbar, tau + m)
+                g = wm * f
+                prev = out.get(key, (0, 0))
+                out[key] = (prev[0] + re * g, prev[1] + im * g)
+    return out, den * common
 
 
 class _FlatPoly:
@@ -262,30 +283,23 @@ class _FlatPoly:
 
     # -- auxiliary-variable operations ------------------------------------
 
-    def _collect_aux(self, s: int, factor) -> FlatMap:
-        """Set key slot s to 0, multiplying each entry by factor(exponent)."""
-        out: FlatMap = {}
-        for key, (re, im) in self._num.items():
-            f = factor(key[s])
-            nkey = key[:s] + (0,) + key[s + 1:]
-            prev = out.get(nkey, (0, 0))
-            out[nkey] = (prev[0] + re * f, prev[1] + im * f)
-        return out
-
     def integrate_unit_interval(self, name: str = "tau"):
-        """Coefficientwise exact integral of the auxiliary variable over [0,1]."""
-        s = self._width + _aux_slot(name)
-        scale = lcm(*(key[s] + 1 for key in self._num))
-        out = self._collect_aux(s, lambda k: scale // (k + 1))
-        return self._from_flat(self.dim, out, self._den * scale)
+        """Coefficientwise exact integral of tau over [0,1]: tau^t becomes 1/(t+1)."""
+        _aux_slot(name)
+        m = self._width
+        parts = [(key[:m], key[m], 0, re, im, {0: 1}, key[m + 1] + 1)
+                 for key, (re, im) in self._num.items()]
+        return self._from_flat(self.dim, *_collect(parts, self._den))
 
     def substitute_aux(self, name: str, value: RationalLike):
+        """tau^t becomes value^t."""
         value = _as_fraction(value)
         vn, vd = value.numerator, value.denominator
-        s = self._width + _aux_slot(name)
-        top = max((key[s] for key in self._num), default=0)
-        out = self._collect_aux(s, lambda k: vn**k * vd ** (top - k))
-        return self._from_flat(self.dim, out, self._den * vd**top)
+        _aux_slot(name)
+        m = self._width
+        parts = [(key[:m], key[m], 0, re, im, {0: vn ** key[m + 1]}, vd ** key[m + 1])
+                 for key, (re, im) in self._num.items()]
+        return self._from_flat(self.dim, *_collect(parts, self._den))
 
     # -- comparisons -------------------------------------------------------
 
@@ -398,19 +412,9 @@ class ExactScalar(_FlatPoly):
         return total
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "ExactScalar(0)"
-        terms = self.terms
-        parts = []
-        for key in sorted(terms):
-            re, im = terms[key]
-            mono = "".join(
-                f"*{name}^{key[slot]}"
-                for name, slot in (("hbar", _HBAR), ("tau", _TAU))
-                if key[slot]
-            )
-            parts.append(f"({re}{'+' if im >= 0 else '-'}{abs(im)}i){mono}")
-        return "ExactScalar(" + " + ".join(parts) + ")"
+        from .symlang import _format_poly
+
+        return f"ExactScalar({_format_poly(self, [])})"
 
 
 ONE = ExactScalar.one()
@@ -465,15 +469,6 @@ class _BlockPoly(_FlatPoly):
     def total_degree(self) -> int:
         m = self._width
         return max((sum(key[:m]) for key in self._num), default=0)
-
-    def sorted_terms(self) -> list[tuple[tuple, ExactScalar]]:
-        """Graded-lex descending on the concatenated exponent tuple."""
-        def sort_key(item):
-            key, _ = item
-            flat = tuple(v for e in key for v in e)
-            return (sum(flat), flat)
-
-        return sorted(self.terms.items(), key=sort_key, reverse=True)
 
     # -- linear operations -------------------------------------------------
 

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, perm, prod
+from math import comb, factorial, perm, prod
 from typing import Callable, Union
 
-from .exact import AmplitudePoly, RationalLike, SymbolPoly, _rotate
+from .exact import AmplitudePoly, RationalLike, SymbolPoly, Weight, _collect, _rotate
 from .operators import MAX_TOTAL_DEGREE, DegreeLimitError, OpPoly
 
 
@@ -70,10 +70,9 @@ class Tau:
 
 QuantizationScheme = Union[Weyl, BornJordan, Tau]
 
-# A scheme's weight maps (S, [c_0, ..., c_M]) to the coefficients, by power
-# of tau, of sum_L c_L (1-tau)^L tau^(S-L) under that scheme, as integer
-# numerators over one denominator: ({power: numerator}, denominator).
-Weight = Callable[[int, list[int]], tuple[dict[int, int], int]]
+# A scheme's weight maps (S, [c_0, ..., c_M]) to the Weight of
+# sum_L c_L (1-tau)^L tau^(S-L) under that scheme.
+SchemeWeight = Callable[[int, list[int]], Weight]
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +96,10 @@ def _convolve(a: list[int], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _rational_weight(tau: Fraction) -> Weight:
+def _rational_weight(tau: Fraction) -> SchemeWeight:
     num, den = tau.numerator, tau.denominator
 
-    def weight(total: int, c: list[int]) -> tuple[dict[int, int], int]:
+    def weight(total: int, c: list[int]) -> Weight:
         # (1-tau)^L tau^(S-L) = (den-num)^L num^(S-L) / den^S
         w = sum(
             cl * (den - num) ** ell * num ** (total - ell) for ell, cl in enumerate(c)
@@ -110,12 +109,12 @@ def _rational_weight(tau: Fraction) -> Weight:
     return weight
 
 
-def _born_jordan_weight(total: int, c: list[int]) -> tuple[dict[int, int], int]:
+def _born_jordan_weight(total: int, c: list[int]) -> Weight:
     w = sum(cl * factorial(ell) * factorial(total - ell) for ell, cl in enumerate(c))
     return {0: w}, factorial(total + 1)
 
 
-def _formal_weight(total: int, c: list[int]) -> tuple[dict[int, int], int]:
+def _formal_weight(total: int, c: list[int]) -> Weight:
     powers = [0] * (total + 1)
     for ell, cl in enumerate(c):
         for i in range(ell + 1):
@@ -123,7 +122,7 @@ def _formal_weight(total: int, c: list[int]) -> tuple[dict[int, int], int]:
     return dict(enumerate(powers)), 1
 
 
-def _scheme_weight(scheme: QuantizationScheme) -> Weight:
+def _scheme_weight(scheme: QuantizationScheme) -> SchemeWeight:
     if isinstance(scheme, Weyl):
         return _rational_weight(Fraction(1, 2))
     if isinstance(scheme, BornJordan):
@@ -157,9 +156,9 @@ def quantize_symbol(scheme: QuantizationScheme, a: SymbolPoly) -> OpPoly:
     Monomials in distinct dimensions quantize at a shared ordering
     parameter; Born-Jordan averages their product over that parameter.
     Raises DegreeLimitError on a term of total degree above MAX_TOTAL_DEGREE.
-    Works on the flat map of a: each term's numerator is multiplied by
-    (-i)^J, the scheme's weight numerator and the denominator's cofactor,
-    and hbar^J and the tau powers shift the key.
+    Each term of a's flat map gives exact._collect one part per tuple of
+    j's: its numerator rotated by (-i)^J, hbar raised by J, and the scheme's
+    weight.
     """
     weight = _scheme_weight(scheme)
     n = a.dim
@@ -186,23 +185,6 @@ def quantize_symbol(scheme: QuantizationScheme, a: SymbolPoly) -> OpPoly:
             )
             parts.append((head, hbar + big_j, tau, *_rotate(re, im, big_j), w, w_den))
     return OpPoly._from_flat(n, *_collect(parts, a._den))
-
-
-def _collect(parts: list, den: int) -> tuple[dict, int]:
-    """Sum parts (head, hbar, tau, re, im, weight numerators, weight
-    denominator) into one flat map over den times the lcm of the weight
-    denominators; weight numerator m shifts the tau exponent by m."""
-    common = lcm(*{part[-1] for part in parts})
-    out: dict[tuple, tuple[int, int]] = {}
-    for head, hbar, tau, re, im, w, w_den in parts:
-        f = common // w_den
-        for m, wm in w.items():
-            if wm:
-                key = head + (hbar, tau + m)
-                g = wm * f
-                prev = out.get(key, (0, 0))
-                out[key] = (prev[0] + re * g, prev[1] + im * g)
-    return out, den * common
 
 
 def amplitude_average(a: SymbolPoly) -> AmplitudePoly:

@@ -341,13 +341,20 @@ def _var_factors(names, exps: tuple[int, ...]) -> list[str]:
 _SCALAR_NAMES = ("hbar", "tau")
 
 
-def _format_poly(poly, names: list[str]) -> str:
-    """Canonical text of a flat map: terms in graded-lex descending order of
-    their exponents, scalar components (hbar, tau) ascending within each;
-    each term is its coefficient, then hbar, tau, then the variables."""
-    m, den = len(names), poly._den
+def _sorted_entries(poly) -> list:
+    """Flat-map entries in the order of the text and JSON output: graded-lex
+    descending on the variables, (hbar, tau) ascending within a monomial."""
+    m = poly._width
     items = sorted(poly._num.items(), key=lambda item: item[0][m:])
     items.sort(key=lambda item: (sum(item[0][:m]), item[0][:m]), reverse=True)
+    return items
+
+
+def _format_poly(poly, names: list[str]) -> str:
+    """Canonical text of a flat map, in the order of _sorted_entries; each
+    term is its coefficient, then hbar, tau, then the variables."""
+    m, den = len(names), poly._den
+    items = _sorted_entries(poly)
     if not items:
         return "0"
     out = []

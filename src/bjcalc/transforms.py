@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Literal
 
 from .exact import (
@@ -29,7 +29,8 @@ from .exact import (
     MultiIndex,
     RationalLike,
     SymbolPoly,
-    _mul_maps,
+    Weight,
+    _collect,
     _rotate,
     mi_abs,
 )
@@ -126,11 +127,6 @@ def _apply_d(num: FlatMap, dim: int) -> FlatMap:
     return {key: v for key, v in out.items() if v[0] or v[1]}
 
 
-# w_k by power of tau, as integer numerators over one denominator:
-# ({power: numerator}, denominator), the form of quantize's weights.
-Weight = tuple[dict[int, int], int]
-
-
 def _rational(q: Fraction) -> Weight:
     return {0: q.numerator}, q.denominator
 
@@ -138,29 +134,23 @@ def _rational(q: Fraction) -> Weight:
 def _d_series(a: SymbolPoly, weight: Callable[[int], Weight]) -> SymbolPoly:
     """sum_k weight(k) (i hbar)^k / k! D^k a.
 
-    Each weight becomes the scalar i^k hbar^k w_k / k!, and zero weights are
-    skipped without touching the terms.  The scalars are brought over one
-    common denominator with the symbol's, and each D^k a is multiplied into
-    the flat map once.
+    Each entry of D^k a becomes one part of exact._collect: hbar raised by
+    k, the numerator rotated by i^k, and the weight w_k over its denominator
+    times k!.  Zero weights are skipped without touching the terms.
     """
-    n = a.dim
-    zero = (0,) * (2 * n)
-    series = []  # (D^k a numerators, scalar numerators, scalar denominator)
+    m = 2 * a.dim
+    parts = []
     dk = a._num
     k = 0
     while dk:
         w, w_den = weight(k)
         if any(w.values()):
-            smap = {zero + (k, m): _rotate(wm, 0, -k) for m, wm in w.items()}
-            series.append((dk, smap, w_den * factorial(k)))
-        dk = _apply_d(dk, n)
+            den = w_den * factorial(k)
+            parts.extend((key[:m], key[m] + k, key[m + 1], *_rotate(re, im, -k), w, den)
+                         for key, (re, im) in dk.items())
+        dk = _apply_d(dk, a.dim)
         k += 1
-    den = lcm(*(sden for _, _, sden in series))
-    out: FlatMap = {}
-    for dk, smap, sden in series:
-        f = den // sden
-        _mul_maps(dk, {key: (c * f, d * f) for key, (c, d) in smap.items()}, out)
-    return SymbolPoly._from_flat(n, out, a._den * den)
+    return SymbolPoly._from_flat(a.dim, *_collect(parts, a._den))
 
 
 def bj_to_weyl(a: SymbolPoly) -> SymbolPoly:
@@ -202,9 +192,11 @@ def tau_shift(
 
     exp(i hbar (tau_to - tau_from) D) a, i.e. weights (tau_to - tau_from)^k;
     the hbar placement is normalized so that both parameters' quantizations
-    yield the same operator.
+    yield the same operator.  Equal parameters return a itself.
     """
     shift = Fraction(tau_to) - Fraction(tau_from)
+    if not shift:
+        return a
     return _d_series(a, lambda k: _rational(shift**k))
 
 

@@ -7,7 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bjcalc.cli import MAX_COEFF_ORDER, main
+from bjcalc import symlang
+from bjcalc.cli import MAX_COEFF_ORDER, _poly_json, main
+from bjcalc.quantize import Tau, quantize_symbol
 
 
 def run(argv):
@@ -45,6 +47,31 @@ class TestQuantize:
         assert payload["terms"][1]["coeff"] == {
             "re": "0", "im": "-1/2", "hbar_pow": 1
         }
+
+    def test_json_terms_follow_the_text_order(self):
+        # two hbar powers on x1*p2 and on the constant, one term per entry
+        symbol = "hbar^2 + x1*p2 + 3*hbar*x1*p2 + x2^2 - 2*hbar + hbar*x2^2*p1"
+        code, out, _ = run(["--dim", "2", "--output", "json", "convert",
+                            "tau-shift:1/3:1/3", symbol])
+        assert code == 0
+        text = symlang.format_symbol(symlang.parse(symbol, dim=2))
+        assert text == ("hbar*x2^2*p1 + x1*p2 + 3*hbar*x1*p2 + x2^2"
+                        " - 2*hbar + hbar^2")
+        assert [(t["x"], t["p"], t["coeff"]["re"], t["coeff"]["hbar_pow"])
+                for t in json.loads(out)["terms"]] == [
+            ([0, 2], [1, 0], "1", 1),
+            ([1, 0], [0, 1], "1", 0),
+            ([1, 0], [0, 1], "3", 1),
+            ([0, 2], [0, 0], "1", 0),
+            ([0, 0], [0, 0], "-2", 1),
+            ([0, 0], [0, 0], "1", 2),
+        ]
+
+    def test_json_rejects_a_formal_ordering_parameter(self):
+        op = quantize_symbol(Tau(None), symlang.parse("x1*p1*x2*p2 + hbar", dim=2))
+        assert op.has_aux()
+        with pytest.raises(ValueError, match="cannot serialize a formal ordering parameter"):
+            _poly_json("oppoly", op)
 
     def test_two_dim(self):
         code, out, _ = run(["--dim", "2", "quantize", "weyl", "x1*p2"])
@@ -217,6 +244,20 @@ class TestApply:
             code, _, err = run(["--box", box, "apply", "harmonic", "gaussian"])
             assert code == 1
             assert "length" in err
+
+    @pytest.mark.parametrize("flag", ["--box", "--hbar"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_box_and_hbar_are_usage_errors(self, flag, value):
+        code, out, err = run([f"{flag}={value}", "apply", "harmonic", "gaussian"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} must be") and "finite" in err
+        assert len(err.splitlines()) == 1
+
+    def test_boundary_warning_is_one_stderr_line(self):
+        code, out, err = run(["--grid", "64", "--box", "4", "apply", "harmonic", "gaussian"])
+        assert code == 0 and out.startswith("N=64 L=4 hbar=1\n")
+        assert err.startswith("warning: wavefunction does not decay below tolerance")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("scheme", ["weyl", "tau:1/3", "bj-quadrature", "bj-sinc"])
     def test_bad_hbar_and_quadrature_are_usage_errors(self, scheme):

@@ -12,6 +12,7 @@ from bjcalc.exact import (
     mi_iter_box,
     parse_var,
 )
+from bjcalc.operators import OpPoly
 
 rationals = st.builds(
     Fraction, st.integers(-40, 40), st.integers(1, 8)
@@ -213,6 +214,50 @@ class TestSymbolPolyRing:
         for lhs, rhs in (((a + b) + c, a + (b + c)), (a * b, b * a),
                          (a * (b + c), a * b + a * c)):
             assert lhs == rhs and hash(lhs) == hash(rhs)
+
+
+def _termwise(poly, weight):
+    """{(monomial, hbar power): (re, im)} of poly with each tau^t replaced by
+    the Fraction weight(t), summed term by term."""
+    out = {}
+    for mono, coeff in poly.terms.items():
+        for (h, t), (re, im) in coeff.terms.items():
+            prev = out.get((mono, h), (Fraction(0), Fraction(0)))
+            out[mono, h] = (prev[0] + re * weight(t), prev[1] + im * weight(t))
+    return {key: value for key, value in out.items() if any(value)}
+
+
+class TestAuxOnBlockPolys:
+    """The tau integral and tau substitution on two-dimensional symbols and
+    operators, against term-by-term Fraction evaluation."""
+
+    MIXED = {
+        ((1, 0), (0, 2)): ExactScalar({(0, 0): (Fraction(1, 3), 1), (0, 2): (-2, 0),
+                                       (1, 1): (Fraction(5, 7), Fraction(-1, 2))}),
+        ((0, 1), (1, 1)): ExactScalar({(2, 0): (4, 0), (2, 3): (0, Fraction(3, 4)),
+                                       (1, 1): (-1, 1)}),
+    }
+
+    def check(self, poly, value):
+        assert _termwise(poly.integrate_unit_interval("tau"), lambda t: 1) == _termwise(
+            poly, lambda t: Fraction(1, t + 1)
+        )
+        assert _termwise(poly.substitute_aux("tau", value), lambda t: 1) == _termwise(
+            poly, lambda t: value**t
+        )
+        for result in (poly.integrate_unit_interval("tau"), poly.substitute_aux("tau", value)):
+            assert not result.has_aux() and type(result) is type(poly)
+
+    @pytest.mark.parametrize("cls", [SymbolPoly, OpPoly])
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 2), Fraction(-2, 7), 3])
+    def test_mixed_hbar_and_tau_powers(self, cls, value):
+        self.check(cls(2, self.MIXED), value)
+
+    @given(symbol_polys(2), rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_random(self, a, value):
+        for cls in (SymbolPoly, OpPoly):
+            self.check(cls(2, a.terms), value)
 
 
 class TestPoly:

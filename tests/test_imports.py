@@ -40,6 +40,8 @@ def test_exact_commands_do_not_import_numpy():
             assert main(["quantize", "weyl", "x*p"]) == 0
             assert main(["convert", "weyl-to-bj", "x^2*p^2"]) == 0
             assert main(["coeffs", "--max", "8"]) == 0
+            assert main(["--output", "json", "quantize", "bj", "x^2*p^2"]) == 0
+            assert main(["--output", "json", "convert", "weyl-to-bj", "x*p^2"]) == 0
         assert "numpy" not in sys.modules, "exact commands"
 
         grid = bjcalc.UniformGrid(64, 16.0)

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from bjcalc.exact import ExactScalar, SymbolPoly
+from bjcalc import transforms
 from bjcalc.quantize import BornJordan, Tau, Weyl, quantize_symbol
 from bjcalc.transforms import (
     CoeffTable,
@@ -203,6 +204,17 @@ class TestTauFamily:
                 assert quantize_symbol(Tau(t_to), tau_shift(a, t_from, t_to)) == (
                     quantize_symbol(Tau(t_from), a)
                 )
+
+    @pytest.mark.parametrize("t", [F(0), F(1, 2), F(-2, 7)])
+    def test_tau_shift_to_the_same_parameter_is_the_identity(self, t, monkeypatch):
+        calls = []
+        apply_d = transforms._apply_d
+        monkeypatch.setattr(
+            transforms, "_apply_d", lambda *args: calls.append(1) or apply_d(*args)
+        )
+        a = _mixed_symbol(random.Random(67), 2, 6)
+        assert tau_shift(a, t, t) == a
+        assert calls == []
 
     def test_tau_shift_roundtrip_and_composition(self):
         rng = random.Random(61)
