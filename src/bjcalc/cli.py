@@ -33,7 +33,7 @@ from .transforms import (
 )
 
 if TYPE_CHECKING:
-    from .numeric import UniformGrid
+    from .numeric import BJQuadrature, UniformGrid
 
 
 # Largest `coeffs --max`: the exact table up to this order builds in about a
@@ -48,6 +48,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's 2
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # A word with one leading "-", other than -h, is a value: a negative
+        # number such as -1e-3 or -inf, or a symbol such as -x^2*p^2.
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +76,12 @@ def _calc_point(text: str) -> Fraction | None:
     raise UsageError(f"unknown calculus {text!r} (expected weyl, bj, or tau:VALUE)")
 
 
-def _parse_scheme(text: str, quadrature: int):
-    from .numeric import BJQuadrature, BJSinc, TauScheme
+def _parse_scheme(text: str, quadrature: BJQuadrature):
+    """The scheme a --scheme value names; bj-quadrature is the given one."""
+    from .numeric import BJSinc, TauScheme
 
     if text == "bj-quadrature":
-        return BJQuadrature(quadrature)
+        return quadrature
     if text == "bj-sinc":
         return BJSinc()
     tau = _calc_point(text)
@@ -110,12 +118,12 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
     )
 
 
-def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degree: int):
-    """Resolve a symbol argument: a named generator or a symbol expression."""
+def _named_symbol(text: str, grid: UniformGrid, hbar: float, max_degree: int):
+    """Resolve a 1-D symbol argument: a named generator or a symbol expression."""
     if text == "harmonic":
         half = ExactScalar.rational(Fraction(1, 2))
-        return (SymbolPoly.monomial(dim, coeff=half, x=(2,) + (0,) * (dim - 1))
-                + SymbolPoly.monomial(dim, coeff=half, p=(2,) + (0,) * (dim - 1)))
+        return (SymbolPoly.monomial(1, coeff=half, x=(2,))
+                + SymbolPoly.monomial(1, coeff=half, p=(2,)))
     if text.startswith("monomial:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -126,8 +134,7 @@ def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degre
             raise UsageError(f"invalid monomial exponents in {text!r}") from None
         if r < 0 or s < 0:
             raise UsageError("monomial exponents must be non-negative")
-        return SymbolPoly.monomial(dim, x=(r,) + (0,) * (dim - 1),
-                                   p=(s,) + (0,) * (dim - 1))
+        return SymbolPoly.monomial(1, x=(r,), p=(s,))
     if text.startswith("sinc-null:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -140,7 +147,7 @@ def _named_symbol(text: str, dim: int, grid: UniformGrid, hbar: float, max_degre
 
         symbol, _ = null_symbol(grid, hbar, x0, p0)
         return symbol
-    return symlang.parse(text, dim=dim, max_degree=max_degree)
+    return symlang.parse(text, max_degree=max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +196,6 @@ def _cmd_quantize(args, out) -> int:
     rule = BornJordan() if tau is None else Tau(tau)
     a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
     op = quantize_symbol(rule, a)
-    if op.has_aux():
-        raise ValueError("result carries a formal ordering parameter")
     if args.output == "json":
         _emit_json(_poly_json("oppoly", op), out)
     else:
@@ -261,7 +266,7 @@ def _cmd_apply(args, out) -> int:
     import numpy as np
 
     from . import numeric
-    from .numeric import NumericParams, UniformGrid
+    from .numeric import BJQuadrature, NumericParams, UniformGrid
 
     if args.dim != 1:
         raise UsageError("apply supports dimension 1 only")
@@ -271,17 +276,13 @@ def _cmd_apply(args, out) -> int:
         raise UsageError("--box must be finite")
     try:
         grid = UniformGrid(args.grid, args.box)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.quadrature < 2:
-        raise UsageError("quadrature order must be at least 2")
-    try:
+        quadrature = BJQuadrature(args.quadrature)
         params = NumericParams(tolerance=args.tolerance)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    scheme = _parse_scheme(args.scheme, args.quadrature)
+    scheme = _parse_scheme(args.scheme, quadrature)
     psi = _named_state(args.state, grid, args.hbar)
-    symbol = _named_symbol(args.symbol, 1, grid, args.hbar, args.max_degree)
+    symbol = _named_symbol(args.symbol, grid, args.hbar, args.max_degree)
     if isinstance(symbol, SymbolPoly) and symbol.total_degree() > args.max_degree:
         raise ValueError(
             f"symbol degree {symbol.total_degree()} exceeds "

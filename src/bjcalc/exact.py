@@ -3,7 +3,9 @@
 polynomials.
 
 Scalars and polynomials (SymbolPoly, AmplitudePoly, and the OpPoly of
-operators.py) share one storage form: all terms in one flat map.  Each key
+operators.py) share one storage form: all terms in one flat map.  The three
+polynomial kinds share one class, `_BlockPoly`, with one set of constructors;
+they differ in their blocks and, for OpPoly, in the product.  Each key
 concatenates the exponents of the variable blocks and of the scalar
 variables,
 
@@ -33,9 +35,9 @@ Everything here is immutable and exact; no floating point enters this layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -62,42 +64,11 @@ def _as_fraction(v: RationalLike) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Multi-index helpers (plain tuples of non-negative ints)
-# ---------------------------------------------------------------------------
-
-MultiIndex = tuple[int, ...]
-
-
-def mi_abs(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
-def mi_factorial(alpha: MultiIndex) -> int:
-    return prod(factorial(a) for a in alpha)
-
-
-def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(v < 0 for v in out):
-        raise ValueError(f"multi-index subtraction {a} - {b} went negative")
-    return out
-
-
-def mi_iter_box(bounds: MultiIndex) -> Iterable[MultiIndex]:
-    """All multi-indices alpha with alpha_j <= bounds_j."""
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for rest in mi_iter_box(bounds[1:]):
-            yield (head,) + rest
-
-
-# ---------------------------------------------------------------------------
 # Sparse polynomials: one flat map of integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
 VarId = tuple[str, int]  # e.g. ("x", 0) is x_1
+MultiIndex = tuple[int, ...]  # one block's exponents, e.g. (2, 0) is x_1^2
 
 # Flat key: the block exponents, then these scalar slots (hbar, tau).
 _N_SCALAR = 2
@@ -106,14 +77,16 @@ FlatMap = dict[tuple[int, ...], tuple[int, int]]
 
 
 def parse_var(var: Union[str, VarId], dim: int) -> VarId:
-    """Accept ("x", j), "x2", or bare "x"/"p"/"y" in one dimension."""
+    """Accept ("x", j), "x2", or bare "x"/"p"/"y" in one dimension.  A
+    written index is ASCII digits only."""
     if isinstance(var, tuple):
         block, j = var
     else:
-        block = var[0]
-        suffix = var[1:]
-        if suffix:
+        block, suffix = var[:1], var[1:]
+        if suffix.isascii() and suffix.isdigit():
             j = int(suffix) - 1
+        elif suffix:
+            raise ValueError(f"malformed variable name {var!r}")
         elif dim == 1:
             j = 0
         else:
@@ -423,8 +396,11 @@ HBAR = ExactScalar.hbar()
 
 
 class _BlockPoly(_FlatPoly):
-    """A flat map with variable blocks: the constructors and queries that
+    """A flat map with named variable blocks (x and p for symbols and
+    operators, x, y and p for amplitudes): the constructors and queries that
     address terms by one multi-index per block.
+
+    `terms` maps a tuple of per-block multi-indices to a scalar.
     """
 
     __slots__ = ()
@@ -438,7 +414,9 @@ class _BlockPoly(_FlatPoly):
         den = lcm(*(coeff._den for coeff in terms.values()))
         num: FlatMap = {}
         for key, coeff in terms.items():
-            if len(key) != nblocks or any(len(e) != dim for e in key):
+            if len(key) != nblocks or any(
+                    len(e) != dim or not all(isinstance(v, int) and v >= 0 for v in e)
+                    for e in key):
                 raise ValueError(f"malformed term key {key!r} for {type(self).__name__}")
             prefix, f = tuple(v for e in key for v in e), den // coeff._den
             for skey, (re, im) in coeff._num.items():
@@ -454,6 +432,26 @@ class _BlockPoly(_FlatPoly):
     @classmethod
     def constant(cls, dim: int, coeff: ExactScalar):
         return cls._from_flat(dim, *_scalar_map(coeff, dim * len(cls.blocks)))
+
+    @classmethod
+    def monomial(cls, dim: int, coeff: ExactScalar = ONE, **exponents: MultiIndex):
+        """e.g. SymbolPoly.monomial(1, x=(2,), p=(2,))."""
+        key = []
+        for block in cls.blocks:
+            e = exponents.pop(block, None)
+            key.append(tuple(e) if e is not None else (0,) * dim)
+        if exponents:
+            raise ValueError(f"unknown blocks {sorted(exponents)} for {cls.__name__}")
+        return cls(dim, {tuple(key): coeff})
+
+    @classmethod
+    def variable(cls, dim: int, var: Union[str, VarId]):
+        block, j = parse_var(var, dim)
+        if block not in cls.blocks:
+            raise ValueError(f"{cls.__name__} has no block {block!r}")
+        key = [0] * (dim * len(cls.blocks) + _N_SCALAR)
+        key[cls.blocks.index(block) * dim + j] = 1
+        return cls._from_flat(dim, {tuple(key): (1, 0)}, 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -477,37 +475,7 @@ class _BlockPoly(_FlatPoly):
         return self._from_flat(self.dim, _mul_maps(self._num, snum), self._den * sden)
 
 
-class Poly(_BlockPoly):
-    """Commutative sparse polynomial over ExactScalar with named exponent
-    blocks (e.g. x and p for symbols, x, y and p for amplitudes).
-
-    `terms` maps a tuple of per-block multi-indices to a scalar.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def monomial(cls, dim: int, coeff: ExactScalar = ONE, **exponents: MultiIndex) -> "Poly":
-        """e.g. SymbolPoly.monomial(1, x=(2,), p=(2,))."""
-        key = []
-        for block in cls.blocks:
-            e = exponents.pop(block, None)
-            key.append(tuple(e) if e is not None else (0,) * dim)
-        if exponents:
-            raise ValueError(f"unknown blocks {sorted(exponents)} for {cls.__name__}")
-        return cls(dim, {tuple(key): coeff})
-
-    @classmethod
-    def variable(cls, dim: int, var: Union[str, VarId]) -> "Poly":
-        block, j = parse_var(var, dim)
-        if block not in cls.blocks:
-            raise ValueError(f"{cls.__name__} has no block {block!r}")
-        key = [0] * (dim * len(cls.blocks) + _N_SCALAR)
-        key[cls.blocks.index(block) * dim + j] = 1
-        return cls._from_flat(dim, {tuple(key): (1, 0)}, 1)
-
-
-class SymbolPoly(Poly):
+class SymbolPoly(_BlockPoly):
     """Classical observable: polynomial in (x, p)."""
 
     blocks = ("x", "p")
@@ -515,7 +483,7 @@ class SymbolPoly(Poly):
     __slots__ = ()
 
 
-class AmplitudePoly(Poly):
+class AmplitudePoly(_BlockPoly):
     """Amplitude b(x, y, p): polynomial with two spatial argument blocks."""
 
     blocks = ("x", "y", "p")

@@ -21,8 +21,12 @@ scheme costs one symplectic transform and one pass.  On the polynomial route
 the measure averages the binomial ordering weights instead; the uniform
 measure (BJSinc) averages each of them exactly, to 1/(r + 1) on x^r p^s.
 
+States and symbols share one validated sample form, and every route that
+applies a sampled symbol to a state checks in one place that the two share
+their grid and hbar.
+
 All transforms are periodic; symbols and states are expected to decay at the
-box boundary (violations emit a warning, not an error).
+box boundary (a state that does not emits a warning, not an error).
 """
 
 from __future__ import annotations
@@ -100,49 +104,50 @@ class UniformGrid:
 
 
 @dataclass
-class SampledWavefunction:
-    """Complex samples of a configuration-space state on a UniformGrid."""
+class _Samples:
+    """Validated complex samples on a UniformGrid at a given hbar: `_ndim`
+    axes of grid.n_points samples each."""
 
     grid: UniformGrid
     values: np.ndarray
     hbar: float = 1.0
 
+    _ndim = 1
+
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n_points,):
-            raise ValueError("wavefunction length must match the grid")
+        shape = (self.grid.n_points,) * self._ndim
+        if self.values.shape != shape:
+            raise ValueError(f"{type(self).__name__} values must have shape {shape}")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("wavefunction contains non-finite values")
+            raise ValueError(f"{type(self).__name__} contains non-finite values")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
+
+    def with_values(self, values: np.ndarray):
+        """The same grid and hbar with new samples."""
+        return type(self)(self.grid, values, self.hbar)
+
+
+class SampledWavefunction(_Samples):
+    """Complex samples of a configuration-space state on a UniformGrid."""
 
     def norm(self) -> float:
         return float(np.sqrt(self.grid.spacing * np.sum(np.abs(self.values) ** 2)))
 
-    def with_values(self, values: np.ndarray) -> "SampledWavefunction":
-        return SampledWavefunction(self.grid, values, self.hbar)
 
-
-@dataclass
-class SampledSymbol:
+class SampledSymbol(_Samples):
     """Complex samples a(x_j, p_k) on the square phase-space grid."""
 
-    grid: UniformGrid
-    values: np.ndarray
-    hbar: float = 1.0
+    _ndim = 2
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        n = self.grid.n_points
-        if self.values.shape != (n, n):
-            raise ValueError("symbol samples must form a square N-by-N array")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("symbol contains non-finite values")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
 
-    def with_values(self, values: np.ndarray) -> "SampledSymbol":
-        return SampledSymbol(self.grid, values, self.hbar)
+def _check_pair(a: SampledSymbol, psi: SampledWavefunction) -> None:
+    """A sampled symbol acts on a state only on the same grid and hbar."""
+    if a.grid != psi.grid:
+        raise ValueError("symbol and state grids differ")
+    if a.hbar != psi.hbar:
+        raise ValueError("symbol and state hbar differ")
 
 
 @dataclass(frozen=True)
@@ -224,19 +229,14 @@ def _cdft(values: np.ndarray, sign: int, axis: int = 0) -> np.ndarray:
     return out
 
 
-def _check_boundary_decay(values: np.ndarray, tolerance: float, label: str) -> None:
-    scale = float(np.max(np.abs(values)))
+def _check_boundary_decay(psi: SampledWavefunction, tolerance: float) -> None:
+    scale = float(np.max(np.abs(psi.values)))
     if scale == 0.0:
         return
-    if values.ndim == 1:
-        edge = abs(values[0])
-    else:
-        edge = max(
-            float(np.max(np.abs(values[0, :]))), float(np.max(np.abs(values[:, 0])))
-        )
+    edge = abs(psi.values[0])
     if edge > tolerance * scale:
         warnings.warn(
-            f"{label} does not decay below tolerance at the box boundary "
+            "wavefunction does not decay below tolerance at the box boundary "
             f"(relative edge magnitude {edge / scale:.2e})",
             BoundaryDecayWarning,
             stacklevel=3,
@@ -367,7 +367,6 @@ def _apply_poly(
     a: SymbolPoly,
     psi: SampledWavefunction,
     ordering_weight: Callable[[int, int], float],
-    hbar: float,
 ) -> np.ndarray:
     """Exact pseudospectral route for one-dimensional polynomial symbols.
 
@@ -376,6 +375,7 @@ def _apply_poly(
     """
     if a.dim != 1:
         raise ValueError("the numeric layer is one-dimensional")
+    hbar = psi.hbar
     x = psi.grid.x_values()
     p = psi.grid.p_values(hbar)
     # transform each x^j psi once, and sum every term with the same outer
@@ -421,16 +421,13 @@ def apply_operator(
     """
     params = params or NumericParams()
     if isinstance(symbol, SampledSymbol):
-        if symbol.grid != psi.grid:
-            raise ValueError("symbol and state grids differ")
-        if symbol.hbar != psi.hbar:
-            raise ValueError("symbol and state hbar differ")
-    _check_boundary_decay(psi.values, params.tolerance, "wavefunction")
+        _check_pair(symbol, psi)
+    _check_boundary_decay(psi, params.tolerance)
 
     if isinstance(symbol, SampledSymbol):
         multiplier = _mode_multiplier(psi.grid.n_points, scheme)
         return psi.with_values(_apply_sampled(symbol, psi, multiplier))
-    return psi.with_values(_apply_poly(symbol, psi, _ordering_weight(scheme), psi.hbar))
+    return psi.with_values(_apply_poly(symbol, psi, _ordering_weight(scheme)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +479,7 @@ def weyl_via_grossmann_royer(
     out = (1/pi hbar) sum_z a(z) (reflection about z) psi dz; verification
     route only (the production path is apply_operator).
     """
-    if a.grid != psi.grid or a.hbar != psi.hbar:
-        raise ValueError("symbol and state grids differ")
+    _check_pair(a, psi)
     n = a.grid.n_points
     modes = _cdft(a.values, +1, axis=1)  # over p index k -> spatial index
     # modes[m, j] = sum_k a(m, k) exp(i 2pi (k - N/2)(j - N/2)/N)
@@ -515,10 +511,9 @@ def antiwick_apply(
     The coherent states Phi_z(t) = pi^{-1/4} e^{itp} e^{-(t-x)^2/2} carry no
     hbar, so this operation is restricted to hbar = 1.
     """
-    if a.hbar != 1.0 or psi.hbar != 1.0:
+    _check_pair(a, psi)
+    if a.hbar != 1.0:
         raise ValueError("anti-Wick operators are only defined for hbar = 1")
-    if a.grid != psi.grid:
-        raise ValueError("symbol and state grids differ")
     grid = a.grid
     n = grid.n_points
     dx = grid.spacing

@@ -6,8 +6,8 @@ iff their normal-ordered forms coincide.  Canonical form puts every xhat to
 the left of every phat within each dimension; distinct dimensions commute.
 An OpPoly is a flat map of exact.py with the blocks x and p, keyed by x
 exponents, p exponents, then hbar, tau.  It shares its storage, sums
-and powers with its ExactScalar coefficients and with the symbols; only
-the product and the adjoint are its own.
+and powers with its ExactScalar coefficients and with the symbols, and its
+constructors with the symbols; only the product and the adjoint are its own.
 
 The product needs one identity.  Moving phat^k past xhat^r in one
 dimension gives
@@ -91,19 +91,15 @@ class OpPoly(_BlockPoly):
     def word(cls, dim: int, x_exp: MultiIndex, p_exp: MultiIndex,
              coeff: ExactScalar = ONE) -> "OpPoly":
         """coeff * xhat^x_exp phat^p_exp (already normal-ordered)."""
-        return cls(dim, {(tuple(x_exp), tuple(p_exp)): coeff})
+        return cls.monomial(dim, coeff, x=x_exp, p=p_exp)
 
     @classmethod
     def x_op(cls, dim: int, j: int = 0) -> "OpPoly":
-        e = [0] * dim
-        e[j] = 1
-        return cls.word(dim, tuple(e), (0,) * dim)
+        return cls.variable(dim, ("x", j))
 
     @classmethod
     def p_op(cls, dim: int, j: int = 0) -> "OpPoly":
-        e = [0] * dim
-        e[j] = 1
-        return cls.word(dim, (0,) * dim, tuple(e))
+        return cls.variable(dim, ("p", j))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -32,7 +32,6 @@ from .exact import (
     Weight,
     _collect,
     _rotate,
-    mi_abs,
 )
 
 C_ALPHA_DEFAULT_CAP = 12
@@ -81,11 +80,11 @@ def c_coeff_multi(alpha: MultiIndex, cap: int = C_ALPHA_DEFAULT_CAP) -> Fraction
     alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("multi-index entries must be non-negative")
-    if mi_abs(alpha) > cap:
+    if sum(alpha) > cap:
         raise CoefficientCapError(
-            f"|alpha| = {mi_abs(alpha)} exceeds cap {cap}"
+            f"|alpha| = {sum(alpha)} exceeds cap {cap}"
         )
-    return c_coeff_1d(mi_abs(alpha))
+    return c_coeff_1d(sum(alpha))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,26 @@
-"""Command-line interface: output formats, exit codes, determinism."""
+"""Command-line interface: output formats, exit codes, determinism, and one
+table of the error paths of the CLI and the numeric layer."""
 
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from bjcalc import symlang
+from bjcalc.exact import SymbolPoly
+from bjcalc.numeric import (
+    SampledSymbol,
+    UniformGrid,
+    antiwick_apply,
+    gaussian_state,
+    hermite_state,
+    sample_symbol,
+    weyl_via_grossmann_royer,
+)
 from bjcalc.cli import MAX_COEFF_ORDER, _poly_json, main
 from bjcalc.quantize import Tau, quantize_symbol
 
@@ -147,6 +160,43 @@ class TestFlagChecks:
         assert "csv" in err
 
 
+class TestLeadingDash:
+    """A word with one leading "-", other than -h, is a value, not a flag."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["quantize", "weyl", "-x*p"], "-xhat*phat + (1/2)*i*hbar\n"),
+        (["quantize", "weyl", "-hbar*x"], "-hbar*xhat\n"),
+        (["convert", "weyl-to-bj", "-x^2*p^2"], "-x^2*p^2 - (1/6)*hbar^2\n"),
+    ])
+    def test_symbols(self, argv, expected):
+        assert run(argv) == (0, expected, "")
+
+    def test_canonical_output_reads_back(self):
+        _, text, _ = run(["convert", "weyl-to-bj", "-x^2*p^2"])
+        assert run(["convert", "bj-to-weyl", text.strip()]) == (0, "-x^2*p^2\n", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--hbar", "-1e-3"], "--hbar must be positive and finite"),
+        (["--box", "-inf"], "--box must be finite"),
+        (["--tolerance", "-1e-8"], "tolerance must be positive and finite"),
+    ])
+    def test_negative_values_reach_their_range_checks(self, argv, message):
+        code, out, err = run(argv + ["apply", "harmonic", "gaussian"])
+        assert (code, out) == (1, "") and message in err
+
+    def test_exact_commands_ignore_hbar(self):
+        assert run(["--hbar", "-1e-3", "quantize", "weyl", "x*p"]) == run(
+            ["quantize", "weyl", "x*p"]
+        )
+
+    def test_help_and_unknown_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0 and "usage: bjcalc" in capsys.readouterr().out
+        code, _, err = run(["--bogus", "quantize", "weyl", "x*p"])
+        assert code == 1 and "--bogus" in err
+
+
 class TestConvert:
     def test_weyl_to_bj(self):
         code, out, _ = run(["convert", "weyl-to-bj", "x^2*p^2"])
@@ -272,7 +322,7 @@ class TestApply:
         for tol in ("nan", "0", "-1e-8"):
             code, _, err = run(["--tolerance", tol, "apply", "harmonic", "hermite:2"])
             assert code == 1
-            assert "tolerance" in err
+            assert "tolerance must be positive and finite" in err
 
     def test_sinc_null_symbol_runs(self):
         code, out, _ = run(
@@ -442,3 +492,53 @@ class TestVerifyAndErrors:
         first = run(argv)
         second = run(argv)
         assert first == second and first[0] == 0
+
+
+def _symbol(n=64, hbar=1.0):
+    return SampledSymbol(UniformGrid(n, 16.0), np.zeros((n, n)), hbar)
+
+
+def _state(n=64, hbar=1.0):
+    return gaussian_state(UniformGrid(n, 16.0), hbar)
+
+
+GRID = UniformGrid(64, 16.0)
+
+# (argv, exit code, fragment of stderr, or of stdout on success) or
+# (call, exception, fragment of its message)
+ERROR_PATHS = [
+    (["quantize", "tau:abc", "x*p"], 1, "invalid ordering parameter 'abc'"),
+    (["apply", "harmonic", "gaussian", "--scheme", "bj"], 1, "unknown scheme 'bj'"),
+    (["apply", "harmonic", "hermite:x"], 1, "invalid Hermite index"),
+    (["apply", "monomial:1", "gaussian"], 1, "expected monomial:R:S"),
+    (["apply", "monomial:a:b", "gaussian"], 1, "invalid monomial exponents"),
+    (["apply", "sinc-null:1", "gaussian"], 1, "expected sinc-null:X0:P0"),
+    (["apply", "sinc-null:a:b", "gaussian"], 1, "invalid null-point coordinates"),
+    (["convert", "tau-shift:1/4", "x*p"], 1, "expected tau-shift:FROM:TO"),
+    (["convert", "--from", "weyl", "x*p"], 1, "missing direction"),
+    (["--dim", "2", "apply", "harmonic", "gaussian"], 1, "dimension 1 only"),
+    (["apply", "monomial:40:40", "gaussian"], 2, "degree 80 exceeds --max-degree 64"),
+    (["convert", "bj-to-tau:1/3", "x*p"], 0, "x*p - (1/6)*i*hbar\n"),
+    (lambda: SampledSymbol(GRID, np.zeros(64)), ValueError, "shape (64, 64)"),
+    (lambda: SampledSymbol(GRID, np.full((64, 64), np.nan)), ValueError, "non-finite"),
+    (lambda: _symbol(hbar=0.0), ValueError, "hbar must be positive"),
+    (lambda: weyl_via_grossmann_royer(_symbol(128), _state()), ValueError, "grids differ"),
+    (lambda: weyl_via_grossmann_royer(_symbol(hbar=2.0), _state()), ValueError,
+     "hbar differ"),
+    (lambda: antiwick_apply(_symbol(128), _state()), ValueError, "grids differ"),
+    (lambda: antiwick_apply(_symbol(), _state(hbar=2.0)), ValueError, "hbar differ"),
+    (lambda: hermite_state(GRID, -1), ValueError, "must be non-negative"),
+    (lambda: sample_symbol(SymbolPoly.variable(2, "x1"), GRID), ValueError,
+     "one-dimensional"),
+]
+
+
+@pytest.mark.parametrize("case, expected, fragment", ERROR_PATHS)
+def test_error_paths(case, expected, fragment):
+    if isinstance(case, list):
+        code, out, err = run(case)
+        assert code == expected
+        assert fragment in (out if code == 0 else err)
+    else:
+        with pytest.raises(expected, match=re.escape(fragment)):
+            case()

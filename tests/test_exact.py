@@ -9,7 +9,6 @@ from bjcalc.exact import (
     ExactScalar,
     ONE,
     SymbolPoly,
-    mi_iter_box,
     parse_var,
 )
 from bjcalc.operators import OpPoly
@@ -277,8 +276,19 @@ class TestPoly:
             parse_var("x", 2)
         with pytest.raises(ValueError):
             parse_var("x5", 2)
+        assert parse_var("p10", 10) == ("p", 9)
 
-    def test_mi_iter_box(self):
-        box = list(mi_iter_box((2, 1)))
-        assert len(box) == 6
-        assert (0, 0) in box and (2, 1) in box
+    @pytest.mark.parametrize("make, args", [
+        (SymbolPoly.variable, (2, "x+1")),
+        (SymbolPoly.variable, (2, "x 1")),
+        (SymbolPoly.variable, (10, "p1_0")),
+        (SymbolPoly.variable, (2, "x\u0661")),
+        (OpPoly.x_op, (2, -1)),
+        (OpPoly.x_op, (2, 5)),
+        (OpPoly.word, (1, (-1,), (2,))),
+        (OpPoly.word, (1, (1.5,), (0,))),
+    ])
+    def test_malformed_variables_and_exponents_rejected(self, make, args):
+        with pytest.raises(ValueError):
+            make(*args)
+
