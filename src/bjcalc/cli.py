@@ -39,6 +39,12 @@ if TYPE_CHECKING:
 # Largest `coeffs --max`: the exact table up to this order builds in about a
 # second.
 MAX_COEFF_ORDER = 700
+# Largest `apply --grid`: the sampled route holds several N-by-N complex
+# arrays, 256 MiB each at this N.
+MAX_GRID_POINTS = 4096
+# Largest `apply --quadrature`: the sampled route's multiplier costs order
+# times N^2, and a polynomial symbol within MAX_TOTAL_DEGREE needs order 33.
+MAX_QUADRATURE_ORDER = 256
 
 
 class UsageError(Exception):
@@ -103,6 +109,11 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
             k = int(text.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"invalid Hermite index in {text!r}") from None
+        if not 0 <= k < grid.n_points:
+            raise UsageError(
+                f"Hermite index must be between 0 and {grid.n_points - 1} "
+                f"on a {grid.n_points}-point grid"
+            )
         return numeric.hermite_state(grid, k, hbar)
     if text.endswith(".csv"):
         with open(text) as handle:
@@ -121,9 +132,7 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
 def _named_symbol(text: str, grid: UniformGrid, hbar: float, max_degree: int):
     """Resolve a 1-D symbol argument: a named generator or a symbol expression."""
     if text == "harmonic":
-        half = ExactScalar.rational(Fraction(1, 2))
-        return (SymbolPoly.monomial(1, coeff=half, x=(2,))
-                + SymbolPoly.monomial(1, coeff=half, p=(2,)))
+        return symlang.parse("1/2*x^2 + 1/2*p^2")
     if text.startswith("monomial:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -274,6 +283,10 @@ def _cmd_apply(args, out) -> int:
         raise UsageError("--hbar must be positive and finite")
     if not isfinite(args.box):
         raise UsageError("--box must be finite")
+    if args.grid > MAX_GRID_POINTS:
+        raise UsageError(f"--grid must be at most {MAX_GRID_POINTS}")
+    if args.quadrature > MAX_QUADRATURE_ORDER:
+        raise UsageError(f"--quadrature must be at most {MAX_QUADRATURE_ORDER}")
     try:
         grid = UniformGrid(args.grid, args.box)
         quadrature = BJQuadrature(args.quadrature)
@@ -438,10 +451,12 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--dim", type=int, default=d(1),
                         help="phase-space dimension")
     parser.add_argument("--hbar", type=float, default=d(1.0))
-    parser.add_argument("--grid", type=int, default=d(512), help="grid points N")
+    parser.add_argument("--grid", type=int, default=d(512),
+                        help=f"grid points N (at most {MAX_GRID_POINTS})")
     parser.add_argument("--box", type=float, default=d(20.0), help="box length L")
     parser.add_argument("--quadrature", type=int, default=d(16),
-                        help="Gauss-Legendre order for the averaged rule")
+                        help="Gauss-Legendre order for the averaged rule "
+                        f"(at most {MAX_QUADRATURE_ORDER})")
     parser.add_argument("--tolerance", type=float, default=d(1e-8))
     parser.add_argument("--max-degree", type=int, default=d(64))
 

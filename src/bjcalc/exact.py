@@ -290,6 +290,12 @@ class _FlatPoly:
         return hash((type(self).__name__, self.dim, self._den,
                      frozenset(self._num.items())))
 
+    def __repr__(self) -> str:
+        """Kind(canonical text), e.g. SymbolPoly(x*p - (1/2)*i*hbar)."""
+        from .symlang import _format_poly
+
+        return f"{type(self).__name__}({_format_poly(self)})"
+
 
 class ExactScalar(_FlatPoly):
     """An element of Q(i)[hbar, tau]: the flat map with no variable blocks.
@@ -383,11 +389,6 @@ class ExactScalar(_FlatPoly):
         for key, (re, im) in self.terms.items():
             total += complex(re, im) * hbar ** key[_HBAR]
         return total
-
-    def __repr__(self) -> str:
-        from .symlang import _format_poly
-
-        return f"ExactScalar({_format_poly(self, [])})"
 
 
 ONE = ExactScalar.one()

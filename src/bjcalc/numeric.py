@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from math import comb, isfinite, log, pi, sqrt
+from math import comb, inf, isfinite, log, pi, sqrt
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -65,6 +65,10 @@ __all__ = [
     "gaussian_state",
     "hermite_state",
     "null_symbol",
+    "wavefunction_to_csv",
+    "wavefunction_from_csv",
+    "wavefunction_to_json",
+    "wavefunction_from_json",
     "BoundaryDecayWarning",
 ]
 
@@ -84,8 +88,8 @@ class UniformGrid:
         n = self.n_points
         if n < 16 or n & (n - 1):
             raise ValueError("n_points must be a power of two, at least 16")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < inf:
+            raise ValueError("length must be positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -121,8 +125,8 @@ class _Samples:
             raise ValueError(f"{type(self).__name__} values must have shape {shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"{type(self).__name__} contains non-finite values")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < inf:
+            raise ValueError("hbar must be positive and finite")
 
     def with_values(self, values: np.ndarray):
         """The same grid and hbar with new samples."""
@@ -363,6 +367,14 @@ def _ordering_weight(scheme: Scheme) -> Callable[[int, int], float]:
     )
 
 
+def _float_terms(a: SymbolPoly, hbar: float) -> list[tuple[int, int, complex]]:
+    """(r, s, c) for each term c x^r p^s of a one-dimensional polynomial
+    symbol, with c rounded once to a complex at hbar."""
+    if a.dim != 1:
+        raise ValueError("the numeric layer is one-dimensional")
+    return [(r, s, coeff.to_complex(hbar)) for ((r,), (s,)), coeff in a.terms.items()]
+
+
 def _apply_poly(
     a: SymbolPoly,
     psi: SampledWavefunction,
@@ -373,17 +385,13 @@ def _apply_poly(
     x^r p^s at ordering tau is sum_j C(r, j) (1-tau)^(r-j) tau^j
     x^(r-j) p^s x^j, so an average over tau averages these weights.
     """
-    if a.dim != 1:
-        raise ValueError("the numeric layer is one-dimensional")
-    hbar = psi.hbar
     x = psi.grid.x_values()
-    p = psi.grid.p_values(hbar)
+    p = psi.grid.p_values(psi.hbar)
     # transform each x^j psi once, and sum every term with the same outer
     # power x^o in momentum space so that each o needs one inverse transform
     g_hat: dict[int, np.ndarray] = {}
     inner: dict[int, np.ndarray] = {}
-    for ((r,), (s,)), coeff in a.terms.items():
-        c = coeff.to_complex(hbar)
+    for r, s, c in _float_terms(a, psi.hbar):
         for j in range(r + 1):
             weight = ordering_weight(r, j)
             if weight == 0.0:
@@ -634,13 +642,11 @@ def sample_symbol(
     a: SymbolPoly, grid: UniformGrid, hbar: float = 1.0
 ) -> SampledSymbol:
     """Evaluate a one-dimensional polynomial symbol on the phase-space grid."""
-    if a.dim != 1:
-        raise ValueError("the numeric layer is one-dimensional")
     x = grid.x_values()
     p = grid.p_values(hbar)
     values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    for ((r,), (s,)), coeff in a.terms.items():
-        values += coeff.to_complex(hbar) * np.outer(x**r, p**s)
+    for r, s, c in _float_terms(a, hbar):
+        values += c * np.outer(x**r, p**s)
     return SampledSymbol(grid, values, hbar)
 
 

@@ -150,8 +150,3 @@ class OpPoly(_BlockPoly):
         for key, (re, im) in self._num.items():
             _accumulate(out, key, re, -im, _reorder_terms(key[n:2 * n], key[:n]))
         return OpPoly._from_flat(n, out, self._den)
-
-    def __repr__(self) -> str:
-        from .symlang import format_operator
-
-        return f"OpPoly({format_operator(self)})"

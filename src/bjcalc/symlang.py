@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb, gcd, prod
 
-from .exact import _N_SCALAR, SymbolPoly
+from .exact import _N_SCALAR, HBAR, SymbolPoly
 from .operators import OpPoly
 
 MAX_DEPTH = 256
@@ -222,36 +222,23 @@ class _Parser:
         finally:
             self._leave()
 
-    def _constant(self, re: int, im: int = 0, den: int = 1, slot: int | None = None):
-        """(re + i im)/den times the flat key's variable at slot, if any."""
-        key = [0] * (2 * self.dim + _N_SCALAR)
-        if slot is not None:
-            key[slot] = 1
-        return SymbolPoly._from_flat(self.dim, {tuple(key): (re, im)}, den)
+    def _constant(self, re: int, im: int = 0, den: int = 1) -> SymbolPoly:
+        """(re + i im)/den."""
+        key = (0,) * (2 * self.dim + _N_SCALAR)
+        return SymbolPoly._from_flat(self.dim, {key: (re, im)}, den)
 
     def _resolve_ident(self, tok: _Token) -> SymbolPoly:
         name = tok.text
         if name == "i":
             return self._constant(0, 1)
         if name == "hbar":
-            return self._constant(1, slot=2 * self.dim)
-        block = name[0]
-        suffix = name[1:]
-        if block in ("x", "p") and (suffix == "" or suffix.isdigit()):
-            if suffix:
-                index = int(suffix) - 1
-            elif self.dim == 1:
-                index = 0
-            else:
-                raise SymLangError(
-                    f"bare {block!r} is ambiguous in dimension {self.dim}", tok.pos
-                )
-            if not 0 <= index < self.dim:
-                raise SymLangError(
-                    f"variable {name!r} out of range for dimension {self.dim}", tok.pos
-                )
-            return self._constant(1, slot=(self.dim if block == "p" else 0) + index)
-        raise SymLangError(f"unknown identifier {name!r}", tok.pos)
+            return SymbolPoly.constant(self.dim, HBAR)
+        if name[0] not in "xp":
+            raise SymLangError(f"unknown identifier {name!r}", tok.pos)
+        try:
+            return SymbolPoly.variable(self.dim, name)
+        except ValueError as exc:
+            raise SymLangError(str(exc), tok.pos) from None
 
 
 def _power_products(base: SymbolPoly, exponent: int) -> int:
@@ -350,10 +337,21 @@ def _sorted_entries(poly) -> list:
     return items
 
 
-def _format_poly(poly, names: list[str]) -> str:
+def _names(poly) -> list[str]:
+    """Printed variable names of a flat map, block by block: bare x, p (and
+    y) in one dimension, x1, x2, ... beyond; an OpPoly's carry "hat" after
+    the block letter, as in xhat1."""
+    hat = "hat" if isinstance(poly, OpPoly) else ""
+    if poly.dim == 1:
+        return [block + hat for block in poly.blocks]
+    return [f"{block}{hat}{j + 1}" for block in poly.blocks for j in range(poly.dim)]
+
+
+def _format_poly(poly) -> str:
     """Canonical text of a flat map, in the order of _sorted_entries; each
     term is its coefficient, then hbar, tau, then the variables."""
-    m, den = len(names), poly._den
+    names, den = _names(poly), poly._den
+    m = len(names)
     items = _sorted_entries(poly)
     if not items:
         return "0"
@@ -372,13 +370,9 @@ def _format_poly(poly, names: list[str]) -> str:
 
 def format_symbol(a: SymbolPoly) -> str:
     """Canonical string form; parse(format_symbol(a), a.dim) == a."""
-    if a.dim == 1:
-        return _format_poly(a, ["x", "p"])
-    return _format_poly(a, [f"{block}{j+1}" for block in "xp" for j in range(a.dim)])
+    return _format_poly(a)
 
 
 def format_operator(op: OpPoly) -> str:
     """Canonical text form of a normal-ordered operator polynomial."""
-    if op.dim == 1:
-        return _format_poly(op, ["xhat", "phat"])
-    return _format_poly(op, [f"{block}hat{j+1}" for block in "xp" for j in range(op.dim)])
+    return _format_poly(op)

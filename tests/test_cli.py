@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from bjcalc import symlang
+from bjcalc import numeric, symlang
 from bjcalc.exact import SymbolPoly
 from bjcalc.numeric import (
     SampledSymbol,
@@ -21,7 +21,13 @@ from bjcalc.numeric import (
     sample_symbol,
     weyl_via_grossmann_royer,
 )
-from bjcalc.cli import MAX_COEFF_ORDER, _poly_json, main
+from bjcalc.cli import (
+    MAX_COEFF_ORDER,
+    MAX_GRID_POINTS,
+    MAX_QUADRATURE_ORDER,
+    _poly_json,
+    main,
+)
 from bjcalc.quantize import Tau, quantize_symbol
 
 
@@ -318,6 +324,34 @@ class TestApply:
             assert code == 1 and out == ""
             assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["apply", "harmonic", "hermite:-1"],
+         "Hermite index must be between 0 and 511 on a 512-point grid"),
+        (["--grid", "64", "apply", "harmonic", "hermite:64"], "between 0 and 63"),
+        (["--grid", str(MAX_GRID_POINTS + 1), "apply", "harmonic", "gaussian"],
+         f"--grid must be at most {MAX_GRID_POINTS}"),
+        (["--grid", str(2 * MAX_GRID_POINTS), "apply", "x*p", "hermite:3"],
+         f"--grid must be at most {MAX_GRID_POINTS}"),
+        (["--quadrature", str(MAX_QUADRATURE_ORDER + 1), "apply", "harmonic", "gaussian",
+          "--scheme", "bj-quadrature"], f"--quadrature must be at most {MAX_QUADRATURE_ORDER}"),
+    ])
+    def test_work_over_a_bound_is_a_usage_error(self, monkeypatch, argv, message):
+        def heavy(*args, **kwargs):
+            raise AssertionError("heavy work started")
+
+        for name in ("gaussian_state", "hermite_state", "sample_symbol", "apply_operator"):
+            monkeypatch.setattr(numeric, name, heavy)
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_work_at_the_bounds_runs(self):
+        for argv in (["--grid", "64", "--quadrature", str(MAX_QUADRATURE_ORDER), "apply",
+                      "harmonic", "hermite:63", "--scheme", "bj-quadrature"],
+                     ["--grid", str(MAX_GRID_POINTS), "apply", "harmonic", "hermite:0"]):
+            code, out, _ = run(argv)
+            assert code == 0 and out.startswith("N=")
+
     def test_bad_tolerance_is_usage_error(self):
         for tol in ("nan", "0", "-1e-8"):
             code, _, err = run(["--tolerance", tol, "apply", "harmonic", "hermite:2"])
@@ -522,6 +556,9 @@ ERROR_PATHS = [
     (lambda: SampledSymbol(GRID, np.zeros(64)), ValueError, "shape (64, 64)"),
     (lambda: SampledSymbol(GRID, np.full((64, 64), np.nan)), ValueError, "non-finite"),
     (lambda: _symbol(hbar=0.0), ValueError, "hbar must be positive"),
+    (lambda: _symbol(hbar=np.inf), ValueError, "hbar must be positive and finite"),
+    (lambda: gaussian_state(GRID, np.inf), ValueError, "hbar must be positive and finite"),
+    (lambda: UniformGrid(64, np.inf), ValueError, "length must be positive and finite"),
     (lambda: weyl_via_grossmann_royer(_symbol(128), _state()), ValueError, "grids differ"),
     (lambda: weyl_via_grossmann_royer(_symbol(hbar=2.0), _state()), ValueError,
      "hbar differ"),

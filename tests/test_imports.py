@@ -91,3 +91,11 @@ def test_unknown_attribute_raises():
         assert not hasattr(bjcalc, "uniform_grid")
         assert "numpy" not in sys.modules
     """)
+
+
+def test_numeric_all_is_the_lazily_resolved_names():
+    import bjcalc
+    from bjcalc import numeric
+
+    assert len(numeric.__all__) == len(set(numeric.__all__))
+    assert set(numeric.__all__) == bjcalc._NUMERIC_NAMES

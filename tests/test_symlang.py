@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bjcalc.exact import ExactScalar, SymbolPoly
+from bjcalc.exact import AmplitudePoly, ExactScalar, SymbolPoly
 from bjcalc.symlang import (
     MAX_EXPONENT,
     MAX_TERM_PRODUCTS,
@@ -20,7 +20,7 @@ from bjcalc.symlang import (
     parse,
 )
 from bjcalc.operators import OpPoly
-from bjcalc.quantize import Weyl, quantize_symbol
+from bjcalc.quantize import BornJordan, Weyl, quantize_symbol
 
 
 def _random_symbol(rng, dim, max_deg=6, n_terms=4):
@@ -72,6 +72,22 @@ class TestParsing:
         with pytest.raises(SymLangError):
             parse("x3", dim=2)
         assert not parse("x2*p1", dim=2).is_zero()
+
+    @pytest.mark.parametrize("text, dim, message, position", [
+        ("x", 2, "variable 'x' needs an index in dimension 2", 0),
+        ("p1 + x3", 2, "variable index out of range for dimension 2: 'x3'", 5),
+        ("x0", 1, "variable index out of range for dimension 1: 'x0'", 0),
+        ("2*xhat", 1, "malformed variable name 'xhat'", 2),
+        ("y1", 1, "unknown identifier 'y1'", 0),
+        ("x + foo", 1, "unknown identifier 'foo'", 4),
+        ("x1*p1_0", 10, "malformed variable name 'p1_0'", 3),
+    ])
+    def test_variable_name_errors(self, text, dim, message, position):
+        """The parser reports exact.parse_var's rule at the name's position."""
+        with pytest.raises(SymLangError) as exc:
+            parse(text, dim)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
 
     @pytest.mark.parametrize(
         "bad",
@@ -359,3 +375,49 @@ class TestOperatorFormatting:
     def test_two_dim_names(self):
         op = OpPoly.word(2, (1, 0), (0, 2))
         assert format_operator(op) == "xhat1*phat2^2"
+
+
+class TestRepr:
+    """Every exact kind prints as Kind(canonical text)."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_symbol_repr_parses_back(self, dim):
+        rng = random.Random(dim)
+        for _ in range(20):
+            a = _random_symbol(rng, dim)
+            text = format_symbol(a)
+            assert repr(a) == f"SymbolPoly({text})"
+            assert parse(text, dim) == a
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_operator_repr_is_its_text(self, dim):
+        rng = random.Random(10 + dim)
+        for _ in range(10):
+            op = quantize_symbol(Weyl(), _random_symbol(rng, dim, max_deg=4))
+            assert repr(op) == f"OpPoly({format_operator(op)})"
+
+    def test_fixed_reprs(self):
+        half, sixth = Fraction(1, 2), Fraction(1, 6)
+        scalar = (ExactScalar.rational(Fraction(-3, 4), half)
+                  + ExactScalar.hbar(2).scale(sixth) + ExactScalar.tau() * ExactScalar.hbar())
+        bj = quantize_symbol(BornJordan(), parse("x1*p1^2 - 1/3*x2*p2", 2))
+        amplitude = AmplitudePoly.monomial(1, ExactScalar.rational(half), x=(1,), y=(2,), p=(1,))
+        cases = [
+            (scalar, "ExactScalar(-(3/4-1/2*i) + hbar*tau + (1/6)*hbar^2)"),
+            (ExactScalar.zero(), "ExactScalar(0)"),
+            (ExactScalar.i(), "ExactScalar(i)"),
+            (-ExactScalar.one(), "ExactScalar(-1)"),
+            (quantize_symbol(Weyl(), parse("x^2*p^2")),
+             "OpPoly(xhat^2*phat^2 - 2*i*hbar*xhat*phat - (1/2)*hbar^2)"),
+            (bj, "OpPoly(xhat1*phat1^2 - (1/3)*xhat2*phat2 - i*hbar*phat1 + (1/6)*i*hbar)"),
+            (OpPoly.zero(2), "OpPoly(0)"),
+            (OpPoly.identity(1), "OpPoly(1)"),
+            (SymbolPoly.variable(1, "x"), "SymbolPoly(x)"),
+            (SymbolPoly.zero(2), "SymbolPoly(0)"),
+            (amplitude + AmplitudePoly.constant(1, ExactScalar.hbar()),
+             "AmplitudePoly((1/2)*x*y^2*p + hbar)"),
+            (AmplitudePoly.variable(2, "y2")
+             - AmplitudePoly.variable(2, "x1").scale(ExactScalar.i()), "AmplitudePoly(-i*x1 + y2)"),
+        ]
+        for value, text in cases:
+            assert repr(value) == text
