@@ -68,6 +68,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _fields(text: str, form: str, kind: type, what: str) -> list:
+    """The values of a NAME:VALUES argument, as many as `form` names, read
+    with `kind`.  Each is ASCII with no whitespace and no underscore, as in
+    the symbol language, and a float must be finite."""
+    values = text.split(":")[1:]
+    if len(values) != form.count(":"):
+        raise UsageError(f"expected {form}")
+    try:
+        if all(v.isascii() and "_" not in v and not any(map(str.isspace, v))
+               for v in values):
+            read = [kind(v) for v in values]
+            if kind is not float or all(map(isfinite, read)):
+                return read
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"invalid {what} {text.partition(':')[2]!r}")
+
+
 def _calc_point(text: str) -> Fraction | None:
     """Map a calculus name to its ordering parameter (None for Born-Jordan)."""
     if text in ("bj", "born-jordan"):
@@ -75,10 +93,7 @@ def _calc_point(text: str) -> Fraction | None:
     if text == "weyl":
         return Fraction(1, 2)
     if text.startswith("tau:"):
-        try:
-            return Fraction(text[4:])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"invalid ordering parameter {text[4:]!r}: {exc}") from None
+        return _fields(text, "tau:VALUE", Fraction, "ordering parameter")[0]
     raise UsageError(f"unknown calculus {text!r} (expected weyl, bj, or tau:VALUE)")
 
 
@@ -96,7 +111,10 @@ def _parse_scheme(text: str, quadrature: BJQuadrature):
             f"unknown scheme {text!r} "
             "(expected weyl, tau:VALUE, bj-quadrature, or bj-sinc)"
         )
-    return TauScheme(float(tau))
+    try:
+        return TauScheme(float(tau))
+    except OverflowError:
+        raise UsageError(f"ordering parameter {text[4:]!r} is too large") from None
 
 
 def _named_state(text: str, grid: UniformGrid, hbar: float):
@@ -105,10 +123,7 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
     if text == "gaussian":
         return numeric.gaussian_state(grid, hbar)
     if text.startswith("hermite:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"invalid Hermite index in {text!r}") from None
+        (k,) = _fields(text, "hermite:K", int, "Hermite index")
         if not 0 <= k < grid.n_points:
             raise UsageError(
                 f"Hermite index must be between 0 and {grid.n_points - 1} "
@@ -132,30 +147,22 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
 def _named_symbol(text: str, grid: UniformGrid, hbar: float, max_degree: int):
     """Resolve a 1-D symbol argument: a named generator or a symbol expression."""
     if text == "harmonic":
-        return symlang.parse("1/2*x^2 + 1/2*p^2")
+        return symlang.parse("1/2*x^2 + 1/2*p^2", max_degree=max_degree)
     if text.startswith("monomial:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("expected monomial:R:S")
-        try:
-            r, s = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise UsageError(f"invalid monomial exponents in {text!r}") from None
+        r, s = _fields(text, "monomial:R:S", int, "monomial exponents")
         if r < 0 or s < 0:
             raise UsageError("monomial exponents must be non-negative")
+        if r + s > max_degree:
+            raise ValueError(f"symbol degree {r + s} exceeds --max-degree {max_degree}")
         return SymbolPoly.monomial(1, x=(r,), p=(s,))
     if text.startswith("sinc-null:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("expected sinc-null:X0:P0")
-        try:
-            x0, p0 = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise UsageError(f"invalid null-point coordinates in {text!r}") from None
+        x0, p0 = _fields(text, "sinc-null:X0:P0", float, "null-point coordinates")
         from .numeric import null_symbol
 
-        symbol, _ = null_symbol(grid, hbar, x0, p0)
-        return symbol
+        try:
+            return null_symbol(grid, hbar, x0, p0)[0]
+        except ValueError as exc:  # the point lies outside the grid
+            raise UsageError(str(exc)) from None
     return symlang.parse(text, max_degree=max_degree)
 
 
@@ -212,8 +219,8 @@ def _cmd_quantize(args, out) -> int:
     return 0
 
 
-def _convert_between(a: SymbolPoly, src: str, dst: str) -> SymbolPoly:
-    s, t = _calc_point(src), _calc_point(dst)
+def _convert_between(a: SymbolPoly, s: Fraction | None, t: Fraction | None) -> SymbolPoly:
+    """Convert from ordering parameter s to t, where None is Born-Jordan."""
     if s is None:
         return a if t is None else bj_to_tau(a, t)
     if t is None:
@@ -231,22 +238,19 @@ def _cmd_convert(args, out) -> int:
     if d is None:
         if args.from_calc is None or args.to_calc is None:
             raise UsageError("missing direction (positional or --from/--to)")
-        src, dst = args.from_calc, args.to_calc
+        s, t = _calc_point(args.from_calc), _calc_point(args.to_calc)
     elif d in ("bj-to-weyl", "weyl-to-bj"):
-        src, _, dst = d.split("-")
+        s, t = map(_calc_point, d.split("-to-"))
     elif d.startswith("bj-to-tau:"):
-        src, dst = "bj", d[len("bj-to-"):]
+        s, t = None, _calc_point(d[len("bj-to-"):])
     elif d.startswith("tau-shift:"):
-        parts = d.split(":")
-        if len(parts) != 3:
-            raise UsageError("expected tau-shift:FROM:TO")
-        src, dst = "tau:" + parts[1], "tau:" + parts[2]
+        s, t = _fields(d, "tau-shift:FROM:TO", Fraction, "ordering parameters")
     else:
         raise UsageError(
             f"unknown direction {d!r} (expected bj-to-weyl, weyl-to-bj, "
             "bj-to-tau:VALUE, or tau-shift:FROM:TO)"
         )
-    result = _convert_between(a, src, dst)
+    result = _convert_between(a, s, t)
     if args.output == "json":
         _emit_json(_poly_json("symbol", result), out)
     else:
@@ -296,11 +300,6 @@ def _cmd_apply(args, out) -> int:
     scheme = _parse_scheme(args.scheme, quadrature)
     psi = _named_state(args.state, grid, args.hbar)
     symbol = _named_symbol(args.symbol, grid, args.hbar, args.max_degree)
-    if isinstance(symbol, SymbolPoly) and symbol.total_degree() > args.max_degree:
-        raise ValueError(
-            f"symbol degree {symbol.total_degree()} exceeds "
-            f"--max-degree {args.max_degree}"
-        )
     result = numeric.apply_operator(symbol, psi, scheme, params)
     if args.output == "json":
         _emit_json(numeric.wavefunction_to_json(result), out)

@@ -76,11 +76,18 @@ _N_SCALAR = 2
 FlatMap = dict[tuple[int, ...], tuple[int, int]]
 
 
+def _require_int(value, name: str) -> None:
+    """Reject anything but an int, bools included, for an integer parameter."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def parse_var(var: Union[str, VarId], dim: int) -> VarId:
     """Accept ("x", j), "x2", or bare "x"/"p"/"y" in one dimension.  A
     written index is ASCII digits only."""
     if isinstance(var, tuple):
         block, j = var
+        _require_int(j, "variable index")
     else:
         block, suffix = var[:1], var[1:]
         if suffix.isascii() and suffix.isdigit():

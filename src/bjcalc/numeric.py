@@ -40,7 +40,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact import SymbolPoly
+from .exact import SymbolPoly, _require_int
 
 __all__ = [
     "UniformGrid",
@@ -86,6 +86,7 @@ class UniformGrid:
 
     def __post_init__(self):
         n = self.n_points
+        _require_int(n, "n_points")
         if n < 16 or n & (n - 1):
             raise ValueError("n_points must be a power of two, at least 16")
         if not 0 < self.length < inf:
@@ -196,6 +197,7 @@ class BJQuadrature:
     order: int = 16
 
     def __post_init__(self):
+        _require_int(self.order, "quadrature order")
         if self.order < 2:
             raise ValueError("quadrature order must be at least 2")
 
@@ -614,6 +616,7 @@ _RESCALE = 1e150
 
 def hermite_state(grid: UniformGrid, k: int, hbar: float = 1.0) -> SampledWavefunction:
     """k-th normalized Hermite function (harmonic-oscillator eigenstate)."""
+    _require_int(k, "Hermite index")
     if k < 0:
         raise ValueError("Hermite index must be non-negative")
     xi = grid.x_values() / sqrt(hbar)
@@ -688,10 +691,12 @@ def null_symbol(
             raise ValueError("no on-grid null point exists for this grid")
         m_idx, k_idx = best[1]
     elif x0 is not None and p0 is not None:
-        m_idx = int(round(x0 / grid.spacing))
-        k_idx = int(round(p0 / grid.p_spacing(hbar)))
-        if not (-n // 2 < m_idx < n // 2 and -n // 2 < k_idx < n // 2):
+        m, k = x0 / grid.spacing, p0 / grid.p_spacing(hbar)
+        # n/2 is even, so round() takes +-(n/2 - 1/2) off the grid to +-n/2;
+        # testing before rounding also rejects an infinite or NaN offset
+        if not (abs(m) < n / 2 - 0.5 and abs(k) < n / 2 - 0.5):
             raise ValueError("null point lies outside the grid")
+        m_idx, k_idx = round(m), round(k)
     else:
         raise ValueError("give both coordinates or neither")
     x0 = m_idx * grid.spacing

@@ -261,6 +261,14 @@ class TestCoeffs:
             assert f"between 0 and {MAX_COEFF_ORDER}" in err
 
 
+# each documented --scheme spelling and the scheme it names
+SCHEME_SPELLINGS = {
+    "weyl": numeric.WeylScheme(), "tau:1/3": numeric.TauScheme(1 / 3),
+    "tau:0.3": numeric.TauScheme(0.3), "bj-quadrature": numeric.BJQuadrature(16),
+    "bj-sinc": numeric.BJSinc(),
+}
+
+
 class TestApply:
     def test_harmonic_ground_state_norm(self):
         code, out, _ = run(["apply", "harmonic", "gaussian", "--scheme", "bj-quadrature"])
@@ -357,6 +365,21 @@ class TestApply:
             code, _, err = run(["--tolerance", tol, "apply", "harmonic", "hermite:2"])
             assert code == 1
             assert "tolerance must be positive and finite" in err
+
+    @pytest.mark.parametrize("spelling, scheme", SCHEME_SPELLINGS.items(),
+                             ids=list(SCHEME_SPELLINGS))
+    def test_documented_spellings_print_the_library_norm(self, spelling, scheme):
+        grid = UniformGrid(64, 16.0)
+        states = {"gaussian": gaussian_state(grid), "hermite:2": hermite_state(grid, 2)}
+        symbols = {"harmonic": symlang.parse("1/2*x^2 + 1/2*p^2"),
+                   "monomial:1:1": SymbolPoly.monomial(1, x=(1,), p=(1,))}
+        for state, psi in states.items():
+            for symbol, a in symbols.items():
+                code, out, err = run(["--grid", "64", "--box", "16", "apply", symbol, state,
+                                      "--scheme", spelling])
+                norm = numeric.apply_operator(a, psi, scheme).norm()
+                assert (code, err) == (0, "")
+                assert out.splitlines()[1] == f"norm={norm:.12g}"
 
     def test_sinc_null_symbol_runs(self):
         code, out, _ = run(
@@ -567,6 +590,20 @@ ERROR_PATHS = [
     (lambda: hermite_state(GRID, -1), ValueError, "must be non-negative"),
     (lambda: sample_symbol(SymbolPoly.variable(2, "x1"), GRID), ValueError,
      "one-dimensional"),
+    (["apply", "sinc-null:nan:1", "gaussian"], 1, "invalid null-point coordinates 'nan:1'"),
+    (["apply", "sinc-null:inf:1", "gaussian"], 1, "invalid null-point coordinates 'inf:1'"),
+    (["apply", "sinc-null:15:1", "gaussian"], 1, "null point lies outside the grid"),
+    (["apply", "sinc-null:1e308:1", "gaussian"], 1, "null point lies outside the grid"),
+    (["apply", "harmonic", "gaussian", "--scheme", "tau:1e400"], 1,
+     "ordering parameter '1e400' is too large"),
+    (["apply", "harmonic", "hermite:1_0"], 1, "invalid Hermite index '1_0'"),
+    (["apply", "harmonic", "hermite:\u0663"], 1, "invalid Hermite index '\u0663'"),
+    (["apply", "harmonic", "hermite: 3"], 1, "invalid Hermite index ' 3'"),
+    (["apply", "monomial:1_0:3", "gaussian"], 1, "invalid monomial exponents '1_0:3'"),
+    (["quantize", "tau:1_0", "x*p"], 1, "invalid ordering parameter '1_0'"),
+    (["convert", "tau-shift:1_0:3", "x*p"], 1, "invalid ordering parameters '1_0:3'"),
+    (["--max-degree", "1", "apply", "harmonic", "gaussian"], 2,
+     "power degree 2 exceeds max degree 1"),
 ]
 
 
@@ -576,6 +613,7 @@ def test_error_paths(case, expected, fragment):
         code, out, err = run(case)
         assert code == expected
         assert fragment in (out if code == 0 else err)
+        assert code == 0 or (out == "" and err.startswith("error: ") and err.count("\n") == 1)
     else:
         with pytest.raises(expected, match=re.escape(fragment)):
             case()

@@ -36,6 +36,7 @@ from bjcalc.numeric import (
     wavefunction_to_json,
     weyl_via_grossmann_royer,
 )
+from bjcalc.operators import OpPoly
 from bjcalc.symlang import parse
 from bjcalc.transforms import bj_to_weyl
 
@@ -85,6 +86,20 @@ class TestGridBasics:
             UniformGrid(8, 10.0)  # too small
         with pytest.raises(ValueError):
             UniformGrid(64, -1.0)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: SymbolPoly.variable(2, ("x", True)), "variable index"),
+        (lambda: SymbolPoly.variable(2, ("x", 0.5)), "variable index"),
+        (lambda: OpPoly.x_op(2, 1.0), "variable index"),
+        (lambda: UniformGrid(64.0, 20.0), "n_points"),
+        (lambda: hermite_state(_grid(64), 2.0), "Hermite index"),
+        (lambda: hermite_state(_grid(64), True), "Hermite index"),
+        (lambda: BJQuadrature(2.5), "quadrature order"),
+    ], ids=["variable-bool", "variable-float", "x_op-float", "grid-float",
+            "hermite-float", "hermite-bool", "quadrature-float"])
+    def test_integer_parameters_reject_non_integers(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
 
     def test_grid_geometry(self):
         grid = UniformGrid(64, 16.0)
