@@ -45,6 +45,9 @@ MAX_GRID_POINTS = 4096
 # Largest `apply --quadrature`: the sampled route's multiplier costs order
 # times N^2, and a polynomial symbol within MAX_TOTAL_DEGREE needs order 33.
 MAX_QUADRATURE_ORDER = 256
+# Most digits in the numerator or denominator of an exact ordering parameter
+# such as tau:1e400; 1e10000000 would take seconds to build.
+MAX_NUMERAL_DIGITS = 1000
 
 
 class UsageError(Exception):
@@ -68,22 +71,33 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _numeral_digits(text: str) -> int:
+    """An upper bound on the digits of the numerator and the denominator of
+    the value a Fraction numeral names: its length plus its exponent."""
+    mantissa, _, exponent = text.lower().partition("e")
+    return len(mantissa) + abs(int(exponent or 0))
+
+
 def _fields(text: str, form: str, kind: type, what: str) -> list:
     """The values of a NAME:VALUES argument, as many as `form` names, read
     with `kind`.  Each is ASCII with no whitespace and no underscore, as in
-    the symbol language, and a float must be finite."""
+    the symbol language, a float must be finite, and a Fraction is bounded
+    by MAX_NUMERAL_DIGITS before it is built."""
     values = text.split(":")[1:]
+    shown = text.partition(":")[2]
     if len(values) != form.count(":"):
         raise UsageError(f"expected {form}")
     try:
         if all(v.isascii() and "_" not in v and not any(map(str.isspace, v))
                for v in values):
+            if kind is Fraction and max(map(_numeral_digits, values)) > MAX_NUMERAL_DIGITS:
+                raise UsageError(f"{what} {shown!r}: more than {MAX_NUMERAL_DIGITS} digits")
             read = [kind(v) for v in values]
             if kind is not float or all(map(isfinite, read)):
                 return read
     except (ValueError, ZeroDivisionError):
         pass
-    raise UsageError(f"invalid {what} {text.partition(':')[2]!r}")
+    raise UsageError(f"invalid {what} {shown!r}")
 
 
 def _calc_point(text: str) -> Fraction | None:
@@ -91,7 +105,7 @@ def _calc_point(text: str) -> Fraction | None:
     if text in ("bj", "born-jordan"):
         return None
     if text == "weyl":
-        return Fraction(1, 2)
+        return Weyl.tau
     if text.startswith("tau:"):
         return _fields(text, "tau:VALUE", Fraction, "ordering parameter")[0]
     raise UsageError(f"unknown calculus {text!r} (expected weyl, bj, or tau:VALUE)")
@@ -99,12 +113,10 @@ def _calc_point(text: str) -> Fraction | None:
 
 def _parse_scheme(text: str, quadrature: BJQuadrature):
     """The scheme a --scheme value names; bj-quadrature is the given one."""
-    from .numeric import BJSinc, TauScheme
-
     if text == "bj-quadrature":
         return quadrature
     if text == "bj-sinc":
-        return BJSinc()
+        return BornJordan()
     tau = _calc_point(text)
     if tau is None:
         raise UsageError(
@@ -112,7 +124,7 @@ def _parse_scheme(text: str, quadrature: BJQuadrature):
             "(expected weyl, tau:VALUE, bj-quadrature, or bj-sinc)"
         )
     try:
-        return TauScheme(float(tau))
+        return Tau(float(tau))
     except OverflowError:
         raise UsageError(f"ordering parameter {text[4:]!r} is too large") from None
 
@@ -145,16 +157,8 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
 
 
 def _named_symbol(text: str, grid: UniformGrid, hbar: float, max_degree: int):
-    """Resolve a 1-D symbol argument: a named generator or a symbol expression."""
-    if text == "harmonic":
-        return symlang.parse("1/2*x^2 + 1/2*p^2", max_degree=max_degree)
-    if text.startswith("monomial:"):
-        r, s = _fields(text, "monomial:R:S", int, "monomial exponents")
-        if r < 0 or s < 0:
-            raise UsageError("monomial exponents must be non-negative")
-        if r + s > max_degree:
-            raise ValueError(f"symbol degree {r + s} exceeds --max-degree {max_degree}")
-        return SymbolPoly.monomial(1, x=(r,), p=(s,))
+    """Resolve a 1-D symbol argument: a named generator or a symbol expression.
+    A named symbol's degree error names no position: the user typed no text."""
     if text.startswith("sinc-null:"):
         x0, p0 = _fields(text, "sinc-null:X0:P0", float, "null-point coordinates")
         from .numeric import null_symbol
@@ -163,7 +167,19 @@ def _named_symbol(text: str, grid: UniformGrid, hbar: float, max_degree: int):
             return null_symbol(grid, hbar, x0, p0)[0]
         except ValueError as exc:  # the point lies outside the grid
             raise UsageError(str(exc)) from None
-    return symlang.parse(text, max_degree=max_degree)
+    if text == "harmonic":
+        named = symlang.parse("1/2*x^2 + 1/2*p^2")
+    elif text.startswith("monomial:"):
+        r, s = _fields(text, "monomial:R:S", int, "monomial exponents")
+        if r < 0 or s < 0:
+            raise UsageError("monomial exponents must be non-negative")
+        named = SymbolPoly.monomial(1, x=(r,), p=(s,))
+    else:
+        return symlang.parse(text, max_degree=max_degree)
+    degree = named.total_degree()
+    if degree > max_degree:
+        raise ValueError(f"symbol degree {degree} exceeds --max-degree {max_degree}")
+    return named
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +194,8 @@ def _poly_json(kind: str, poly: SymbolPoly | OpPoly) -> dict:
     for key, (re, im) in symlang._sorted_entries(poly):
         if key[2 * n + 1]:
             raise ValueError("cannot serialize a formal ordering parameter")
-        coeff = {"re": str(Fraction(re, den)), "im": str(Fraction(im, den)),
+        coeff = {"re": symlang._format_rational(re, den),
+                 "im": symlang._format_rational(im, den),
                  "hbar_pow": key[2 * n]}
         terms.append({"x": list(key[:n]), "p": list(key[n:2 * n]), "coeff": coeff})
     return {"kind": kind, "dimension": n, "terms": terms}
@@ -224,7 +241,7 @@ def _convert_between(a: SymbolPoly, s: Fraction | None, t: Fraction | None) -> S
     if s is None:
         return a if t is None else bj_to_tau(a, t)
     if t is None:
-        return weyl_to_bj(tau_shift(a, s, Fraction(1, 2)))
+        return weyl_to_bj(tau_shift(a, s, Weyl.tau))
     return tau_shift(a, s, t)
 
 
@@ -322,7 +339,7 @@ def _verify_checks():
     import numpy as np
 
     from . import numeric
-    from .numeric import BJQuadrature, BJSinc, SampledSymbol, TauScheme, UniformGrid, WeylScheme
+    from .numeric import BJQuadrature, SampledSymbol, UniformGrid
 
     def commutator_normalization():
         x, p = OpPoly.x_op(1), OpPoly.p_op(1)
@@ -373,12 +390,12 @@ def _verify_checks():
         grid = UniformGrid(256, 20.0)
         psi = numeric.hermite_state(grid, 2)
         a = symlang.parse("x^2*p + x")
-        weyl_of_bj = numeric.apply_operator(bj_to_weyl(a), psi, WeylScheme())
+        weyl_of_bj = numeric.apply_operator(bj_to_weyl(a), psi, Weyl())
         worst = 0.0
         for scheme, reference in (
-            (TauScheme(0.5), numeric.apply_operator(a, psi, WeylScheme())),
+            (Tau(0.5), numeric.apply_operator(a, psi, Weyl())),
             (BJQuadrature(12), weyl_of_bj),
-            (BJSinc(), weyl_of_bj),
+            (BornJordan(), weyl_of_bj),
         ):
             got = numeric.apply_operator(a, psi, scheme)
             worst = max(worst, float(np.max(np.abs(got.values - reference.values))))
@@ -388,7 +405,7 @@ def _verify_checks():
         grid = UniformGrid(256, 20.0)
         psi = numeric.gaussian_state(grid)
         a = symlang.parse("1/2*x^2 + 1/2*p^2")
-        result = numeric.apply_operator(a, psi, WeylScheme())
+        result = numeric.apply_operator(a, psi, Weyl())
         return float(np.max(np.abs(result.values - 0.5 * psi.values))), 1e-8
 
     return [

@@ -8,18 +8,20 @@ Two application routes are provided and cross-checked:
   operator over grid translations and modulations; no interpolation is ever
   performed.
 
-Every application scheme is an average over the ordering parameter tau of the
-tau rule, so each is one linear map with its own measure on tau: a point mass
-(WeylScheme at tau = 1/2, TauScheme), Gauss-Legendre nodes on [0, 1]
-(BJQuadrature) or the uniform measure on [0, 1] (BJSinc, the Born-Jordan
-rule).  On the superposition route tau enters the mode (x_m, p_k) only as the
-phase exp(-i tau theta), theta = x_m p_k / hbar, so a scheme is one per-mode
-multiplier, the measure's average of that phase: exp(-i tau theta), a
-weighted sum over the nodes, or exp(-i theta/2) sinc(theta/2).  All three are
-tabulated from the integer m k without N^2 transcendental calls, and every
-scheme costs one symplectic transform and one pass.  On the polynomial route
-the measure averages the binomial ordering weights instead; the uniform
-measure (BJSinc) averages each of them exactly, to 1/(r + 1) on x^r p^s.
+The grid layer applies the exact layer's rules (quantize.Weyl, Tau and
+BornJordan; WeylScheme, TauScheme and BJSinc are other names for them) and
+one of its own, BJQuadrature.  Each is an average over the ordering parameter
+tau of the tau rule, so each is one linear map with its own measure on tau: a
+point mass (Tau, and Weyl at tau = 1/2), the uniform measure on [0, 1]
+(BornJordan) or Gauss-Legendre nodes on [0, 1] (BJQuadrature).  On the
+superposition route tau enters the mode (x_m, p_k) only as the phase
+exp(-i tau theta), theta = x_m p_k / hbar, so a scheme is one per-mode
+multiplier, the measure's average of that phase: exp(-i tau theta),
+exp(-i theta/2) sinc(theta/2), or a weighted sum over the nodes.  All three
+are tabulated from the integer m k without N^2 transcendental calls, and
+every scheme costs one symplectic transform and one pass.  On the polynomial
+route the measure averages the binomial ordering weights instead; the uniform
+measure averages each of them exactly, to 1/(r + 1) on x^r p^s.
 
 States and symbols share one validated sample form, and every route that
 applies a sampled symbol to a state checks in one place that the two share
@@ -41,6 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import SymbolPoly, _require_int
+from .quantize import BornJordan, QuantizationScheme, Tau, Weyl
 
 __all__ = [
     "UniformGrid",
@@ -178,22 +181,14 @@ class ShubinOrderEstimate:
 # -- application schemes ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylScheme:
-    pass
-
-
-@dataclass(frozen=True)
-class TauScheme:
-    tau: float
-
-    def __post_init__(self):
-        if not isfinite(self.tau):
-            raise ValueError(f"ordering parameter must be finite, got {self.tau!r}")
+# Other names for the exact layer's rules, which the grid layer applies.
+WeylScheme, TauScheme, BJSinc = Weyl, Tau, BornJordan
 
 
 @dataclass(frozen=True)
 class BJQuadrature:
+    """Born-Jordan with the tau average taken by Gauss-Legendre quadrature."""
+
     order: int = 16
 
     def __post_init__(self):
@@ -202,12 +197,7 @@ class BJQuadrature:
             raise ValueError("quadrature order must be at least 2")
 
 
-@dataclass(frozen=True)
-class BJSinc:
-    pass
-
-
-Scheme = Union[WeylScheme, TauScheme, BJQuadrature, BJSinc]
+Scheme = Union[QuantizationScheme, BJQuadrature]
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +287,9 @@ def bj_weyl_symbol_numeric(a: SampledSymbol) -> SampledSymbol:
 
 def _ordering_measure(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the average over tau that defines a scheme."""
-    if isinstance(scheme, WeylScheme):
-        return np.array([0.5]), np.array([1.0])
-    if isinstance(scheme, TauScheme):
+    if isinstance(scheme, (Weyl, Tau)):
+        if scheme.tau is None:
+            raise ValueError("the grid layer needs a numeric ordering parameter, not Tau()")
         return np.array([float(scheme.tau)]), np.array([1.0])
     if isinstance(scheme, BJQuadrature):
         nodes, weights = np.polynomial.legendre.leggauss(scheme.order)
@@ -318,7 +308,7 @@ def _mode_multiplier(n: int, scheme: Scheme) -> np.ndarray:
     uniform average over t in [0, 1] is exp(-i theta/2) sinc(theta/2)
     = exp(-i pi b/n) sin(pi b/n) n/(pi q), with the value 1 at q = 0.
     """
-    if isinstance(scheme, BJSinc):
+    if isinstance(scheme, BornJordan):
         b = np.arange(n)
         return _over_q(n, np.exp(-1j * pi * b / n) * np.sin(pi * b / n) * (n / pi))
     c = np.arange(n) - n // 2
@@ -360,7 +350,7 @@ def _apply_sampled(
 
 def _ordering_weight(scheme: Scheme) -> Callable[[int, int], float]:
     """The scheme's average over tau of C(r, j) (1-tau)^(r-j) tau^j."""
-    if isinstance(scheme, BJSinc):
+    if isinstance(scheme, BornJordan):
         # the uniform average C(r, j) B(r-j+1, j+1) is 1/(r+1) for every j
         return lambda r, j: 1.0 / (r + 1)
     nodes, weights = _ordering_measure(scheme)
@@ -419,25 +409,28 @@ def apply_operator(
 ) -> SampledWavefunction:
     """Apply the quantized operator of a symbol to a sampled state.
 
-    Every scheme is an average over the ordering parameter tau of the tau
-    rule: a point mass (WeylScheme is tau = 1/2, TauScheme), Gauss-Legendre
-    nodes on [0, 1] (BJQuadrature) or the exact uniform measure on [0, 1]
-    (BJSinc).  Sampled symbols use the phase-space superposition route, in
-    which tau enters each mode only as the phase exp(-i tau theta); the
-    scheme's average of that phase is one per-mode multiplier, so every
-    scheme costs one pass.  Polynomial symbols use the exact pseudospectral
-    route with the scheme's average of the binomial ordering weights; under
-    BJSinc each is averaged exactly to 1/(r+1) for a term of x-degree r.
+    The scheme is Weyl, Tau(tau) with a numeric tau, BornJordan or
+    BJQuadrature, each an average of the tau rule over its own measure (see
+    the module docstring); a formal Tau() raises ValueError.  Sampled symbols
+    use the phase-space superposition route, in which the scheme's average of
+    the ordering phase is one per-mode multiplier, so every scheme costs one
+    pass.  Polynomial symbols use the exact pseudospectral route with the
+    scheme's average of the binomial ordering weights.
     """
     params = params or NumericParams()
     if isinstance(symbol, SampledSymbol):
         _check_pair(symbol, psi)
     _check_boundary_decay(psi, params.tolerance)
 
-    if isinstance(symbol, SampledSymbol):
-        multiplier = _mode_multiplier(psi.grid.n_points, scheme)
-        return psi.with_values(_apply_sampled(symbol, psi, multiplier))
-    return psi.with_values(_apply_poly(symbol, psi, _ordering_weight(scheme)))
+    # a symbol that overflows double precision on the grid gives non-finite
+    # samples, which the result's own check rejects with one ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(symbol, SampledSymbol):
+            multiplier = _mode_multiplier(psi.grid.n_points, scheme)
+            values = _apply_sampled(symbol, psi, multiplier)
+        else:
+            values = _apply_poly(symbol, psi, _ordering_weight(scheme))
+    return psi.with_values(values)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, perm, prod
+from math import comb, factorial, isfinite, perm, prod
 from typing import Callable, Union
 
 from .exact import AmplitudePoly, RationalLike, SymbolPoly, Weight, _collect, _rotate
@@ -53,7 +53,9 @@ from .operators import MAX_TOTAL_DEGREE, DegreeLimitError, OpPoly
 
 @dataclass(frozen=True)
 class Weyl:
-    """The symmetric (tau = 1/2) rule."""
+    """The symmetric rule: the tau rule at tau = 1/2."""
+
+    tau = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,14 @@ class BornJordan:
 
 @dataclass(frozen=True)
 class Tau:
-    """Fixed ordering parameter; tau=None keeps it as a formal variable."""
+    """Fixed ordering parameter, a rational or a finite float; tau=None
+    keeps it as a formal variable."""
 
-    tau: Fraction | int | None = None
+    tau: Fraction | int | float | None = None
+
+    def __post_init__(self):
+        if isinstance(self.tau, float) and not isfinite(self.tau):
+            raise ValueError(f"ordering parameter must be finite, got {self.tau!r}")
 
 
 QuantizationScheme = Union[Weyl, BornJordan, Tau]
@@ -123,11 +130,9 @@ def _formal_weight(total: int, c: list[int]) -> Weight:
 
 
 def _scheme_weight(scheme: QuantizationScheme) -> SchemeWeight:
-    if isinstance(scheme, Weyl):
-        return _rational_weight(Fraction(1, 2))
     if isinstance(scheme, BornJordan):
         return _born_jordan_weight
-    if isinstance(scheme, Tau):
+    if isinstance(scheme, (Weyl, Tau)):
         if scheme.tau is None:
             return _formal_weight
         return _rational_weight(Fraction(scheme.tau))

@@ -15,6 +15,7 @@ exactly.
 
 from __future__ import annotations
 
+import sys
 from math import comb, gcd, prod
 
 from .exact import _N_SCALAR, HBAR, SymbolPoly
@@ -290,10 +291,16 @@ def parse(text: str, dim: int = 1, max_degree: int | None = None) -> SymbolPoly:
 
 
 def _format_rational(num: int, den: int) -> str:
-    """num/den in lowest terms: "3" or "1/6"."""
+    """num/den in lowest terms: "3" or "1/6", as str(Fraction(num, den))."""
     g = gcd(num, den)
     num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past Python's limit on the digits of printed ints
+        raise ValueError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+            "too many to print"
+        ) from None
 
 
 def _coeff_factors(re: int, im: int, den: int) -> list[str]:

@@ -24,6 +24,7 @@ from bjcalc.numeric import (
 from bjcalc.cli import (
     MAX_COEFF_ORDER,
     MAX_GRID_POINTS,
+    MAX_NUMERAL_DIGITS,
     MAX_QUADRATURE_ORDER,
     _poly_json,
     main,
@@ -101,6 +102,17 @@ class TestQuantize:
         code, _, err = run(["--max-degree", "3", "quantize", "weyl", "x^2*p^2"])
         assert code == 2
         assert "degree" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["quantize", "tau:1e10000000", "x*p"], ["convert", "bj-to-tau:1e-10000000", "x*p"],
+    ["apply", "harmonic", "gaussian", "--scheme", "tau:1e10000000"],
+], ids=["quantize", "convert", "apply"])
+def test_long_numeral_rejected_before_it_is_built(command):
+    start = time.perf_counter()
+    code, out, err = run(command)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == "" and f"more than {MAX_NUMERAL_DIGITS} digits" in err
 
 
 class TestDegreeBudget:
@@ -603,7 +615,18 @@ ERROR_PATHS = [
     (["quantize", "tau:1_0", "x*p"], 1, "invalid ordering parameter '1_0'"),
     (["convert", "tau-shift:1_0:3", "x*p"], 1, "invalid ordering parameters '1_0:3'"),
     (["--max-degree", "1", "apply", "harmonic", "gaussian"], 2,
-     "power degree 2 exceeds max degree 1"),
+     "symbol degree 2 exceeds --max-degree 1"),
+    (["quantize", "tau:1e10000000", "x*p"], 1,
+     f"ordering parameter '1e10000000': more than {MAX_NUMERAL_DIGITS} digits"),
+    (["quantize", "tau:1e5000", "x*p"], 1,
+     f"ordering parameter '1e5000': more than {MAX_NUMERAL_DIGITS} digits"),
+    (["convert", "tau-shift:0:1e-5000", "x*p"], 1,
+     f"ordering parameters '0:1e-5000': more than {MAX_NUMERAL_DIGITS} digits"),
+    (["quantize", "tau:1e200", "x^30*p^30"], 2, "digits, too many to print"),
+    (["--output", "json", "quantize", "tau:1e200", "x^30*p^30"], 2,
+     "digits, too many to print"),
+    (["--max-degree", "1000", "--grid", "64", "apply", "monomial:400:0", "gaussian"], 2,
+     "SampledWavefunction contains non-finite values"),
 ]
 
 

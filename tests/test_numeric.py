@@ -3,6 +3,7 @@ operators, coherent-state machinery, and growth-order estimation."""
 
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from bjcalc.numeric import (
     weyl_via_grossmann_royer,
 )
 from bjcalc.operators import OpPoly
+from bjcalc.quantize import BornJordan, Tau, Weyl, quantize_symbol
 from bjcalc.symlang import parse
 from bjcalc.transforms import bj_to_weyl
 
@@ -808,3 +810,53 @@ class TestBoundedness:
             for scheme in (WeylScheme(), BJQuadrature(8), BJSinc()):
                 out = apply_operator(a, psi, scheme)
                 assert out.norm() <= 10.0 * psi.norm()
+
+
+class TestSharedRules:
+    """The grid layer applies the exact layer's rule objects."""
+
+    RULES = (Weyl(), Tau(Fraction(1, 3)), Tau(0), BornJordan())
+    SYMBOLS = ("x^3*p^2 - 2*x*p + p^4", "x^2*p^2", "(x+p)^5", "hbar*x*p^3 + i*x^4")
+
+    def test_grid_names_are_the_exact_classes(self):
+        assert WeylScheme is Weyl and TauScheme is Tau and BJSinc is BornJordan
+
+    @staticmethod
+    def _apply_words(op, psi):
+        """The exact operator applied word by word: each normal-ordered word
+        xhat^a phat^b is x^a F^-1[p^b F psi], with the rolled centred DFT."""
+        x, p = psi.grid.x_values(), psi.grid.p_values(psi.hbar)
+        spectrum = _centred_dft(psi.values, -1, 0)
+        out = np.zeros_like(psi.values)
+        for ((a,), (b,)), coeff in op.terms.items():
+            word = _centred_dft(p**b * spectrum, +1, 0) / psi.grid.n_points
+            out += coeff.to_complex(psi.hbar) * x**a * word
+        return out
+
+    @pytest.mark.parametrize("rule", RULES, ids=repr)
+    def test_grid_matches_exact_quantizer(self, rule):
+        # largest relative difference measured: 9.6e-12
+        for hbar in (1.0, 0.5):
+            psi = hermite_state(_grid(256), 3, hbar)
+            for text in self.SYMBOLS:
+                a = parse(text)
+                got = apply_operator(a, psi, rule).values
+                want = self._apply_words(quantize_symbol(rule, a), psi)
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), text
+
+    def test_formal_tau_is_rejected_on_the_grid(self):
+        grid = _grid(64)
+        psi = gaussian_state(grid)
+        a = parse("x*p")
+        for symbol in (a, sample_symbol(a, grid)):
+            with pytest.raises(ValueError, match="numeric ordering parameter"):
+                apply_operator(symbol, psi, Tau())
+
+    def test_overflowing_symbol_raises_without_warnings(self):
+        psi = gaussian_state(_grid(64))
+        a = SymbolPoly.monomial(1, x=(400,), p=(0,))
+        for rule in (Weyl(), BornJordan(), BJQuadrature(8)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    apply_operator(a, psi, rule)
