@@ -323,8 +323,11 @@ def _cmd_apply(args, out) -> int:
     elif args.output == "csv":
         out.write(numeric.wavefunction_to_csv(result))
     else:
+        norm = result.norm()
+        if not isfinite(norm):
+            raise ValueError("the result's norm exceeds the double range")
         out.write(f"N={grid.n_points} L={grid.length:g} hbar={args.hbar:g}\n")
-        out.write(f"norm={result.norm():.12g}\n")
+        out.write(f"norm={norm:.12g}\n")
         peak = int(np.argmax(np.abs(result.values)))
         out.write(
             f"peak x={grid.x_values()[peak]:.6g} "

@@ -19,9 +19,14 @@ exp(-i tau theta), theta = x_m p_k / hbar, so a scheme is one per-mode
 multiplier, the measure's average of that phase: exp(-i tau theta),
 exp(-i theta/2) sinc(theta/2), or a weighted sum over the nodes.  All three
 are tabulated from the integer m k without N^2 transcendental calls, and
-every scheme costs one symplectic transform and one pass.  On the polynomial
-route the measure averages the binomial ordering weights instead; the uniform
-measure averages each of them exactly, to 1/(r + 1) on x^r p^s.
+every scheme costs one symplectic transform and one pass.  That transform,
+the multiplier and the inverse DFT over momentum depend on the symbol and
+the scheme alone; only the last gather meets the state.  So a SampledSymbol,
+whose samples are read-only, keeps that state-free stage for the last scheme
+it was applied with, and applying one symbol object to many states under one
+scheme computes it once.  On the polynomial route the measure averages the
+binomial ordering weights instead; the uniform measure averages each of them
+exactly, to 1/(r + 1) on x^r p^s.
 
 States and symbols share one validated sample form, and every route that
 applies a sampled symbol to a state checks in one place that the two share
@@ -36,7 +41,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from math import comb, inf, isfinite, log, pi, sqrt
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from math import comb, frexp, inf, isfinite, ldexp, log, pi, sqrt
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -141,13 +147,52 @@ class SampledWavefunction(_Samples):
     """Complex samples of a configuration-space state on a UniformGrid."""
 
     def norm(self) -> float:
-        return float(np.sqrt(self.grid.spacing * np.sum(np.abs(self.values) ** 2)))
+        """sqrt(dx sum |v|^2), with v scaled by the power of two at or above
+        max |v|: exact, so an ordinary state keeps the unscaled bits, and a
+        finite state whose squares overflow still has a finite norm."""
+        with np.errstate(over="ignore"):
+            magnitudes = np.abs(self.values)
+        peak = float(np.max(magnitudes))
+        if not 0.0 < peak < inf:
+            return peak
+        scale = ldexp(1.0, frexp(peak)[1])
+        magnitudes /= scale
+        return scale * sqrt(self.grid.spacing * float(np.sum(magnitudes**2)))
 
 
 class SampledSymbol(_Samples):
-    """Complex samples a(x_j, p_k) on the square phase-space grid."""
+    """Complex samples a(x_j, p_k) on the square phase-space grid.
+
+    The samples are read-only: an array that owns its data is frozen in
+    place, and any other input is copied first.  The symbol keeps the
+    state-free stage of the sampled route (_modes) for the last scheme it was
+    applied with, so applying it to many states under one scheme computes
+    that stage once.
+    """
 
     _ndim = 2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.values.flags.owndata:
+            self.values = self.values.copy()
+        self.values.flags.writeable = False
+        self._modes_entry = None
+
+    def _modes_for(self, scheme: Scheme) -> np.ndarray:
+        """_modes(self, scheme), from the one kept entry when it was computed
+        from these same read-only samples under an equal scheme."""
+        values, entry = self.values, self._modes_entry
+        if not (
+            entry is not None
+            and entry[0] is values
+            and not values.flags.writeable
+            and entry[1] == scheme
+        ):
+            # the old entry goes first, so that a miss never holds two
+            self._modes_entry = None
+            entry = self._modes_entry = (values, scheme, _modes(self, scheme))
+        return entry[2]
 
 
 def _check_pair(a: SampledSymbol, psi: SampledWavefunction) -> None:
@@ -205,24 +250,25 @@ Scheme = Union[QuantizationScheme, BJQuadrature]
 # ---------------------------------------------------------------------------
 
 
-def _cdft(values: np.ndarray, sign: int, axis: int = 0) -> np.ndarray:
-    """sum_j exp(sign * i * 2pi (k - N/2)(j - N/2) / N) v_j along an axis.
+def _cdft(v: np.ndarray, sign: int, axis: int = 0) -> np.ndarray:
+    """sum_j exp(sign * i * 2pi (k - N/2)(j - N/2) / N) v_j along an axis, in
+    place: v, a writeable complex array, is overwritten and returned, so a
+    caller that must keep its input passes a copy.
 
     For N divisible by 4 (every UniformGrid size) the centred kernel is
     (-1)^(j+k) times the plain DFT kernel, so odd samples change sign before
     and after the FFT instead of being rolled by N/2.
     """
-    v = np.array(values, dtype=complex)
     odd = [slice(None)] * v.ndim
     odd[axis] = slice(1, None, 2)
     odd = tuple(odd)
     np.negative(v[odd], out=v[odd])
     if sign < 0:
-        out = np.fft.fft(v, axis=axis)
+        np.fft.fft(v, axis=axis, out=v)
     else:
-        out = np.fft.ifft(v, axis=axis, norm="forward")
-    np.negative(out[odd], out=out[odd])
-    return out
+        np.fft.ifft(v, axis=axis, norm="forward", out=v)
+    np.negative(v[odd], out=v[odd])
+    return v
 
 
 def _check_boundary_decay(psi: SampledWavefunction, tolerance: float) -> None:
@@ -244,25 +290,32 @@ def _check_boundary_decay(psi: SampledWavefunction, tolerance: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _symplectic_values(a: SampledSymbol) -> np.ndarray:
+    """The samples of symplectic_ft(a), in one new C-ordered array."""
+    w = a.values.T.copy()  # w[k, j] = a(x_j, p_k)
+    _cdft(w, -1, axis=1)  # over x index j -> new p index
+    _cdft(w, +1, axis=0)  # over p index k -> new x index m
+    w /= a.grid.n_points
+    return w
+
+
 def symplectic_ft(a: SampledSymbol) -> SampledSymbol:
     """Discrete symplectic Fourier transform; an involution on the grid.
 
     a_sigma(x_m, p_k) = (1/2pi hbar) sum_{j,l}
         exp(-i (p_k x_j - x_m p_l)/hbar) a(x_j, p_l) dx dp.
     """
-    transformed = _cdft(a.values, -1, axis=0)  # over x index -> new p index
-    transformed = _cdft(transformed, +1, axis=1)  # over p index -> new x index
-    return a.with_values(transformed.T / a.grid.n_points)
+    return a.with_values(_symplectic_values(a))
 
 
-def _over_q(n: int, head: np.ndarray) -> np.ndarray:
-    """head[q mod len(head)] / q at every centred mode (m, k), q = m k, and 1
-    where q = 0; len(head) is a power of two."""
+def _over_q(n: int, head: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """head[q mod len(head)] / q at the centred modes (m, k) of the given
+    rows, q = m k, and 1 where q = 0; len(head) is a power of two."""
     c = np.arange(n) - n // 2
     recip = np.divide(1.0, c, out=np.zeros(n), where=c != 0)
-    out = head[np.multiply.outer(c, c) & (len(head) - 1)]
-    out *= np.outer(recip, recip)
-    out[n // 2, :] = out[:, n // 2] = 1.0
+    out = head[np.multiply.outer(c[rows], c) & (len(head) - 1)]
+    out *= np.outer(recip[rows], recip)
+    out[c[rows] == 0, :] = out[:, n // 2] = 1.0
     return out
 
 
@@ -297,8 +350,9 @@ def _ordering_measure(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"unknown application scheme {scheme!r}")
 
 
-def _mode_multiplier(n: int, scheme: Scheme) -> np.ndarray:
-    """The scheme's average of exp(-i t theta) at every mode (m, k).
+def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
+    """rows -> the scheme's average of exp(-i t theta) at the modes (m, k)
+    of those rows, so that a caller never needs all n^2 values at once.
 
     theta = 2pi q/n with q = m k (centred indices), so the multiplier is a
     function of the integer q alone.  Writing q = a n + b with 0 <= b < n and
@@ -310,9 +364,9 @@ def _mode_multiplier(n: int, scheme: Scheme) -> np.ndarray:
     """
     if isinstance(scheme, BornJordan):
         b = np.arange(n)
-        return _over_q(n, np.exp(-1j * pi * b / n) * np.sin(pi * b / n) * (n / pi))
+        head = np.exp(-1j * pi * b / n) * np.sin(pi * b / n) * (n / pi)
+        return lambda rows: _over_q(n, head, rows)
     c = np.arange(n) - n // 2
-    q = np.multiply.outer(c, c)
     nodes, weights = _ordering_measure(scheme)
     a = np.arange(-(n // 4), n // 4 + 1)
     b = np.arange(n)
@@ -322,41 +376,87 @@ def _mode_multiplier(n: int, scheme: Scheme) -> np.ndarray:
         "at,tb->ab",
         np.exp(-2j * pi * np.outer(a, nodes)) * weights,
         np.exp(-2j * pi * np.outer(nodes, b) / n),
-    )
-    return table.ravel()[q + n * n // 4]
+    ).ravel()
+
+    def rows_of(rows: slice) -> np.ndarray:
+        q = np.multiply.outer(c[rows], c)
+        q += n * n // 4
+        return table[q]
+
+    return rows_of
 
 
-def _apply_sampled(
-    a: SampledSymbol, psi: SampledWavefunction, multiplier: np.ndarray
-) -> np.ndarray:
-    """Phase-space superposition route with a per-mode ordering multiplier.
+# Rows of the mode multiplier made at a time: small beside the n x n
+# working buffer of _modes, and few enough blocks to cost nothing per block.
+_MULTIPLIER_ROWS = 32
 
-    out(x_i) = (1/n) sum_m [C+_k (a_sigma mu)](m, i) psi(x_i - x_m), where
-    a_sigma is the symplectic transform and C+_k the centred inverse DFT over
-    the momentum index; mu = exp(-i tau theta) gives the tau rule.
+
+def _modes(a: SampledSymbol, scheme: Scheme) -> np.ndarray:
+    """The state-free stage of the sampled route: [C+_k (a_sigma mu)](m, i),
+    where a_sigma is the symplectic transform, mu the scheme's multiplier and
+    C+_k the centred inverse DFT over the momentum index.
+
+    Every step after the symplectic transform's copy of the samples works in
+    place in that one buffer, which becomes the result, and the multiplier is
+    made and applied a block of rows at a time.
     """
     n = a.grid.n_points
-    weighted = symplectic_ft(a).values
-    # symplectic_ft returns a transposed (Fortran-ordered) array; the
-    # multiplier depends only on q = m k, so it equals its transpose, and
-    # multiplying by multiplier.T walks both arrays in the same memory order
-    weighted *= multiplier.T
-    modes = _cdft(weighted, +1, axis=1)  # modes[m, i]: function of x_i
+    multiplier_rows = _mode_multiplier(n, scheme)
+    modes = _symplectic_values(a)
+    for start in range(0, n, _MULTIPLIER_ROWS):
+        rows = slice(start, start + _MULTIPLIER_ROWS)
+        modes[rows] *= multiplier_rows(rows)
+    return _cdft(modes, +1, axis=1)  # modes[m, i]: function of x_i
+
+
+def _apply_sampled(modes: np.ndarray, psi: SampledWavefunction) -> np.ndarray:
+    """Phase-space superposition route: the gather of a symbol's modes
+    (see _modes) against the state, out(x_i) = (1/n) sum_m modes(m, i)
+    psi(x_i - x_m)."""
+    n = psi.grid.n_points
     # windows[s, i] = psi[(s + i) mod n]; row n + n/2 - m is psi(x_i - x_m)
     windows = sliding_window_view(np.tile(psi.values, 3), n)
     shifted = windows[n + n // 2 : n // 2 : -1]
     return np.einsum("mi,mi->i", modes, shifted) / n
 
 
-def _ordering_weight(scheme: Scheme) -> Callable[[int, int], float]:
-    """The scheme's average over tau of C(r, j) (1-tau)^(r-j) tau^j."""
+# Decimal arithmetic for the ordering weights: far more digits than a
+# double, and an exponent range that holds C(r, j) and the powers of the
+# nodes at any degree.
+_WEIGHT_CONTEXT = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _ordering_weights(scheme: Scheme) -> Callable[[int], list[float]]:
+    """r -> the scheme's average over tau of C(r, j) (1-tau)^(r-j) tau^j,
+    for j = 0..r.
+
+    The uniform average C(r, j) B(r-j+1, j+1) is 1/(r+1) for every j.  Any
+    other measure is summed over its nodes in decimal arithmetic and each
+    weight rounded once, so no weight overflows on the way or loses digits;
+    one that lies outside double range is infinite.
+    """
     if isinstance(scheme, BornJordan):
-        # the uniform average C(r, j) B(r-j+1, j+1) is 1/(r+1) for every j
-        return lambda r, j: 1.0 / (r + 1)
+        return lambda r: [1.0 / (r + 1)] * (r + 1)
     nodes, weights = _ordering_measure(scheme)
-    return lambda r, j: comb(r, j) * float(
-        np.sum(weights * (1.0 - nodes) ** (r - j) * nodes**j)
-    )
+    measure = [
+        (Decimal(t), Decimal(u), Decimal(w))
+        for t, u, w in zip(nodes.tolist(), (1.0 - nodes).tolist(), weights.tolist())
+    ]
+
+    def row(r: int) -> list[float]:
+        with localcontext(_WEIGHT_CONTEXT):
+            totals = [Decimal(0)] * (r + 1)
+            for t, u, w in measure:
+                weighted_t_powers = [w]  # w t^j
+                for _ in range(r):
+                    weighted_t_powers.append(weighted_t_powers[-1] * t)
+                u_power = Decimal(1)  # u^(r-j)
+                for j in range(r, -1, -1):
+                    totals[j] += weighted_t_powers[j] * u_power
+                    u_power *= u
+            return [float(comb(r, j) * total) for j, total in enumerate(totals)]
+
+    return row
 
 
 def _float_terms(a: SymbolPoly, hbar: float) -> list[tuple[int, int, complex]]:
@@ -370,7 +470,7 @@ def _float_terms(a: SymbolPoly, hbar: float) -> list[tuple[int, int, complex]]:
 def _apply_poly(
     a: SymbolPoly,
     psi: SampledWavefunction,
-    ordering_weight: Callable[[int, int], float],
+    ordering_weights: Callable[[int], list[float]],
 ) -> np.ndarray:
     """Exact pseudospectral route for one-dimensional polynomial symbols.
 
@@ -381,11 +481,12 @@ def _apply_poly(
     p = psi.grid.p_values(psi.hbar)
     # transform each x^j psi once, and sum every term with the same outer
     # power x^o in momentum space so that each o needs one inverse transform
+    terms = _float_terms(a, psi.hbar)
+    weights = {r: ordering_weights(r) for r in {r for r, _, _ in terms}}
     g_hat: dict[int, np.ndarray] = {}
     inner: dict[int, np.ndarray] = {}
-    for r, s, c in _float_terms(a, psi.hbar):
-        for j in range(r + 1):
-            weight = ordering_weight(r, j)
+    for r, s, c in terms:
+        for j, weight in enumerate(weights[r]):
             if weight == 0.0:
                 continue
             if j not in g_hat:
@@ -426,10 +527,9 @@ def apply_operator(
     # samples, which the result's own check rejects with one ValueError
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(symbol, SampledSymbol):
-            multiplier = _mode_multiplier(psi.grid.n_points, scheme)
-            values = _apply_sampled(symbol, psi, multiplier)
+            values = _apply_sampled(symbol._modes_for(scheme), psi)
         else:
-            values = _apply_poly(symbol, psi, _ordering_weight(scheme))
+            values = _apply_poly(symbol, psi, _ordering_weights(scheme))
     return psi.with_values(values)
 
 
@@ -452,7 +552,7 @@ def heisenberg_shift(
         raise ValueError("shift exceeds half the box length")
     p = grid.p_values(hbar)
     x = grid.x_values()
-    spectrum = _cdft(psi.values, -1)
+    spectrum = _cdft(psi.values.copy(), -1)
     spectrum *= np.exp(-1j * p * x0 / hbar)
     translated = _cdft(spectrum, +1) / grid.n_points
     phase = np.exp(1j * (p0 * x - 0.5 * p0 * x0) / hbar)
@@ -484,7 +584,7 @@ def weyl_via_grossmann_royer(
     """
     _check_pair(a, psi)
     n = a.grid.n_points
-    modes = _cdft(a.values, +1, axis=1)  # over p index k -> spatial index
+    modes = _cdft(a.values.copy(), +1, axis=1)  # over p index k -> spatial index
     # modes[m, j] = sum_k a(m, k) exp(i 2pi (k - N/2)(j - N/2)/N)
     i_idx = np.arange(n)
     out = np.zeros(n, dtype=complex)

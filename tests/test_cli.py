@@ -627,7 +627,26 @@ ERROR_PATHS = [
      "digits, too many to print"),
     (["--max-degree", "1000", "--grid", "64", "apply", "monomial:400:0", "gaussian"], 2,
      "SampledWavefunction contains non-finite values"),
+    (["--max-degree", "2000", "--grid", "64", "apply", "monomial:1100:0", "gaussian"], 2,
+     "SampledWavefunction contains non-finite values"),
+    (["--hbar", "1e300", "--box", "1e300", "--max-degree", "200", "apply", "monomial:0:80",
+      "hermite:0"], 2, "the result's norm exceeds the double range"),
 ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-degree", "1000", "--grid", "64", "apply", "monomial:300:0", "gaussian"],
+    ["--hbar", "1e300", "--box", "1e300", "apply", "monomial:0:40", "hermite:0"],
+    # C(1100, j) is past double range; the weights themselves are not
+    ["--box", "2", "--tolerance", "1", "--max-degree", "2000", "--grid", "64", "apply",
+     "monomial:1100:0", "gaussian", "--scheme", "bj-quadrature"],
+])
+def test_apply_prints_a_finite_norm(argv):
+    # |psi|^2 overflows where psi does not
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    norm = float(out.splitlines()[1].removeprefix("norm="))
+    assert 0 < norm < float("inf")
 
 
 @pytest.mark.parametrize("case, expected, fragment", ERROR_PATHS)

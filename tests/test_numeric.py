@@ -400,10 +400,10 @@ class TestSampledRouteOracle:
             theta = 2 * np.pi * np.outer(m, m) / n
             for tau in (0.5, 1 / 3, -0.7, 2.5):
                 direct = np.exp(-1j * tau * theta)
-                table = _mode_multiplier(n, TauScheme(tau))
+                table = _mode_multiplier(n, TauScheme(tau))(slice(None))
                 assert np.max(np.abs(table - direct)) < 1e-12
             sinc = np.exp(-0.5j * theta) * np.sinc(theta / (2 * np.pi))
-            assert np.max(np.abs(_mode_multiplier(n, BJSinc()) - sinc)) < 1e-12
+            assert np.max(np.abs(_mode_multiplier(n, BJSinc())(slice(None)) - sinc)) < 1e-12
         n = 256
         m = np.arange(n) - n // 2
         theta = 2 * np.pi * np.outer(m, m) / n
@@ -411,7 +411,8 @@ class TestSampledRouteOracle:
         direct = sum(
             w / 2 * np.exp(-1j * (t + 1) / 2 * theta) for t, w in zip(nodes, weights)
         )
-        assert np.max(np.abs(_mode_multiplier(n, BJQuadrature(8)) - direct)) < 1e-12
+        table = _mode_multiplier(n, BJQuadrature(8))(slice(None))
+        assert np.max(np.abs(table - direct)) < 1e-12
 
     def test_poly_quadrature_averages_weights(self):
         # one pass with averaged ordering weights equals the average of the
@@ -426,6 +427,101 @@ class TestSampledRouteOracle:
         )
         out = apply_operator(a, psi, BJQuadrature(16)).values
         assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+class TestReusedModes:
+    """A SampledSymbol keeps the state-free stage of the sampled route (its
+    modes) for the last scheme it was applied with, over read-only samples."""
+
+    def test_samples_are_read_only(self):
+        a = _smooth_symbol(_grid(64))
+        with pytest.raises(ValueError, match="read-only"):
+            a.values[0, 0] = 1
+
+    def test_owned_input_is_frozen_in_place(self):
+        grid = _grid(64)
+        values = _smooth_symbol(grid).values.copy()
+        a = SampledSymbol(grid, values)
+        assert a.values is values
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 1
+
+    @pytest.mark.parametrize("kind", ["view", "real"])
+    def test_other_input_is_copied(self, kind):
+        grid = _grid(64)
+        psi = _random_state(grid)
+        smooth = _smooth_symbol(grid).values
+        if kind == "view":
+            caller = np.zeros((64, 128), dtype=complex)
+            caller[:, ::2] = smooth
+            caller = caller[:, ::2]
+        else:
+            caller = smooth.real.copy()
+        a = SampledSymbol(grid, caller)
+        before = apply_operator(a, psi, WeylScheme()).values
+        caller *= 2  # the caller's array stays writeable
+        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, before)
+
+    def test_new_samples_replace_the_entry(self):
+        grid = _grid(64)
+        psi = _random_state(grid)
+        a, other = _smooth_symbol(grid, seed=1), _smooth_symbol(grid, seed=2)
+        want = apply_operator(other, psi, WeylScheme()).values
+        apply_operator(a, psi, WeylScheme())
+        a.values = other.values
+        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, want)
+        # samples assigned writeable are never served from the entry
+        writeable = other.values.copy()
+        a.values = writeable
+        apply_operator(a, psi, WeylScheme())
+        writeable *= 2
+        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, 2 * want)
+
+    def test_each_scheme_gets_its_own_result(self):
+        grid = _grid(512)
+        psi = hermite_state(grid, 3)
+        a = _smooth_symbol(grid)
+        for scheme in (WeylScheme(), BJQuadrature(16), WeylScheme(), TauScheme(0.3),
+                       WeylScheme(), BJSinc(), WeylScheme()):
+            fresh = SampledSymbol(grid, a.values.copy())
+            want = apply_operator(fresh, psi, scheme).values
+            assert np.array_equal(apply_operator(a, psi, scheme).values, want), scheme
+
+    def test_one_modes_computation_per_scheme_change(self, monkeypatch):
+        from bjcalc import numeric
+
+        calls = []
+        real = numeric._modes
+        monkeypatch.setattr(numeric, "_modes", lambda a, s: calls.append(s) or real(a, s))
+        grid = _grid(64)
+        a = _smooth_symbol(grid)
+        for seed in range(3):
+            apply_operator(a, _random_state(grid, seed), WeylScheme())
+        for seed in range(3):
+            apply_operator(a, _random_state(grid, seed), TauScheme(Fraction(1, 2)))
+        apply_operator(a, _random_state(grid), BJQuadrature(16))
+        apply_operator(a, _random_state(grid), WeylScheme())
+        # Tau(1/2) is a different class from Weyl, so it is a miss, then hits
+        assert calls == [WeylScheme(), TauScheme(Fraction(1, 2)), BJQuadrature(16), WeylScheme()]
+
+    def test_miss_peak_memory(self):
+        # one N x N complex array at N = 512 is 4 MiB; a miss may hold at
+        # most three of them at once (the working buffer, which becomes the
+        # kept modes, and the multiplier's table are about 6.4 MiB)
+        import tracemalloc
+
+        grid = _grid(512)
+        psi = hermite_state(grid, 3)
+        a = _smooth_symbol(grid)
+        for scheme in (WeylScheme(), TauScheme(0.3), BJSinc(), BJQuadrature(16)):
+            fresh = SampledSymbol(grid, a.values.copy())
+            tracemalloc.start()
+            try:
+                apply_operator(fresh, psi, scheme)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 4 * 2**20, (scheme, peak)
 
 
 def _oracle_apply_poly(a, psi, scheme):
@@ -518,6 +614,52 @@ class TestPolyRouteOracle:
         grid = UniformGrid(512, 40.0)
         apply_operator(parse("(x+p)^12"), hermite_state(grid, 2), BJQuadrature(16))
         assert len(calls) <= 26
+
+
+class TestOrderingWeights:
+    """The polynomial route's ordering weights, summed over a scheme's nodes
+    and rounded once."""
+
+    SCHEMES = (WeylScheme(), TauScheme(0.3), TauScheme(Fraction(1, 3)), TauScheme(0),
+               TauScheme(1), TauScheme(-0.7), TauScheme(2.5), BJQuadrature(2),
+               BJQuadrature(5), BJQuadrature(16), BJQuadrature(64))
+
+    @staticmethod
+    def _float_weight(scheme, r, j):
+        """The weight in double arithmetic, a product of float powers."""
+        from math import comb
+
+        from bjcalc.numeric import _ordering_measure
+
+        nodes, weights = _ordering_measure(scheme)
+        return comb(r, j) * float(np.sum(weights * (1.0 - nodes) ** (r - j) * nodes**j))
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=repr)
+    def test_low_degrees_match_double_arithmetic(self, scheme):
+        # the degrees of the benchmark's polynomial applies; largest
+        # relative difference measured: 3.3e-16
+        from bjcalc.numeric import _ordering_weights
+
+        weights = _ordering_weights(scheme)
+        for r in range(13):
+            for j, got in enumerate(weights(r)):
+                want = self._float_weight(scheme, r, j)
+                assert abs(got - want) <= 1e-15 * abs(want), (r, j)
+
+    @pytest.mark.parametrize("scheme", [WeylScheme(), TauScheme(0.3), BJQuadrature(16)],
+                             ids=repr)
+    def test_high_degrees_stay_finite(self, scheme):
+        # C(1100, 550) is past double range: the weights are probabilities
+        # of a binomial law averaged over the nodes, so they sum to 1
+        from bjcalc.numeric import _ordering_weights
+
+        row = _ordering_weights(scheme)(1100)
+        assert all(np.isfinite(row)) and abs(sum(row) - 1.0) < 1e-12
+
+    def test_weight_past_double_range_is_infinite(self):
+        from bjcalc.numeric import _ordering_weights
+
+        assert _ordering_weights(TauScheme(-3.0))(600)[0] == np.inf
 
 
 class TestSymbolConversionOnGrid:
@@ -771,6 +913,28 @@ class TestDataExchange:
     def test_csv_malformed(self):
         with pytest.raises(ValueError):
             wavefunction_from_csv("x,re\n0,1\n", length=10.0)
+
+
+class TestNorm:
+    def test_scaled_norm_keeps_ordinary_bits(self):
+        psi = _random_state(_grid(256))
+        direct = float(np.sqrt(psi.grid.spacing * np.sum(np.abs(psi.values) ** 2)))
+        assert psi.norm() == direct
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    def test_norm_of_huge_and_tiny_states(self, factor):
+        psi = _random_state(_grid(256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = psi.with_values(psi.values * factor).norm()
+        assert abs(scaled - factor * psi.norm()) <= 1e-14 * factor * psi.norm()
+
+    def test_norm_of_zero_and_of_unrepresentable_states(self):
+        grid = _grid(64)
+        assert SampledWavefunction(grid, np.zeros(64, dtype=complex)).norm() == 0.0
+        # each part is finite, but |v| is past double range
+        edge = SampledWavefunction(grid, np.full(64, 1.5e308 + 1.5e308j))
+        assert edge.norm() == np.inf
 
 
 class TestBoundedness:
