@@ -120,7 +120,8 @@ class UniformGrid:
 @dataclass
 class _Samples:
     """Validated complex samples on a UniformGrid at a given hbar: `_ndim`
-    axes of grid.n_points samples each."""
+    axes of grid.n_points samples each.  Every assignment of `values`, the
+    constructor's included, goes through _checked_values."""
 
     grid: UniformGrid
     values: np.ndarray
@@ -128,13 +129,21 @@ class _Samples:
 
     _ndim = 1
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+    def __setattr__(self, name, value):
+        if name == "values":
+            value = self._checked_values(value)
+        super().__setattr__(name, value)
+
+    def _checked_values(self, values) -> np.ndarray:
+        values = np.asarray(values, dtype=complex)
         shape = (self.grid.n_points,) * self._ndim
-        if self.values.shape != shape:
+        if values.shape != shape:
             raise ValueError(f"{type(self).__name__} values must have shape {shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"{type(self).__name__} contains non-finite values")
+        return values
+
+    def __post_init__(self):
         if not 0 < self.hbar < inf:
             raise ValueError("hbar must be positive and finite")
 
@@ -163,20 +172,24 @@ class SampledWavefunction(_Samples):
 class SampledSymbol(_Samples):
     """Complex samples a(x_j, p_k) on the square phase-space grid.
 
-    The samples are read-only: an array that owns its data is frozen in
-    place, and any other input is copied first.  The symbol keeps the
-    state-free stage of the sampled route (_modes) for the last scheme it was
-    applied with, so applying it to many states under one scheme computes
-    that stage once.
+    The samples are read-only, whether given to the constructor or assigned
+    later: an array that owns its data is frozen in place, and any other
+    input is copied first.  The symbol keeps the state-free stage of the
+    sampled route (_modes) for the last scheme it was applied with, so
+    applying it to many states under one scheme computes that stage once.
     """
 
     _ndim = 2
 
+    def _checked_values(self, values) -> np.ndarray:
+        values = super()._checked_values(values)
+        if not values.flags.owndata:
+            values = values.copy()
+        values.flags.writeable = False
+        return values
+
     def __post_init__(self):
         super().__post_init__()
-        if not self.values.flags.owndata:
-            self.values = self.values.copy()
-        self.values.flags.writeable = False
         self._modes_entry = None
 
     def _modes_for(self, scheme: Scheme) -> np.ndarray:
@@ -370,13 +383,23 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
     nodes, weights = _ordering_measure(scheme)
     a = np.arange(-(n // 4), n // 4 + 1)
     b = np.arange(n)
-    # einsum sums in NumPy's own loops; a BLAS matmul of this shape wakes a
-    # thread pool, which on a loaded 2-CPU host cost about 16 ms a call
-    table = np.einsum(
-        "at,tb->ab",
-        np.exp(-2j * pi * np.outer(a, nodes)) * weights,
-        np.exp(-2j * pi * np.outer(nodes, b) / n),
-    ).ravel()
+    left = np.exp(-2j * pi * np.outer(a, nodes)) * weights
+    right = np.exp(-2j * pi * np.outer(nodes, b) / n)
+    # left @ right as one real product: [Re L | Im L] against the rows of
+    # right and of i right, each viewed as interleaved (Re, Im) pairs, so the
+    # result viewed as complex is the table.  A complex einsum took 2.4x as
+    # long at n = 512.  einsum sums in NumPy's own loops; a BLAS matmul of
+    # this shape wakes a thread pool, which on a loaded 2-CPU host cost about
+    # 16 ms a call.
+    table = (
+        np.einsum(
+            "at,tb->ab",
+            np.hstack([left.real, left.imag]),
+            np.vstack([right, 1j * right]).view(float),
+        )
+        .view(complex)
+        .ravel()
+    )
 
     def rows_of(rows: slice) -> np.ndarray:
         q = np.multiply.outer(c[rows], c)
@@ -386,9 +409,10 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
     return rows_of
 
 
-# Rows of the mode multiplier made at a time: small beside the n x n
-# working buffer of _modes, and few enough blocks to cost nothing per block.
-_MULTIPLIER_ROWS = 32
+# Rows made at a time where a whole n x n intermediate would add to the peak
+# (the mode multiplier, the reflection route's transform): small beside an
+# n x n buffer, and few enough blocks to cost nothing per block.
+_BLOCK_ROWS = 32
 
 
 def _modes(a: SampledSymbol, scheme: Scheme) -> np.ndarray:
@@ -403,8 +427,8 @@ def _modes(a: SampledSymbol, scheme: Scheme) -> np.ndarray:
     n = a.grid.n_points
     multiplier_rows = _mode_multiplier(n, scheme)
     modes = _symplectic_values(a)
-    for start in range(0, n, _MULTIPLIER_ROWS):
-        rows = slice(start, start + _MULTIPLIER_ROWS)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         modes[rows] *= multiplier_rows(rows)
     return _cdft(modes, +1, axis=1)  # modes[m, i]: function of x_i
 
@@ -580,19 +604,38 @@ def weyl_via_grossmann_royer(
     """Symmetric-rule application as a superposition of reflections.
 
     out = (1/pi hbar) sum_z a(z) (reflection about z) psi dz; verification
-    route only (the production path is apply_operator).
+    route only (the production path is apply_operator), so it keeps its own
+    gather instead of sharing _modes.
+
+    With modes[m, j] = sum_k a(m, k) exp(i 2pi (k - N/2)(j - N/2)/N), the
+    centred inverse DFT over the momentum index,
+    out_i = (2/N) sum_m modes[m, (N/2 + 2(i - m)) mod N] psi[(2m - i) mod N].
+    That column is even and depends only on (i - m) mod N/2, so both factors
+    are strided views: of the block's even columns, rolled by N/4 and
+    repeated three times, and of psi repeated three times.  A block of rows
+    at a time is transformed, multiplied and added on in the order of m,
+    with the ufuncs a loop over the rows uses, so the result is the same to
+    the last bit and no N x N array is made.
     """
     _check_pair(a, psi)
     n = a.grid.n_points
-    modes = _cdft(a.values.copy(), +1, axis=1)  # over p index k -> spatial index
-    # modes[m, j] = sum_k a(m, k) exp(i 2pi (k - N/2)(j - N/2)/N)
-    i_idx = np.arange(n)
-    out = np.zeros(n, dtype=complex)
-    for m in range(n):
-        doubled = (n // 2 + 2 * (i_idx - m)) % n
-        mirror = (2 * m - i_idx) % n
-        out += modes[m, doubled] * psi.values[mirror]
-    return psi.with_values(out * (2.0 / n))
+    half = n // 2
+    block = min(_BLOCK_ROWS, half)  # divides N/2, so no block wraps past it
+    # tile[r, c] = modes[start + r, 2((c + N/4) mod N/2)]
+    columns = 2 * ((np.arange(3 * half) + n // 4) % half)
+    # mirrored[m, i] = psi[(2m - i) mod N], read forwards in i
+    mirrored = sliding_window_view(np.tile(psi.values[::-1], 3), n)[2 * n - 1 :: -2]
+    # row 0 is the running sum, rows 1.. the block's terms
+    terms = np.zeros((block + 1, n), dtype=complex)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        tile = np.take(_cdft(a.values[rows].copy(), +1, axis=1), columns, axis=1)
+        # row m = start + r reads the tile from column N/2 - (m mod N/2) on
+        skew = half - start % half
+        doubled = sliding_window_view(tile.ravel(), n)[skew :: 3 * half - 1][:block]
+        np.multiply(doubled, mirrored[rows], out=terms[1:])
+        np.add.reduce(terms, axis=0, out=terms[0])
+    return psi.with_values(terms[0] * (2.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +780,26 @@ def hermite_state(grid: UniformGrid, k: int, hbar: float = 1.0) -> SampledWavefu
 def sample_symbol(
     a: SymbolPoly, grid: UniformGrid, hbar: float = 1.0
 ) -> SampledSymbol:
-    """Evaluate a one-dimensional polynomial symbol on the phase-space grid."""
-    x = grid.x_values()
+    """Evaluate a one-dimensional polynomial symbol on the phase-space grid.
+
+    The terms are grouped by their power of x: each distinct power r gets one
+    complex row sum_s c p^s over the momentum grid, and the samples are one
+    product of the real x-powers against those rows, viewed as interleaved
+    (Re, Im) pairs, so it runs in real arithmetic and writes the N x N
+    result once.  A symbol that overflows double precision on the grid gives
+    non-finite samples, which SampledSymbol rejects with one ValueError.
+    """
+    n = grid.n_points
     p = grid.p_values(hbar)
-    values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    for r, s, c in _float_terms(a, hbar):
-        values += c * np.outer(x**r, p**s)
+    p_rows: dict[int, np.ndarray] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, s, c in _float_terms(a, hbar):
+            p_rows[r] = p_rows.get(r, 0) + c * p**s
+        x_powers = np.power.outer(grid.x_values(), np.array(list(p_rows), dtype=float))
+        p_polys = np.array(list(p_rows.values()), dtype=complex).reshape(-1, n)
+        values = np.empty((n, n), dtype=complex)
+        # einsum, not @: see _mode_multiplier
+        np.einsum("ir,rk->ik", x_powers, p_polys.view(float), out=values.view(float))
     return SampledSymbol(grid, values, hbar)
 
 

@@ -80,6 +80,18 @@ def _random_state(grid, seed=1, hbar=1.0):
     return psi.with_values(psi.values / psi.norm())
 
 
+def _traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated during call()."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGridBasics:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -116,6 +128,20 @@ class TestGridBasics:
             SampledWavefunction(grid, np.zeros(32))
         with pytest.raises(ValueError):
             SampledWavefunction(grid, np.full(64, np.nan))
+
+    def test_assigned_values_are_validated(self):
+        grid = UniformGrid(64, 16.0)
+        a = SampledSymbol(grid, np.zeros((64, 64), complex))
+        with pytest.raises(ValueError, match=r"SampledSymbol values must have shape \(64, 64\)"):
+            a.values = np.zeros((32, 32))
+        psi = gaussian_state(grid)
+        with pytest.raises(ValueError, match="SampledWavefunction values must have shape"):
+            psi.values = np.zeros((64, 64))
+        for samples, bad in ((a, np.full((64, 64), np.inf)), (psi, np.full(64, np.nan))):
+            with pytest.raises(ValueError, match="contains non-finite values"):
+                samples.values = bad
+        # a rejected assignment leaves the old samples in place
+        assert a.values.shape == (64, 64) and np.isfinite(psi.values).all()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -404,15 +430,15 @@ class TestSampledRouteOracle:
                 assert np.max(np.abs(table - direct)) < 1e-12
             sinc = np.exp(-0.5j * theta) * np.sinc(theta / (2 * np.pi))
             assert np.max(np.abs(_mode_multiplier(n, BJSinc())(slice(None)) - sinc)) < 1e-12
-        n = 256
-        m = np.arange(n) - n // 2
-        theta = 2 * np.pi * np.outer(m, m) / n
-        nodes, weights = np.polynomial.legendre.leggauss(8)
-        direct = sum(
-            w / 2 * np.exp(-1j * (t + 1) / 2 * theta) for t, w in zip(nodes, weights)
-        )
-        table = _mode_multiplier(n, BJQuadrature(8))(slice(None))
-        assert np.max(np.abs(table - direct)) < 1e-12
+        for n, order in ((256, 8), (512, 16), (512, 5)):
+            m = np.arange(n) - n // 2
+            theta = 2 * np.pi * np.outer(m, m) / n
+            nodes, weights = np.polynomial.legendre.leggauss(order)
+            direct = sum(
+                w / 2 * np.exp(-1j * (t + 1) / 2 * theta) for t, w in zip(nodes, weights)
+            )
+            table = _mode_multiplier(n, BJQuadrature(order))(slice(None))
+            assert np.max(np.abs(table - direct)) < 1e-12, (n, order)
 
     def test_poly_quadrature_averages_weights(self):
         # one pass with averaged ordering weights equals the average of the
@@ -470,12 +496,16 @@ class TestReusedModes:
         apply_operator(a, psi, WeylScheme())
         a.values = other.values
         assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, want)
-        # samples assigned writeable are never served from the entry
-        writeable = other.values.copy()
-        a.values = writeable
-        apply_operator(a, psi, WeylScheme())
-        writeable *= 2
+        # an assigned writeable array is frozen like the constructor's, and
+        # the next apply reads it
+        doubled = 2 * other.values
+        a.values = doubled
+        assert a.values is doubled and not doubled.flags.writeable
         assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, 2 * want)
+        # samples made writeable again are never served from the entry
+        doubled.flags.writeable = True
+        doubled *= 2
+        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, 4 * want)
 
     def test_each_scheme_gets_its_own_result(self):
         grid = _grid(512)
@@ -508,19 +538,12 @@ class TestReusedModes:
         # one N x N complex array at N = 512 is 4 MiB; a miss may hold at
         # most three of them at once (the working buffer, which becomes the
         # kept modes, and the multiplier's table are about 6.4 MiB)
-        import tracemalloc
-
         grid = _grid(512)
         psi = hermite_state(grid, 3)
         a = _smooth_symbol(grid)
         for scheme in (WeylScheme(), TauScheme(0.3), BJSinc(), BJQuadrature(16)):
             fresh = SampledSymbol(grid, a.values.copy())
-            tracemalloc.start()
-            try:
-                apply_operator(fresh, psi, scheme)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = _traced_peak(lambda: apply_operator(fresh, psi, scheme))
             assert peak < 3 * 4 * 2**20, (scheme, peak)
 
 
@@ -660,6 +683,84 @@ class TestOrderingWeights:
         from bjcalc.numeric import _ordering_weights
 
         assert _ordering_weights(TauScheme(-3.0))(600)[0] == np.inf
+
+
+class TestSampleSymbol:
+    @staticmethod
+    def _outer_sum(a, grid, hbar):
+        """One N x N outer product per term, summed term by term."""
+        x, p = grid.x_values(), grid.p_values(hbar)
+        values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+        for ((r,), (s,)), coeff in a.terms.items():
+            values += coeff.to_complex(hbar) * np.outer(x**r, p**s)
+        return values
+
+    @pytest.mark.parametrize("text", [
+        "1/2*x^2 - 1/3*x*p + 2/5*p^2 + 3/4*x - p + 1",
+        "x^12*p - 3*x^7 + x^2*p^5 - 2/7*p^3",  # gaps in the x-powers
+        "(i*x + hbar*p)^3 - 5*i*hbar^2*x^12 + hbar*x^4*p^2",
+        "0",
+    ])
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_matches_per_term_outer_sum(self, text, n):
+        grid, hbar = UniformGrid(n, 12.0), 0.7
+        a = parse(text)
+        got = sample_symbol(a, grid, hbar).values
+        want = self._outer_sum(a, grid, hbar)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), text
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sample_symbol(parse("x1*p2", 2), _grid(16))
+
+    @pytest.mark.parametrize("text", ["x^400", "p^400", "x^200*p^200"])
+    def test_overflow_raises_one_error(self, text):
+        a = parse(text, max_degree=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^SampledSymbol contains non-finite values$"):
+                sample_symbol(a, UniformGrid(64, 20.0))
+
+    def test_peak_memory(self):
+        # one N x N complex array at N = 512 is 4 MiB; the samples are
+        # written once, so the peak is that array and a few grid rows
+        a = parse("1/2*x^2 - 1/3*x*p + 2/5*p^2 + 3/4*x - p + 1")
+        peak = _traced_peak(lambda: sample_symbol(a, _grid(512)))
+        assert peak <= 9 * 2**20, peak
+
+
+class TestReflectionRouteOracle:
+    @staticmethod
+    def _row_loop(a, psi):
+        """The reflection superposition gathered one row m at a time."""
+        from bjcalc.numeric import _cdft
+
+        n = a.grid.n_points
+        modes = _cdft(a.values.copy(), +1, axis=1)
+        i_idx = np.arange(n)
+        out = np.zeros(n, dtype=complex)
+        for m in range(n):
+            doubled = (n // 2 + 2 * (i_idx - m)) % n
+            mirror = (2 * m - i_idx) % n
+            out += modes[m, doubled] * psi.values[mirror]
+        return out * (2.0 / n)
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_matches_row_loop_exactly(self, n):
+        grid = UniformGrid(n, 20.0)
+        for seed in range(2):
+            a = _smooth_symbol(grid, seed=seed)
+            psi = _random_state(grid, seed=seed + 1)
+            got = weyl_via_grossmann_royer(a, psi).values
+            assert np.array_equal(got, self._row_loop(a, psi))
+
+    def test_peak_memory(self):
+        # at most one N x N complex array (4 MiB at N = 512) beyond the
+        # transform's: the tile of even columns is 3/4 of the whole transform
+        grid = _grid(512)
+        a, psi = _smooth_symbol(grid), hermite_state(grid, 2)
+        peak = _traced_peak(lambda: weyl_via_grossmann_royer(a, psi))
+        assert peak <= 8.5 * 2**20, peak
 
 
 class TestSymbolConversionOnGrid:
