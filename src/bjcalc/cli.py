@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import symlang
 from .exact import ExactScalar, SymbolPoly
-from .operators import OpPoly
+from .operators import MAX_TOTAL_DEGREE, OpPoly
 from .quantize import BornJordan, Tau, Weyl, quantize_monomial, quantize_symbol, tau_average
 from .transforms import (
     CoeffTable,
@@ -182,6 +182,36 @@ def _named_symbol(text: str, grid: UniformGrid, hbar: float, max_degree: int):
     return named
 
 
+def _check_printable(a: SymbolPoly, compute) -> None:
+    """Raise the print limit's error before computing, where it is certain.
+
+    Every quantization and conversion here is a series in
+    D = sum_j d_xj d_pj (the quantizer's normal order included), so the
+    result's entries at one monomial X, whatever their power of hbar, come
+    from a's entries at X + (g, g) alone, g a multi-index.  X is where D
+    takes the entry of a it can act on most often.  When those entries are
+    not all of a, they are computed alone: if one of their coefficients at X
+    has too many digits to print, so has the full result, whose computation
+    at an ordering parameter of many digits can take minutes.
+    """
+    n = a.dim
+    top = max(a._num, key=lambda key: sum(map(min, key[:n], key[n:2 * n])), default=None)
+    if top is None:
+        return
+    g = tuple(map(min, top[:n], top[n:2 * n]))
+    head = tuple(e - gj for e, gj in zip(top[:2 * n], g + g))
+    part = {key: value for key, value in a._num.items()
+            if all(x - x0 == p - p0 >= 0 for x, p, x0, p0
+                   in zip(key[:n], key[n:2 * n], head[:n], head[n:]))}
+    if len(part) == len(a._num):
+        return
+    out = compute(SymbolPoly._from_flat(n, part, a._den))
+    for key, (re, im) in out._num.items():
+        if key[:2 * n] == head:
+            symlang._format_rational(re, out._den)
+            symlang._format_rational(im, out._den)
+
+
 # ---------------------------------------------------------------------------
 # JSON emission
 # ---------------------------------------------------------------------------
@@ -228,6 +258,8 @@ def _cmd_quantize(args, out) -> int:
     tau = _calc_point(rule_text)
     rule = BornJordan() if tau is None else Tau(tau)
     a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
+    if a.total_degree() <= MAX_TOTAL_DEGREE:  # else quantize_symbol rejects it at once
+        _check_printable(a, lambda part: quantize_symbol(rule, part))
     op = quantize_symbol(rule, a)
     if args.output == "json":
         _emit_json(_poly_json("oppoly", op), out)
@@ -267,6 +299,7 @@ def _cmd_convert(args, out) -> int:
             f"unknown direction {d!r} (expected bj-to-weyl, weyl-to-bj, "
             "bj-to-tau:VALUE, or tau-shift:FROM:TO)"
         )
+    _check_printable(a, lambda part: _convert_between(part, s, t))
     result = _convert_between(a, s, t)
     if args.output == "json":
         _emit_json(_poly_json("symbol", result), out)

@@ -120,8 +120,9 @@ class UniformGrid:
 @dataclass
 class _Samples:
     """Validated complex samples on a UniformGrid at a given hbar: `_ndim`
-    axes of grid.n_points samples each.  Every assignment of `values`, the
-    constructor's included, goes through _checked_values."""
+    axes of grid.n_points samples each.  Every assignment of a field, the
+    constructor's included, is checked in __setattr__: `values` through
+    _checked_values, a `grid` against the samples it would hold, and hbar."""
 
     grid: UniformGrid
     values: np.ndarray
@@ -132,20 +133,23 @@ class _Samples:
     def __setattr__(self, name, value):
         if name == "values":
             value = self._checked_values(value)
+        elif name == "grid" and hasattr(self, "values"):
+            self._check_shape(self.values, value)
+        elif name == "hbar" and not 0 < value < inf:
+            raise ValueError("hbar must be positive and finite")
         super().__setattr__(name, value)
+
+    def _check_shape(self, values: np.ndarray, grid: UniformGrid) -> None:
+        shape = (grid.n_points,) * self._ndim
+        if values.shape != shape:
+            raise ValueError(f"{type(self).__name__} values must have shape {shape}")
 
     def _checked_values(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=complex)
-        shape = (self.grid.n_points,) * self._ndim
-        if values.shape != shape:
-            raise ValueError(f"{type(self).__name__} values must have shape {shape}")
+        self._check_shape(values, self.grid)
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{type(self).__name__} contains non-finite values")
         return values
-
-    def __post_init__(self):
-        if not 0 < self.hbar < inf:
-            raise ValueError("hbar must be positive and finite")
 
     def with_values(self, values: np.ndarray):
         """The same grid and hbar with new samples."""
@@ -180,6 +184,7 @@ class SampledSymbol(_Samples):
     """
 
     _ndim = 2
+    _modes_entry = None  # (values, scheme, modes) of the last scheme applied
 
     def _checked_values(self, values) -> np.ndarray:
         values = super()._checked_values(values)
@@ -187,10 +192,6 @@ class SampledSymbol(_Samples):
             values = values.copy()
         values.flags.writeable = False
         return values
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._modes_entry = None
 
     def _modes_for(self, scheme: Scheme) -> np.ndarray:
         """_modes(self, scheme), from the one kept entry when it was computed

@@ -11,14 +11,29 @@ Grammar (EBNF):
 Implicit multiplication is rejected.  In one dimension bare "x"/"p" alias
 "x1"/"p1".  format() emits the canonical form that parse() reads back
 exactly.
+
+The parser works monomial-first.  A term folds its run of atoms (numbers,
+i, hbar, variables and their powers) into one monomial, and forms a map
+product only for parenthesised factors; a sum adds its terms into one map
+over the lcm of their denominators.  Zero entries are dropped and the gcd
+divided out once per sum or product, so the term-product budget counts the
+same terms as a product of canonical symbols would, and each value carries
+its degree, so the degree budget recomputes nothing.  Inside the parse a
+key is one int of fixed-width slots, so the key of a term product is one
+addition; the width comes from the text, as the bits of a bound on the
+degree of every intermediate (see _field_width), and the keys are decoded
+into the flat tuples of exact.py once, at the end.  The formatter makes the
+text of each (variable, exponent) factor once per call and each term with
+one join.  A coefficient too long to print (sys.get_int_max_str_digits())
+is an error; the command line finds it before the work where it is certain.
 """
 
 from __future__ import annotations
 
 import sys
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
-from .exact import _N_SCALAR, HBAR, SymbolPoly
+from .exact import SymbolPoly, _canonical, parse_var
 from .operators import OpPoly
 
 MAX_DEPTH = 256
@@ -93,16 +108,122 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+#
+# A value is a monomial (key, re, im, den) or a polynomial (num, deg, den):
+# num maps keys to Gaussian-integer numerators (re, im) over den, with no
+# zero entry, and deg is the total degree in x and p (0 for zero).  A key
+# is one int of slots `width` bits wide: x_1..x_n, p_1..p_n, hbar, tau (the
+# slots of the flat key, in its order), then the degree in x and p.  So the
+# key of a product is one addition, and a polynomial's degree is its
+# largest key shifted down.
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _exponent_bound(text: str) -> int:
+    """An exponent literal's value, counted as MAX_EXPONENT when it is
+    larger: the parser rejects such a literal where it reaches it."""
+    digits = text.lstrip("0")
+    if len(digits) > len(str(MAX_EXPONENT)):
+        return MAX_EXPONENT
+    return min(int(digits or "0"), MAX_EXPONENT)
+
+
+# the tokens after which a '-' is unary
+_BEFORE_UNARY = frozenset(("(", "*", "^", "/", "+", "-"))
+
+
+def _field_width(tokens: list[_Token], kinds: list[str]) -> int:
+    """Bits per key slot: those of a bound on the total degree (hbar
+    included) of every intermediate, and one spare bit.  Without a power
+    the identifier count is such a bound.  Otherwise one pass over the
+    tokens computes it: an identifier counts 1, a number 0, a product adds,
+    a sum takes the larger and a power multiplies by its exponent literal.
+    Adjacent atoms add, as a product would, so a text the parser rejects
+    still bounds what it forms before the error."""
+    if "^" not in kinds:
+        return kinds.count("ident").bit_length() + 1
+    outer = []  # (largest term, current term) of each enclosing group
+    largest = term = factor = 0
+    prev = "("
+    for tok in tokens:
+        kind = tok.kind
+        if kind == "int" and prev == "^":
+            factor *= max(1, _exponent_bound(tok.text))
+        elif kind == "ident" or kind == "int":
+            term += factor
+            factor = 1 if kind == "ident" else 0
+        elif kind == "(":
+            outer.append((largest, term + factor))
+            largest = term = factor = 0
+        elif kind == "+" or (kind == "-" and prev not in _BEFORE_UNARY):
+            largest = max(largest, term + factor)
+            term = factor = 0
+        elif kind == ")" or kind == "eof":
+            # an unmatched ")" ends the parse; at the end, close every group
+            while outer:
+                factor = max(largest, term + factor)
+                largest, term = outer.pop()
+                if kind == ")":
+                    break
+        prev = kind
+    return max(largest, term + factor).bit_length() + 1
+
+
+def _size(value) -> int:
+    """Term count."""
+    if len(value) == 4:
+        return 1 if value[1] or value[2] else 0
+    return len(value[0])
+
+
+def _negate(value):
+    if len(value) == 4:
+        key, re, im, den = value
+        return key, -re, -im, den
+    num, deg, den = value
+    return {key: (-re, -im) for key, (re, im) in num.items()}, deg, den
+
+
+def _gaussian_power(re: int, im: int, n: int) -> tuple[int, int]:
+    """(re + i im)^n."""
+    if not im:
+        return re ** n, 0
+    out_re, out_im = 1, 0
+    for _ in range(n):
+        out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+    return out_re, out_im
+
+
+def _product(a, b):
+    """Product of two polynomials, zero entries dropped and reduced."""
+    (n1, g1, d1), (n2, g2, d2) = a, b
+    out = {}
+    get = out.get
+    for k1, (re1, im1) in n1.items():
+        for k2, (re2, im2) in n2.items():
+            key = k1 + k2
+            re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
+            prev = get(key)
+            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    num, den = _canonical(out, d1 * d2)
+    # exact: leading forms multiply in an integral domain
+    return num, g1 + g2 if num else 0, den
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token], dim: int, max_degree: int | None):
         self.tokens = tokens
+        self.kinds = [tok.kind for tok in tokens]
         self.pos = 0
         self.dim = dim
         self.depth = 0
         self.max_degree = max_degree
         self.products = 0
+        width = self.width = _field_width(tokens, self.kinds)
+        self.deg_shift = (2 * dim + 2) * width
+        # the monomial of each identifier read so far
+        self.atoms = {"i": (0, 0, 1, 1), "hbar": (1 << 2 * dim * width, 1, 0, 1)}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -121,28 +242,18 @@ class _Parser:
         return self.advance()
 
     def _enter(self):
+        # no matching decrement on an error: it ends the parse
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise SymLangError("expression too deeply nested", self.peek().pos)
 
-    def _leave(self):
-        self.depth -= 1
-
-    def parse_expr(self) -> SymbolPoly:
-        self._enter()
-        try:
-            acc = self.parse_term()
-            while self.peek().kind in ("+", "-"):
-                op = self.advance()
-                rhs = self.parse_term()
-                acc = acc + rhs if op.kind == "+" else acc - rhs
-            return acc
-        finally:
-            self._leave()
+    def _degree(self, value) -> int:
+        if len(value) == 4:
+            key, re, im, _ = value
+            return key >> self.deg_shift if re or im else 0
+        return value[1]
 
     def _check_degree(self, degree: int, what: str, tok: _Token) -> None:
-        # exact: leading forms multiply in an integral domain, so a product
-        # of nonzero polynomials has the sum of their degrees
         if degree > self.max_degree:
             raise SymLangError(
                 f"{what} degree {degree} exceeds max degree {self.max_degree}", tok.pos
@@ -156,90 +267,167 @@ class _Parser:
                 f"expansion exceeds {MAX_TERM_PRODUCTS} term products", tok.pos
             )
 
-    def parse_term(self) -> SymbolPoly:
-        acc = self.parse_factor()
-        while self.peek().kind == "*":
-            star = self.advance()
-            factor = self.parse_factor()
-            if self.max_degree is not None:
-                self._check_degree(
-                    acc.total_degree() + factor.total_degree(), "product", star
-                )
-            self._charge(len(acc._num) * len(factor._num), star)
-            acc = acc * factor
-        return acc
-
-    def parse_factor(self) -> SymbolPoly:
-        base = self.parse_atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                raise SymLangError(
-                    "exponent must be a non-negative integer literal",
-                    tok.pos if tok.kind != "eof" else caret.pos,
-                )
-            self.advance()
-            exponent = int(tok.text)
-            if exponent > MAX_EXPONENT:
-                raise SymLangError(f"exponent exceeds limit {MAX_EXPONENT}", tok.pos)
-            if self.max_degree is not None:
-                self._check_degree(base.total_degree() * exponent, "power", caret)
-            self._charge(_power_products(base, exponent), caret)
-            return base ** exponent
-        return base
-
-    def parse_atom(self) -> SymbolPoly:
+    def parse_expr(self):
+        """The terms summed into one map over the lcm of their denominators."""
         self._enter()
-        try:
-            tok = self.peek()
-            if tok.kind == "int":
-                self.advance()
-                num = int(tok.text)
-                if self.peek().kind == "/":
-                    self.advance()
-                    den_tok = self.expect("int")
-                    den = int(den_tok.text)
-                    if den == 0:
-                        raise SymLangError("zero denominator", den_tok.pos)
-                    return self._constant(num, 0, den)
-                return self._constant(num)
-            if tok.kind == "ident":
-                self.advance()
-                return self._resolve_ident(tok)
-            if tok.kind == "(":
-                self.advance()
-                inner = self.parse_expr()
-                self.expect(")")
-                return inner
-            if tok.kind == "-":
-                # negation applies after exponentiation so that the canonical
-                # form "-x^2" round-trips as -(x^2)
-                self.advance()
-                return -self.parse_factor()
+        kinds = self.kinds
+        terms = [(self.parse_term(), 1)]
+        sign = _SIGNS.get(kinds[self.pos])
+        while sign:
+            self.pos += 1
+            terms.append((self.parse_term(), sign))
+            sign = _SIGNS.get(kinds[self.pos])
+        self.depth -= 1
+        if len(terms) == 1:
+            return terms[0][0]
+        den = lcm(*[value[-1] for value, _ in terms])
+        out = {}
+        get = out.get
+        for value, sign in terms:
+            f = den // value[-1] * sign
+            entries = value[0].items() if len(value) == 3 else ((value[0], value[1:3]),)
+            for key, (re, im) in entries:
+                if f != 1:
+                    re, im = re * f, im * f
+                prev = get(key)
+                out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        num, den = _canonical(out, den)
+        return num, max(num) >> self.deg_shift if num else 0, den
+
+    def parse_term(self):
+        """The factors' monomials multiplied into one, times the product of
+        the polynomial factors, so a run of atoms costs no map product.  The
+        budgets are checked at each '*' on the product so far, as if it were
+        formed there."""
+        key, re, im, den = 0, 1, 0, 1
+        poly = None
+        star = None
+        kinds = self.kinds
+        while True:
+            factor = self.parse_atom()
+            if kinds[self.pos] == "^":
+                factor = self._power(factor)
+            if star is not None:
+                # the product so far is the monomial times poly
+                size = (1 if re or im else 0) * (1 if poly is None else len(poly[0]))
+                if self.max_degree is not None:
+                    degree = (key >> self.deg_shift) + (0 if poly is None else poly[1])
+                    self._check_degree((degree if size else 0) + self._degree(factor),
+                                       "product", star)
+                self._charge(size * _size(factor), star)
+            if len(factor) == 4:
+                k, r, i, d = factor
+                key += k
+                den *= d
+                re, im = re * r - im * i, re * i + im * r
+            elif poly is None:
+                poly = factor
+            elif re or im:  # a zero monomial makes the term zero
+                poly = _product(poly, factor)
+            if kinds[self.pos] != "*":
+                break
+            star = self.advance()
+        if poly is None:
+            return key, re, im, den
+        if not (re or im) or not poly[0]:
+            return {}, 0, 1
+        if key == 0 and re == 1 and im == 0 and den == 1:
+            return poly
+        num, deg, d = poly
+        num = {k + key: (a * re - b * im, a * im + b * re) for k, (a, b) in num.items()}
+        return num, deg + (key >> self.deg_shift), d * den
+
+    def parse_factor(self):
+        base = self.parse_atom()
+        return self._power(base) if self.kinds[self.pos] == "^" else base
+
+    def _power(self, base):
+        """base ^ the exponent literal at the next tokens."""
+        caret = self.advance()
+        tok = self.peek()
+        if tok.kind != "int":
+            raise SymLangError(
+                "exponent must be a non-negative integer literal",
+                tok.pos if tok.kind != "eof" else caret.pos,
+            )
+        self.advance()
+        exponent = int(tok.text)
+        if exponent > MAX_EXPONENT:
+            raise SymLangError(f"exponent exceeds limit {MAX_EXPONENT}", tok.pos)
+        if self.max_degree is not None:
+            self._check_degree(self._degree(base) * exponent, "power", caret)
+        if len(base) == 4:
+            key, re, im, den = base
+            self._charge(exponent if re or im else 0, caret)
+            return (key * exponent, *_gaussian_power(re, im, exponent), den ** exponent)
+        self._charge(_power_products(self.finish(base), exponent), caret)
+        if exponent == 0:
+            return 0, 1, 0, 1
+        power = base
+        for _ in range(exponent - 1):
+            power = _product(power, base)
+        return power
+
+    def parse_atom(self):
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "int" or kind == "ident":
+            if self.depth >= MAX_DEPTH:
+                raise SymLangError("expression too deeply nested", tok.pos)
+            self.pos += 1
+            if kind == "ident":
+                atom = self.atoms.get(tok.text)
+                if atom is None:
+                    atom = self.atoms[tok.text] = self._variable(tok)
+                return atom
+            num = int(tok.text)
+            if self.kinds[self.pos] != "/":
+                return 0, num, 0, 1
+            self.pos += 1
+            den_tok = self.expect("int")
+            den = int(den_tok.text)
+            if den == 0:
+                raise SymLangError("zero denominator", den_tok.pos)
+            return 0, num, 0, den
+        self._enter()
+        if kind == "(":
+            self.pos += 1
+            value = self.parse_expr()
+            self.expect(")")
+        elif kind == "-":
+            # negation applies after exponentiation so that the canonical
+            # form "-x^2" round-trips as -(x^2)
+            self.pos += 1
+            value = _negate(self.parse_factor())
+        else:
             raise SymLangError(
                 f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
             )
-        finally:
-            self._leave()
+        self.depth -= 1
+        return value
 
-    def _constant(self, re: int, im: int = 0, den: int = 1) -> SymbolPoly:
-        """(re + i im)/den."""
-        key = (0,) * (2 * self.dim + _N_SCALAR)
-        return SymbolPoly._from_flat(self.dim, {key: (re, im)}, den)
-
-    def _resolve_ident(self, tok: _Token) -> SymbolPoly:
+    def _variable(self, tok: _Token):
         name = tok.text
-        if name == "i":
-            return self._constant(0, 1)
-        if name == "hbar":
-            return SymbolPoly.constant(self.dim, HBAR)
         if name[0] not in "xp":
             raise SymLangError(f"unknown identifier {name!r}", tok.pos)
         try:
-            return SymbolPoly.variable(self.dim, name)
+            block, j = parse_var(name, self.dim)
         except ValueError as exc:
             raise SymLangError(str(exc), tok.pos) from None
+        slot = j if block == "x" else self.dim + j
+        return (1 << slot * self.width) + (1 << self.deg_shift), 1, 0, 1
+
+    def finish(self, value) -> SymbolPoly:
+        """The symbol of a value, its keys decoded into flat tuples."""
+        if len(value) == 4:
+            key, re, im, den = value
+            value = {key: (re, im)}, 0, den
+        num, _, den = value
+        w = self.width
+        mask = (1 << w) - 1
+        keys = list(num)
+        columns = [[(key >> shift) & mask for key in keys] for shift in range(0, self.deg_shift, w)]
+        return SymbolPoly._from_flat(self.dim, dict(zip(zip(*columns), num.values())), den)
 
 
 def _power_products(base: SymbolPoly, exponent: int) -> int:
@@ -276,13 +464,13 @@ def parse(text: str, dim: int = 1, max_degree: int | None = None) -> SymbolPoly:
     if not isinstance(text, str):
         raise TypeError("input must be a string")
     parser = _Parser(_tokenize(text), dim, max_degree)
-    result = parser.parse_expr()
+    value = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise SymLangError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
     if max_degree is not None:
-        parser._check_degree(result.total_degree(), "symbol", parser.tokens[0])
-    return result
+        parser._check_degree(parser._degree(value), "symbol", parser.tokens[0])
+    return parser.finish(value)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +510,6 @@ def _coeff_factors(re: int, im: int, den: int) -> list[str]:
     return [f"({_format_rational(re, den)}{sign}{im_part})"]
 
 
-def _var_factors(names, exps: tuple[int, ...]) -> list[str]:
-    out = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            out.append(name)
-        elif e > 1:
-            out.append(f"{name}^{e}")
-    return out
-
-
 _SCALAR_NAMES = ("hbar", "tau")
 
 
@@ -356,19 +534,29 @@ def _names(poly) -> list[str]:
 
 def _format_poly(poly) -> str:
     """Canonical text of a flat map, in the order of _sorted_entries; each
-    term is its coefficient, then hbar, tau, then the variables."""
-    names, den = _names(poly), poly._den
-    m = len(names)
+    term is its coefficient, then hbar, tau, then the variables.  The text
+    of each (slot, exponent) factor is made once per call."""
+    m, den = poly._width, poly._den
+    names = _names(poly) + list(_SCALAR_NAMES)  # by slot of the flat key
+    order = (m, m + 1, *range(m))
     items = _sorted_entries(poly)
     if not items:
         return "0"
+    factor_text = [{1: name} for name in names]  # [slot][exponent]
     out = []
     for key, (re, im) in items:
         negative = re < 0 or (re == 0 and im < 0)
         if negative:
             re, im = -re, -im
-        factors = (_coeff_factors(re, im, den) + _var_factors(_SCALAR_NAMES, key[m:])
-                   + _var_factors(names, key[:m]))
+        factors = _coeff_factors(re, im, den)
+        for slot in order:
+            e = key[slot]
+            if e:
+                texts = factor_text[slot]
+                text = texts.get(e)
+                if text is None:
+                    text = texts[e] = f"{names[slot]}^{e}"
+                factors.append(text)
         out.append(" - " if negative else " + ")
         out.append("*".join(factors) if factors else "1")
     out[0] = "-" if out[0] == " - " else ""

@@ -631,6 +631,8 @@ ERROR_PATHS = [
      "SampledWavefunction contains non-finite values"),
     (["--hbar", "1e300", "--box", "1e300", "--max-degree", "200", "apply", "monomial:0:80",
       "hermite:0"], 2, "the result's norm exceeds the double range"),
+    (["quantize", "tau:1e-900", "(x+p)^64"], 2,
+     "a coefficient has more than 4300 digits, too many to print"),
 ]
 
 
@@ -647,6 +649,32 @@ def test_apply_prints_a_finite_norm(argv):
     assert (code, err) == (0, "")
     norm = float(out.splitlines()[1].removeprefix("norm="))
     assert 0 < norm < float("inf")
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "tau:1e-900", "(x+p)^64"],
+    ["quantize", "tau:1e-200", "(x+p)^64"],
+    ["convert", "bj-to-tau:1e-300", "(x+p)^64"],
+    ["--output", "json", "convert", "tau-shift:1e-900:1/2", "x*p + (x+p)^64"],
+    ["--dim", "2", "quantize", "tau:1e-900", "(x1+p1+x2+p2)^20 + hbar*x1*p2"],
+    ["--dim", "3", "convert", "bj-to-tau:1e-900", "(x1+p1+x2+p2+x3+p3)^12"],
+])
+def test_unprintable_result_is_rejected_before_the_work(argv):
+    # the full computation takes seconds to minutes before printing fails
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: a coefficient has more than 4300 digits, too many to print\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["quantize", "tau:1e-900", "x*p"], "xhat*phat - (1/" + "1" + "0" * 900 + ")*i*hbar\n"),
+    (["quantize", "tau:1e-200", "(x+p)^2"],
+     "xhat^2 + 2*xhat*phat + phat^2 - (1/" + "5" + "0" * 199 + ")*i*hbar\n"),
+])
+def test_printable_result_with_a_long_parameter(argv, text):
+    assert run(argv) == (0, text, "")
 
 
 @pytest.mark.parametrize("case, expected, fragment", ERROR_PATHS)

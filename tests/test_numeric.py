@@ -143,6 +143,29 @@ class TestGridBasics:
         # a rejected assignment leaves the old samples in place
         assert a.values.shape == (64, 64) and np.isfinite(psi.values).all()
 
+    def test_assigned_hbar_is_validated(self):
+        grid = UniformGrid(64, 16.0)
+        for samples in (gaussian_state(grid), SampledSymbol(grid, np.zeros((64, 64), complex))):
+            for bad in (-1.0, 0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="hbar must be positive and finite"):
+                    samples.hbar = bad
+            assert samples.hbar == 1.0
+            samples.hbar = 2.0
+            assert samples.hbar == 2.0
+
+    def test_assigned_grid_must_fit_the_samples(self):
+        psi = gaussian_state(UniformGrid(64, 16.0))
+        with pytest.raises(ValueError, match=r"SampledWavefunction values must have shape \(32,\)"):
+            psi.grid = UniformGrid(32, 16.0)
+        assert psi.grid == UniformGrid(64, 16.0)
+        assert np.isclose(psi.norm(), 1.0)
+        a = SampledSymbol(UniformGrid(64, 16.0), np.zeros((64, 64), complex))
+        with pytest.raises(ValueError, match=r"SampledSymbol values must have shape \(32, 32\)"):
+            a.grid = UniformGrid(32, 16.0)
+        # the same number of points on another box is a valid grid for the samples
+        psi.grid = UniformGrid(64, 20.0)
+        assert psi.grid.length == 20.0
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             BJQuadrature(1)

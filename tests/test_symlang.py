@@ -1,5 +1,6 @@
 """Parser and canonical formatter for the symbol language."""
 
+import hashlib
 import random
 import re
 import time
@@ -20,7 +21,7 @@ from bjcalc.symlang import (
     parse,
 )
 from bjcalc.operators import OpPoly
-from bjcalc.quantize import BornJordan, Weyl, quantize_symbol
+from bjcalc.quantize import BornJordan, Tau, Weyl, quantize_symbol
 
 
 def _random_symbol(rng, dim, max_deg=6, n_terms=4):
@@ -265,6 +266,117 @@ class TestAgainstEvaluator:
                 assert _evaluate_poly(a, point, aliases) == _evaluate_text(text, point), text
 
 
+def _linear_form(rng, names):
+    """A rational linear form in every variable, written as the benchmark
+    writes its symbols: (text, SymbolPoly built without the parser)."""
+    dim = len(names) // 2
+    text, poly = "", SymbolPoly.zero(dim)
+    for j, name in enumerate(names):
+        q = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        negative = rng.random() < 0.4
+        if not text:
+            text = ("-" if negative else "") + f"{q}*{name}"
+        else:
+            text += f" {'-' if negative else '+'} {q}*{name}"
+        block, index = ("x", j) if j < dim else ("p", j - dim)
+        poly = poly + SymbolPoly.variable(dim, (block, index)).scale(
+            ExactScalar.rational(-q if negative else q))
+    return f"({text})", poly
+
+
+def _names_of(dim):
+    return ["x", "p"] if dim == 1 else [f"{b}{j + 1}" for b in "xp" for j in range(dim)]
+
+
+class TestParserShapes:
+    """The shapes the parser folds or packs: runs of atoms, products of
+    rational linear forms, exponents past any fixed field width, and sums
+    and products that cancel."""
+
+    @pytest.mark.parametrize("dim, factors", [
+        (1, 2), (1, 5), (1, 9), (1, 14), (2, 2), (2, 5), (2, 9), (2, 14),
+        (3, 2), (3, 5), (3, 9), (3, 14),
+    ])
+    def test_products_of_linear_forms(self, dim, factors):
+        rng = random.Random(1000 * dim + factors)
+        names = _names_of(dim)
+        forms = [_linear_form(rng, names) for _ in range(factors)]
+        text = "*".join(form for form, _ in forms)
+        a = parse(text, dim)
+        expected = forms[0][1]
+        for _, poly in forms[1:]:
+            expected = expected * poly
+        assert a == expected and a._den == expected._den
+        assert len(a._num) == comb(factors + 2 * dim - 1, 2 * dim - 1)
+        aliases = ["x1", "p1"] if dim == 1 else names
+        point = {n: Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for n in names + ["hbar"]}
+        point.update(zip(aliases, (point[n] for n in names)))
+        assert _evaluate_poly(a, point, aliases) == _evaluate_text(text, point)
+
+    def test_runs_of_atoms(self):
+        for text in ["3/4*x*2*hbar*p*i*x", "-2*i*hbar^2*x1^3*p2*1/3", "0*x^40*p", "x*x*x*p^0"]:
+            dim = 2 if "x1" in text else 1
+            names = _names_of(dim)
+            aliases = ["x1", "p1"] if dim == 1 else names
+            point = {n: Fraction(k + 2, 3) for k, n in enumerate(names + ["hbar"])}
+            point.update(zip(aliases, (point[n] for n in names)))
+            assert _evaluate_poly(parse(text, dim), point, aliases) == _evaluate_text(text, point)
+
+    def test_exponents_past_any_fixed_width(self):
+        assert parse("(hbar^1000)^1000", 1, 64) == SymbolPoly.constant(1, ExactScalar.hbar(10**6))
+        a = parse("(x^1000*p^999*hbar^1000)^1000 + (x1^3)^0", 1)
+        assert set(a._num) == {(10**6, 999_000, 10**6, 0), (0, 0, 0, 0)}
+        b = parse("(x2^1000*p1)^1000*(p3^1000)^1000 - hbar", 3)
+        assert set(b._num) == {(0, 10**6, 0, 1000, 0, 10**6, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0)}
+
+    @pytest.mark.parametrize("levels, exponent", [(99, 4), (127, 2)])
+    def test_deep_power_chains(self, levels, exponent):
+        # each parenthesis level counts twice against MAX_DEPTH: 127 levels
+        # is the deepest chain, and 99 levels of ^4 reach x^(2^200)
+        text = "(" * levels + f"x^{exponent}" + f")^{exponent}" * levels
+        start = time.perf_counter()
+        a = parse(text)
+        assert time.perf_counter() - start < 0.5
+        assert a == SymbolPoly.monomial(1, x=(exponent ** (levels + 1),))
+        with pytest.raises(SymLangError, match="too deeply nested"):
+            parse("(" * 128 + "x^2" + ")^2" * 128)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("(x-x)*p", "0"),
+        ("p*(x-x)", "0"),
+        ("2*(x+p)*3/4*(x-p)", "(3/2)*x^2 - (3/2)*p^2"),
+        ("(x+p)*(x-p) - x^2 + p^2", "0"),
+        ("(1/2*x + 1/2*p)*(2*x - 2*p)", "x^2 - p^2"),
+        ("(2/4*x + 2/4)^2", "(1/4)*x^2 + (1/2)*x + (1/4)"),
+        ("(x+i*p)*(x-i*p) - p^2", "x^2"),
+        ("-(x - x)^3 + 0*(x+p)^300*(x+p)^300", "0"),
+    ])
+    def test_cancellation(self, text, expected):
+        a = parse(text)
+        assert format_symbol(a) == expected
+        assert a == parse(expected) and a._den == parse(expected)._den
+
+    @pytest.mark.parametrize("term, count, x1", [
+        ("x1^2", 20000, 2), ("(x1^2)^2", 4000, 4), ("x1^1000", 170, 1000),
+    ])
+    def test_many_exponents_stay_cheap(self, term, count, x1):
+        # the key width follows a bound on the degree, which many exponent
+        # literals in separate terms do not raise
+        dense = TestTermBudget.DENSE_3D + "^16"
+        text = dense + f" + {term}" * count
+        start = time.perf_counter()
+        a = parse(text, 3)
+        assert time.perf_counter() - start < 2.0
+        assert a == parse(dense, 3) + SymbolPoly.monomial(
+            3, ExactScalar.rational(count), x=(x1, 0, 0))
+
+    def test_degree_of_a_cancelled_product(self):
+        # a product that cancels to zero has degree 0 for the budget
+        assert parse("x^40*(p-p)*x^30", max_degree=64).is_zero()
+        with pytest.raises(SymLangError, match="product degree 70"):
+            parse("x^40*(p+p)*x^29", max_degree=64)
+
+
 class TestDegreeBudget:
     @pytest.mark.parametrize("text", ["((x+p)^20)^20", "(x+p+x^2*p^3)^1000"])
     def test_rejected_before_expanding(self, text):
@@ -361,6 +473,37 @@ class TestTermBudget:
                 power = power * b
             assert work <= _power_products(b, exponent), exponent
             assert parse(f"({base})^{exponent}", dim) == power
+
+
+def _format_corpus() -> list[str]:
+    """Seeded 1-3-D symbols, their Weyl, Born-Jordan, tau = 1/3 and formal
+    tau quantizations, and commutators of the Born-Jordan ones, as text."""
+    rng = random.Random(20261019)
+    texts = []
+    for dim in (1, 1, 1, 2, 2, 3):
+        ops = []
+        for _ in range(4):
+            a = _random_symbol(rng, dim, max_deg=5, n_terms=5)
+            texts.append(format_symbol(a))
+            for scheme in (Weyl(), BornJordan(), Tau(Fraction(1, 3)), Tau()):
+                texts.append(format_operator(quantize_symbol(scheme, a)))
+            ops.append(quantize_symbol(BornJordan(), a))
+        texts.append(format_operator(ops[0].commutator(ops[1])))
+        texts.append(format_operator(ops[2].commutator(ops[3])))
+    return texts
+
+
+class TestFormatterDigest:
+    # SHA-256 of the corpus text as the formatter printed it before it
+    # cached its factor strings: the output must stay byte-identical
+    SHA256 = "fef786a6cf809165fd994ac8f3b88b350b16938bd426e322b1ca17fe9331b0b5"
+
+    def test_corpus_digest(self):
+        h = hashlib.sha256()
+        for text in _format_corpus():
+            h.update(text.encode())
+            h.update(b"\n")
+        assert h.hexdigest() == self.SHA256
 
 
 class TestOperatorFormatting:
