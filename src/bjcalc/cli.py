@@ -48,6 +48,15 @@ MAX_QUADRATURE_ORDER = 256
 # Most digits in the numerator or denominator of an exact ordering parameter
 # such as tau:1e400; 1e10000000 would take seconds to build.
 MAX_NUMERAL_DIGITS = 1000
+# Largest `--dim`: every exact term carries all 2 dim + 2 exponents, so the
+# work grows with the dimension even for a symbol in few variables;
+# `quantize bj "(x1+p1+x2+p2)^16"` takes about 2 s at this dimension, and
+# 18 s at 1000.
+MAX_DIM = 100
+# Largest `apply --max-degree`: the polynomial route transforms x^j psi for
+# every j up to the degree; monomial:2000:0 at --grid 4096 and --quadrature
+# 256 takes about 3 s.
+MAX_APPLY_DEGREE = 2000
 
 
 class UsageError(Exception):
@@ -341,6 +350,8 @@ def _cmd_apply(args, out) -> int:
         raise UsageError(f"--grid must be at most {MAX_GRID_POINTS}")
     if args.quadrature > MAX_QUADRATURE_ORDER:
         raise UsageError(f"--quadrature must be at most {MAX_QUADRATURE_ORDER}")
+    if args.max_degree > MAX_APPLY_DEGREE:
+        raise UsageError(f"--max-degree must be at most {MAX_APPLY_DEGREE} for apply")
     try:
         grid = UniformGrid(args.grid, args.box)
         quadrature = BJQuadrature(args.quadrature)
@@ -501,7 +512,7 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--output", choices=("text", "json", "csv"),
                         default=d("text"))
     parser.add_argument("--dim", type=int, default=d(1),
-                        help="phase-space dimension")
+                        help=f"phase-space dimension (at most {MAX_DIM})")
     parser.add_argument("--hbar", type=float, default=d(1.0))
     parser.add_argument("--grid", type=int, default=d(512),
                         help=f"grid points N (at most {MAX_GRID_POINTS})")
@@ -510,7 +521,8 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="Gauss-Legendre order for the averaged rule "
                         f"(at most {MAX_QUADRATURE_ORDER})")
     parser.add_argument("--tolerance", type=float, default=d(1e-8))
-    parser.add_argument("--max-degree", type=int, default=d(64))
+    parser.add_argument("--max-degree", type=int, default=d(64),
+                        help=f"largest symbol degree (at most {MAX_APPLY_DEGREE} for apply)")
 
 
 def build_parser() -> _Parser:
@@ -568,6 +580,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("--max-degree must be non-negative")
         if args.dim < 1:
             raise UsageError("--dim must be positive")
+        if args.dim > MAX_DIM:
+            raise UsageError(f"--dim must be at most {MAX_DIM}")
         if args.output == "csv" and args.command not in ("coeffs", "apply"):
             raise UsageError(f"{args.command} has no csv output (use text or json)")
     except UsageError as exc:

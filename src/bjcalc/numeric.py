@@ -28,9 +28,9 @@ scheme computes it once.  On the polynomial route the measure averages the
 binomial ordering weights instead; the uniform measure averages each of them
 exactly, to 1/(r + 1) on x^r p^s.
 
-States and symbols share one validated sample form, and every route that
-applies a sampled symbol to a state checks in one place that the two share
-their grid and hbar.
+States and symbols share one immutable sample form with read-only samples,
+checked once when it is made, and every route that applies a sampled symbol
+to a state checks in one place that the two share their grid and hbar.
 
 All transforms are periodic; symbols and states are expected to decay at the
 box boundary (a state that does not emits a warning, not an error).
@@ -117,12 +117,13 @@ class UniformGrid:
         return (np.arange(n) - n // 2) * self.p_spacing(hbar)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Samples:
     """Validated complex samples on a UniformGrid at a given hbar: `_ndim`
-    axes of grid.n_points samples each.  Every assignment of a field, the
-    constructor's included, is checked in __setattr__: `values` through
-    _checked_values, a `grid` against the samples it would hold, and hbar."""
+    axes of grid.n_points samples each.  An immutable value, checked once by
+    its constructor; with_values and dataclasses.replace make a new one
+    through the same check.  The samples are read-only: an array that owns
+    its data is frozen in place, and any other input is copied first."""
 
     grid: UniformGrid
     values: np.ndarray
@@ -130,26 +131,19 @@ class _Samples:
 
     _ndim = 1
 
-    def __setattr__(self, name, value):
-        if name == "values":
-            value = self._checked_values(value)
-        elif name == "grid" and hasattr(self, "values"):
-            self._check_shape(self.values, value)
-        elif name == "hbar" and not 0 < value < inf:
-            raise ValueError("hbar must be positive and finite")
-        super().__setattr__(name, value)
-
-    def _check_shape(self, values: np.ndarray, grid: UniformGrid) -> None:
-        shape = (grid.n_points,) * self._ndim
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=complex)
+        shape = (self.grid.n_points,) * self._ndim
         if values.shape != shape:
             raise ValueError(f"{type(self).__name__} values must have shape {shape}")
-
-    def _checked_values(self, values) -> np.ndarray:
-        values = np.asarray(values, dtype=complex)
-        self._check_shape(values, self.grid)
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{type(self).__name__} contains non-finite values")
-        return values
+        if not 0 < self.hbar < inf:
+            raise ValueError("hbar must be positive and finite")
+        if not values.flags.owndata:
+            values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def with_values(self, values: np.ndarray):
         """The same grid and hbar with new samples."""
@@ -176,37 +170,24 @@ class SampledWavefunction(_Samples):
 class SampledSymbol(_Samples):
     """Complex samples a(x_j, p_k) on the square phase-space grid.
 
-    The samples are read-only, whether given to the constructor or assigned
-    later: an array that owns its data is frozen in place, and any other
-    input is copied first.  The symbol keeps the state-free stage of the
-    sampled route (_modes) for the last scheme it was applied with, so
-    applying it to many states under one scheme computes that stage once.
+    The symbol keeps the state-free stage of the sampled route (_modes) for
+    the last scheme it was applied with, so applying it to many states under
+    one scheme computes that stage once.
     """
 
     _ndim = 2
-    _modes_entry = None  # (values, scheme, modes) of the last scheme applied
-
-    def _checked_values(self, values) -> np.ndarray:
-        values = super()._checked_values(values)
-        if not values.flags.owndata:
-            values = values.copy()
-        values.flags.writeable = False
-        return values
+    _modes_entry = None  # (scheme, modes) of the last scheme applied
 
     def _modes_for(self, scheme: Scheme) -> np.ndarray:
         """_modes(self, scheme), from the one kept entry when it was computed
-        from these same read-only samples under an equal scheme."""
-        values, entry = self.values, self._modes_entry
-        if not (
-            entry is not None
-            and entry[0] is values
-            and not values.flags.writeable
-            and entry[1] == scheme
-        ):
+        under an equal scheme and the samples are still read-only."""
+        entry = self._modes_entry
+        if entry is None or entry[0] != scheme or self.values.flags.writeable:
             # the old entry goes first, so that a miss never holds two
-            self._modes_entry = None
-            entry = self._modes_entry = (values, scheme, _modes(self, scheme))
-        return entry[2]
+            object.__setattr__(self, "_modes_entry", None)
+            entry = (scheme, _modes(self, scheme))
+            object.__setattr__(self, "_modes_entry", entry)
+        return entry[1]
 
 
 def _check_pair(a: SampledSymbol, psi: SampledWavefunction) -> None:

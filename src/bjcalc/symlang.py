@@ -24,8 +24,10 @@ addition; the width comes from the text, as the bits of a bound on the
 degree of every intermediate (see _field_width), and the keys are decoded
 into the flat tuples of exact.py once, at the end.  The formatter makes the
 text of each (variable, exponent) factor once per call and each term with
-one join.  A coefficient too long to print (sys.get_int_max_str_digits())
-is an error; the command line finds it before the work where it is certain.
+one join.  A numeral is read without its leading zeros, and one with more
+digits than Python converts (sys.get_int_max_str_digits()) is an error at
+its position.  A coefficient too long to print is an error too; the command
+line finds it before the work where it is certain.
 """
 
 from __future__ import annotations
@@ -121,12 +123,27 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 def _exponent_bound(text: str) -> int:
-    """An exponent literal's value, counted as MAX_EXPONENT when it is
+    """An exponent literal's value, counted as MAX_EXPONENT + 1 when it is
     larger: the parser rejects such a literal where it reaches it."""
     digits = text.lstrip("0")
     if len(digits) > len(str(MAX_EXPONENT)):
-        return MAX_EXPONENT
-    return min(int(digits or "0"), MAX_EXPONENT)
+        return MAX_EXPONENT + 1
+    return min(int(digits or "0"), MAX_EXPONENT + 1)
+
+
+def _numeral(tok: _Token) -> int:
+    """An integer literal's value.  Python converts at most
+    sys.get_int_max_str_digits() digits, leading zeros included, so past
+    that the zeros are dropped, and only a numeral still too long is an
+    error, at its position."""
+    try:
+        return int(tok.text)
+    except ValueError:  # past Python's limit on the digits of converted ints
+        digits = tok.text.lstrip("0")
+        limit = sys.get_int_max_str_digits()
+        if len(digits) > limit:
+            raise SymLangError(f"numeral has more than {limit} digits", tok.pos) from None
+        return int(digits or "0")
 
 
 # the tokens after which a '-' is unary
@@ -351,7 +368,7 @@ class _Parser:
                 tok.pos if tok.kind != "eof" else caret.pos,
             )
         self.advance()
-        exponent = int(tok.text)
+        exponent = _exponent_bound(tok.text)
         if exponent > MAX_EXPONENT:
             raise SymLangError(f"exponent exceeds limit {MAX_EXPONENT}", tok.pos)
         if self.max_degree is not None:
@@ -380,12 +397,12 @@ class _Parser:
                 if atom is None:
                     atom = self.atoms[tok.text] = self._variable(tok)
                 return atom
-            num = int(tok.text)
+            num = _numeral(tok)
             if self.kinds[self.pos] != "/":
                 return 0, num, 0, 1
             self.pos += 1
             den_tok = self.expect("int")
-            den = int(den_tok.text)
+            den = _numeral(den_tok)
             if den == 0:
                 raise SymLangError("zero denominator", den_tok.pos)
             return 0, num, 0, den

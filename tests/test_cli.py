@@ -22,7 +22,9 @@ from bjcalc.numeric import (
     weyl_via_grossmann_royer,
 )
 from bjcalc.cli import (
+    MAX_APPLY_DEGREE,
     MAX_COEFF_ORDER,
+    MAX_DIM,
     MAX_GRID_POINTS,
     MAX_NUMERAL_DIGITS,
     MAX_QUADRATURE_ORDER,
@@ -633,6 +635,13 @@ ERROR_PATHS = [
       "hermite:0"], 2, "the result's norm exceeds the double range"),
     (["quantize", "tau:1e-900", "(x+p)^64"], 2,
      "a coefficient has more than 4300 digits, too many to print"),
+    (["quantize", "weyl", "9" * 5000 + "*x"], 2,
+     "numeral has more than 4300 digits (at position 0)"),
+    (["--dim", str(MAX_DIM + 1), "quantize", "weyl", "x1*p1"], 1,
+     f"--dim must be at most {MAX_DIM}"),
+    (["--max-degree", str(MAX_APPLY_DEGREE + 1), "--grid", "64", "apply",
+      f"monomial:{MAX_APPLY_DEGREE + 1}:0", "gaussian"], 1,
+     f"--max-degree must be at most {MAX_APPLY_DEGREE} for apply"),
 ]
 
 

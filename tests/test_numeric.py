@@ -3,7 +3,9 @@ operators, coherent-state machinery, and growth-order estimation."""
 
 import json
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from bjcalc.numeric import (
 from bjcalc.operators import OpPoly
 from bjcalc.quantize import BornJordan, Tau, Weyl, quantize_symbol
 from bjcalc.symlang import parse
-from bjcalc.transforms import bj_to_weyl
+from bjcalc.transforms import bj_to_weyl, weyl_to_bj
 
 
 def _grid(n=256, box=20.0):
@@ -130,41 +132,65 @@ class TestGridBasics:
             SampledWavefunction(grid, np.full(64, np.nan))
 
     def test_assigned_values_are_validated(self):
+        # samples are immutable: an assignment raises and changes nothing, and
+        # new samples go through the constructor's check
         grid = UniformGrid(64, 16.0)
         a = SampledSymbol(grid, np.zeros((64, 64), complex))
-        with pytest.raises(ValueError, match=r"SampledSymbol values must have shape \(64, 64\)"):
-            a.values = np.zeros((32, 32))
         psi = gaussian_state(grid)
+        for samples in (a, psi):
+            before = samples.values
+            with pytest.raises(FrozenInstanceError):
+                samples.values = np.ones_like(before)
+            assert samples.values is before
+        with pytest.raises(ValueError, match=r"SampledSymbol values must have shape \(64, 64\)"):
+            a.with_values(np.zeros((32, 32)))
         with pytest.raises(ValueError, match="SampledWavefunction values must have shape"):
-            psi.values = np.zeros((64, 64))
+            replace(psi, values=np.zeros((64, 64)))
         for samples, bad in ((a, np.full((64, 64), np.inf)), (psi, np.full(64, np.nan))):
             with pytest.raises(ValueError, match="contains non-finite values"):
-                samples.values = bad
-        # a rejected assignment leaves the old samples in place
-        assert a.values.shape == (64, 64) and np.isfinite(psi.values).all()
+                samples.with_values(bad)
+            with pytest.raises(ValueError, match="contains non-finite values"):
+                replace(samples, values=bad)
 
     def test_assigned_hbar_is_validated(self):
         grid = UniformGrid(64, 16.0)
         for samples in (gaussian_state(grid), SampledSymbol(grid, np.zeros((64, 64), complex))):
             for bad in (-1.0, 0.0, float("nan"), float("inf")):
-                with pytest.raises(ValueError, match="hbar must be positive and finite"):
+                with pytest.raises(FrozenInstanceError):
                     samples.hbar = bad
+                with pytest.raises(ValueError, match="hbar must be positive and finite"):
+                    replace(samples, hbar=bad)
+            other = replace(samples, hbar=2.0)
+            # the read-only samples are shared, not copied
+            assert other.hbar == 2.0 and other.values is samples.values
             assert samples.hbar == 1.0
-            samples.hbar = 2.0
-            assert samples.hbar == 2.0
 
     def test_assigned_grid_must_fit_the_samples(self):
         psi = gaussian_state(UniformGrid(64, 16.0))
-        with pytest.raises(ValueError, match=r"SampledWavefunction values must have shape \(32,\)"):
+        with pytest.raises(FrozenInstanceError):
             psi.grid = UniformGrid(32, 16.0)
+        with pytest.raises(ValueError, match=r"SampledWavefunction values must have shape \(32,\)"):
+            replace(psi, grid=UniformGrid(32, 16.0))
         assert psi.grid == UniformGrid(64, 16.0)
         assert np.isclose(psi.norm(), 1.0)
         a = SampledSymbol(UniformGrid(64, 16.0), np.zeros((64, 64), complex))
         with pytest.raises(ValueError, match=r"SampledSymbol values must have shape \(32, 32\)"):
-            a.grid = UniformGrid(32, 16.0)
+            replace(a, grid=UniformGrid(32, 16.0))
         # the same number of points on another box is a valid grid for the samples
-        psi.grid = UniformGrid(64, 20.0)
-        assert psi.grid.length == 20.0
+        wider = replace(psi, grid=UniformGrid(64, 20.0))
+        assert wider.grid.length == 20.0 and psi.grid.length == 16.0
+
+    def test_state_samples_are_read_only(self):
+        grid = UniformGrid(64, 16.0)
+        owned = gaussian_state(grid).values.copy()
+        psi = SampledWavefunction(grid, owned)
+        assert psi.values is owned
+        with pytest.raises(ValueError, match="read-only"):
+            owned[0] = 1
+        caller = np.zeros(128, dtype=complex)[::2]
+        view = SampledWavefunction(grid, caller)
+        caller += 1  # a view is copied, so the caller's array stays writeable
+        assert not view.values.any()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -516,19 +542,22 @@ class TestReusedModes:
         psi = _random_state(grid)
         a, other = _smooth_symbol(grid, seed=1), _smooth_symbol(grid, seed=2)
         want = apply_operator(other, psi, WeylScheme()).values
-        apply_operator(a, psi, WeylScheme())
-        a.values = other.values
-        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, want)
-        # an assigned writeable array is frozen like the constructor's, and
-        # the next apply reads it
+        own = apply_operator(a, psi, WeylScheme()).values
+        with pytest.raises(FrozenInstanceError):
+            a.values = other.values
+        # new samples make a new symbol, which starts without an entry
+        b = a.with_values(other.values)
+        assert np.array_equal(apply_operator(b, psi, WeylScheme()).values, want)
+        # a writeable array given to replace is frozen like the constructor's
         doubled = 2 * other.values
-        a.values = doubled
-        assert a.values is doubled and not doubled.flags.writeable
-        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, 2 * want)
-        # samples made writeable again are never served from the entry
+        c = replace(a, values=doubled)
+        assert c.values is doubled and not doubled.flags.writeable
+        assert np.array_equal(apply_operator(c, psi, WeylScheme()).values, 2 * want)
+        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, own)
+        # samples made writeable again by hand are never served from the entry
         doubled.flags.writeable = True
         doubled *= 2
-        assert np.array_equal(apply_operator(a, psi, WeylScheme()).values, 4 * want)
+        assert np.array_equal(apply_operator(c, psi, WeylScheme()).values, 4 * want)
 
     def test_each_scheme_gets_its_own_result(self):
         grid = _grid(512)
@@ -819,6 +848,77 @@ class TestSymbolConversionOnGrid:
         assert np.max(np.abs(out.values - a.values)) < 1e-9 * np.max(
             np.abs(a.values)
         )
+
+
+class TestGaussianExpansions:
+    """The Born-Jordan <-> Weyl expansions on a symbol where the series do
+    not end.  For g = exp(-(x^2 + p^2)/2) and D = d_x d_p,
+    D^k g = He_k(x) He_k(p) g with He_k the probabilists' Hermite
+    polynomials, so every term of either series is known at each grid point
+    and no derivative is taken on the grid.  The weights come from the exact
+    layer: the constant term of a conversion of x^k p^k is (k!)^2 times the
+    series' coefficient of D^k."""
+
+    @staticmethod
+    def _partial_sums(convert, grid, hbar, top):
+        """g and the partial sums K = 0..top of convert's series on g."""
+        x, p = grid.x_values(), grid.p_values(hbar)
+        g = np.outer(np.exp(-(x**2) / 2), np.exp(-(p**2) / 2))
+        he_x, he_p = [np.ones_like(x), x], [np.ones_like(p), p]
+        for k in range(1, top):
+            he_x.append(x * he_x[k] - k * he_x[k - 1])
+            he_p.append(p * he_p[k] - k * he_p[k - 1])
+        total, sums = np.zeros_like(g, dtype=complex), []
+        for k in range(top + 1):
+            x_k_p_k = SymbolPoly.monomial(1, x=(k,), p=(k,))
+            constant = convert(x_k_p_k).terms.get(((0,), (0,)))
+            if constant is not None:
+                weight = constant.to_complex(hbar) / factorial(k) ** 2
+                total = total + weight * np.outer(he_x[k], he_p[k]) * g
+            sums.append(total)
+        return g, sums
+
+    def _forward_errors(self, grid, hbar, top):
+        """Max-abs distance of each partial sum of the Born-Jordan-to-Weyl
+        series on g from the grid's sinc filter applied to g."""
+        g, sums = self._partial_sums(bj_to_weyl, grid, hbar, top)
+        weyl = bj_weyl_symbol_numeric(SampledSymbol(grid, g, hbar)).values
+        return [np.max(np.abs(s - weyl)) for s in sums]
+
+    def test_forward_series_converges_to_the_filter(self):
+        # measured at K = 0, 2, ..., 16: 6.5e-3, 1.2e-4, 2.8e-6, ..., 2.7e-15,
+        # each step 27x or more, and 7.8e-16 from K = 18 on
+        errors = self._forward_errors(UniformGrid(256, 24.0), 0.4, 20)
+        even = errors[::2]
+        assert all(later < earlier / 10 for earlier, later in zip(even[:8], even[1:9]))
+        assert errors[20] < 1e-14
+
+    def test_forward_series_orders_in_hbar(self):
+        # the remainders after K = 0 and K = 2 are of order hbar^2 and hbar^4:
+        # each halving of hbar divided them by 3.8-4.1 and by 15-16
+        grid = UniformGrid(512, 24.0)
+        errors = [self._forward_errors(grid, hbar, 2) for hbar in (0.8, 0.4, 0.2, 0.1)]
+        for (k0, _, k2), (half_k0, _, half_k2) in zip(errors, errors[1:]):
+            assert 3.5 < k0 / half_k0 < 4.5
+            assert 13 < k2 / half_k2 < 19
+
+    def test_inverse_series_is_asymptotic(self):
+        # the sinc filter undoes the partial sums of the Weyl-to-Born-Jordan
+        # series of g only down to an interior minimum (measured 2.7e-7 at
+        # K = 16 for hbar = 0.4), after which the error rises (2e-2 at
+        # K = 40): s/sinh(s) has poles at s = +-i pi
+        grid, hbar = UniformGrid(256, 24.0), 0.4
+        g, sums = self._partial_sums(weyl_to_bj, grid, hbar, 40)
+        errors = [
+            np.max(np.abs(bj_weyl_symbol_numeric(SampledSymbol(grid, s, hbar)).values - g))
+            for s in sums[::2]
+        ]
+        best = int(np.argmin(errors))
+        assert 6 <= best <= 10  # K = 12..20
+        assert 1e-7 < errors[best] < 1e-6
+        assert all(later < earlier for earlier, later in zip(errors[:best], errors[1:best + 1]))
+        assert all(later > earlier for earlier, later in zip(errors[best:], errors[best + 1:]))
+        assert errors[-1] > 1e-3
 
 
 class TestPhaseSpaceShifts:

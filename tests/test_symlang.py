@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -114,6 +115,25 @@ class TestParsing:
     def test_exponent_cap(self):
         with pytest.raises(SymLangError):
             parse(f"x^{MAX_EXPONENT + 1}")
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
+    def test_long_numerals(self):
+        # leading zeros count for nothing; a numeral with more digits than
+        # Python converts is an error at its position, in the parser's words
+        limit = sys.get_int_max_str_digits()
+        zeros = "0" * (limit + 100)
+        assert parse(f"x^{zeros}2") == parse("x^2")
+        assert parse(f"{zeros}3/{zeros}4*p") == parse("3/4*p")
+        nines = "9" * limit
+        assert format_symbol(parse(f"{nines}*x")) == f"{nines}*x"
+        for text, message, position in [
+            (f"9{nines}*x", f"numeral has more than {limit} digits", 0),
+            (f"x + 1/{nines}7", f"numeral has more than {limit} digits", 6),
+            (f"x^{nines}9", f"exponent exceeds limit {MAX_EXPONENT}", 2),
+        ]:
+            with pytest.raises(SymLangError) as exc:
+                parse(text)
+            assert str(exc.value) == f"{message} (at position {position})"
 
 
 class TestRoundTrip:
