@@ -28,6 +28,21 @@ scheme computes it once.  On the polynomial route the measure averages the
 binomial ordering weights instead; the uniform measure averages each of them
 exactly, to 1/(r + 1) on x^r p^s.
 
+The grid's DFTs are centred: for N divisible by 4 the centred DFT is
+S F S, with F the plain FFT and S = diag((-1)^j).  The N x N transforms run
+plain FFTs and put each S where it costs no pass of its own; negation and
+scaling by a power of two are exact, so this changes no bit.  The input
+signs of the symplectic transform, and its 1/N, go into its one copy of the
+samples.  Its output signs over momentum cancel the input signs of the
+inverse DFT over momentum that follows it on the sampled route, and those
+of bj_weyl_symbol_numeric's first transform cancel the input signs of its
+second.  The sampled route's remaining signs, (-1)^m and (-1)^i on mode
+(m, i), combine to (-1)^t on the state sample psi[t] that the gather meets
+there; symplectic_ft and bj_weyl_symbol_numeric keep one output
+checkerboard pass, and antiwick_apply puts its signs on psi and on the
+output vector.  The length-N transforms and the reflection route keep the
+centred _cdft.
+
 States and symbols share one immutable sample form with read-only samples,
 checked once when it is made, and every route that applies a sampled symbol
 to a state checks in one place that the two share their grid and hbar.
@@ -252,7 +267,10 @@ def _cdft(v: np.ndarray, sign: int, axis: int = 0) -> np.ndarray:
 
     For N divisible by 4 (every UniformGrid size) the centred kernel is
     (-1)^(j+k) times the plain DFT kernel, so odd samples change sign before
-    and after the FFT instead of being rolled by N/2.
+    and after the FFT instead of being rolled by N/2.  The length-N
+    transforms and the reflection route use it; the N x N transforms of the
+    sampled route take plain FFTs and put these signs elsewhere (see
+    _signed_copy).
     """
     odd = [slice(None)] * v.ndim
     odd[axis] = slice(1, None, 2)
@@ -285,12 +303,37 @@ def _check_boundary_decay(psi: SampledWavefunction, tolerance: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _symplectic_values(a: SampledSymbol) -> np.ndarray:
-    """The samples of symplectic_ft(a), in one new C-ordered array."""
-    w = a.values.T.copy()  # w[k, j] = a(x_j, p_k)
-    _cdft(w, -1, axis=1)  # over x index j -> new p index
-    _cdft(w, +1, axis=0)  # over p index k -> new x index m
-    w /= a.grid.n_points
+def _signed_copy(values: np.ndarray, scale: float) -> np.ndarray:
+    """(-1)^(j+k) values[j, k] scale at [k, j], in a new C-ordered array:
+    the symplectic transform's input signs and its 1/n (scale, a power of
+    two), taken in its one copy of the samples (see the module docstring).
+    The momentum index comes first, so that the transform over x runs along
+    contiguous rows.
+    """
+    n = len(values)
+    out = np.empty((n, n), dtype=complex)
+    signs = np.resize([scale, -scale], (n, 1))  # (-1)^k scale
+    # even and odd rows j of values; written in the order of out's rows,
+    # which took half the time of the order of values' rows
+    np.multiply(values[::2].T, signs, out=out[:, ::2])
+    np.multiply(values[1::2].T, -signs, out=out[:, 1::2])
+    return out
+
+
+def _plain_symplectic(w: np.ndarray) -> np.ndarray:
+    """The plain DFT over the x index j of w[k, j], then the plain inverse
+    DFT over the momentum index k, in place; the result is indexed [m, k].
+    Without the centring signs, it is (-1)^(m+k) times the symplectic
+    transform of the samples that _signed_copy took."""
+    np.fft.fft(w, axis=1, out=w)
+    return np.fft.ifft(w, axis=0, norm="forward", out=w)
+
+
+def _checkerboard(w: np.ndarray) -> np.ndarray:
+    """w[m, k] times (-1)^(m+k), in place: the output signs of both
+    centred DFTs."""
+    np.negative(w[::2, 1::2], out=w[::2, 1::2])
+    np.negative(w[1::2, ::2], out=w[1::2, ::2])
     return w
 
 
@@ -300,7 +343,8 @@ def symplectic_ft(a: SampledSymbol) -> SampledSymbol:
     a_sigma(x_m, p_k) = (1/2pi hbar) sum_{j,l}
         exp(-i (p_k x_j - x_m p_l)/hbar) a(x_j, p_l) dx dp.
     """
-    return a.with_values(_symplectic_values(a))
+    w = _signed_copy(a.values, 1.0 / a.grid.n_points)
+    return a.with_values(_checkerboard(_plain_symplectic(w)))
 
 
 def _over_q(n: int, head: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
@@ -323,9 +367,16 @@ def bj_weyl_symbol_numeric(a: SampledSymbol) -> SampledSymbol:
     """
     n = a.grid.n_points
     half = np.sin(pi * np.arange(n) / n) * (n / pi)
-    a_sig = symplectic_ft(a)
-    filtered = a_sig.with_values(a_sig.values * _over_q(n, np.concatenate([half, -half])))
-    return symplectic_ft(filtered)
+    filtered = np.empty((n, n), dtype=complex)
+    # the output signs of the first transform cancel the input signs of the
+    # second, and both 1/n's go into the first copy; the filter is symmetric
+    # in (m, k), so the second copy reads it in C order
+    np.multiply(
+        _plain_symplectic(_signed_copy(a.values, 1.0 / n**2)).T,
+        _over_q(n, np.concatenate([half, -half])),
+        out=filtered,
+    )
+    return a.with_values(_checkerboard(_plain_symplectic(filtered)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +404,8 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
     function of the integer q alone.  Writing q = a n + b with 0 <= b < n and
     |a| <= n/4 splits exp(-2pi i t q/n) into exp(-2pi i t a) exp(-2pi i t b/n):
     for a point mass or a quadrature the table over (a, b) is one matrix
-    product over the nodes, gathered at the flat index q + n^2/4.  The exact
+    product over the nodes for a >= 0, and its conjugate, mirrored, for
+    q < 0; it is gathered at the flat index q + n^2/4.  The exact
     uniform average over t in [0, 1] is exp(-i theta/2) sinc(theta/2)
     = exp(-i pi b/n) sin(pi b/n) n/(pi q), with the value 1 at q = 0.
     """
@@ -363,7 +415,7 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
         return lambda rows: _over_q(n, head, rows)
     c = np.arange(n) - n // 2
     nodes, weights = _ordering_measure(scheme)
-    a = np.arange(-(n // 4), n // 4 + 1)
+    a = np.arange(n // 4 + 1)
     b = np.arange(n)
     left = np.exp(-2j * pi * np.outer(a, nodes)) * weights
     right = np.exp(-2j * pi * np.outer(nodes, b) / n)
@@ -373,7 +425,7 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
     # long at n = 512.  einsum sums in NumPy's own loops; a BLAS matmul of
     # this shape wakes a thread pool, which on a loaded 2-CPU host cost about
     # 16 ms a call.
-    table = (
+    half = (
         np.einsum(
             "at,tb->ab",
             np.hstack([left.real, left.imag]),
@@ -382,6 +434,9 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
         .view(complex)
         .ravel()
     )
+    # the nodes and weights are real, so the value at -q is the conjugate of
+    # the value at q: the table is made for a >= 0 and mirrored
+    table = np.concatenate([np.conj(half[n * n // 4 : 0 : -1]), half])
 
     def rows_of(rows: slice) -> np.ndarray:
         q = np.multiply.outer(c[rows], c)
@@ -398,32 +453,52 @@ _BLOCK_ROWS = 32
 
 
 def _modes(a: SampledSymbol, scheme: Scheme) -> np.ndarray:
-    """The state-free stage of the sampled route: [C+_k (a_sigma mu)](m, i),
-    where a_sigma is the symplectic transform, mu the scheme's multiplier and
-    C+_k the centred inverse DFT over the momentum index.
+    """The state-free stage of the sampled route: (-1)^(m+i) times
+    [C+_k (a_sigma mu)](m, i), where a_sigma is the symplectic transform, mu
+    the scheme's multiplier and C+_k the centred inverse DFT over the
+    momentum index.
 
     Every step after the symplectic transform's copy of the samples works in
     place in that one buffer, which becomes the result, and the multiplier is
-    made and applied a block of rows at a time.
+    made and applied a block of rows at a time.  No step flips a sign: the
+    copy takes the transform's input signs and its 1/n (see _signed_copy),
+    its output signs over k cancel the input signs of C+_k, and the rest,
+    (-1)^m and the output signs (-1)^i of C+_k, are the factor (-1)^(m+i),
+    which _apply_sampled takes on the state.
     """
     n = a.grid.n_points
     multiplier_rows = _mode_multiplier(n, scheme)
-    modes = _symplectic_values(a)
+    modes = _plain_symplectic(_signed_copy(a.values, 1.0 / n))
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         modes[rows] *= multiplier_rows(rows)
-    return _cdft(modes, +1, axis=1)  # modes[m, i]: function of x_i
+    return np.fft.ifft(modes, axis=1, norm="forward", out=modes)
 
 
 def _apply_sampled(modes: np.ndarray, psi: SampledWavefunction) -> np.ndarray:
     """Phase-space superposition route: the gather of a symbol's modes
     (see _modes) against the state, out(x_i) = (1/n) sum_m modes(m, i)
-    psi(x_i - x_m)."""
+    phi(x_i - x_m), with phi[t] = (-1)^t psi[t].
+
+    The modes carry (-1)^(m+i), and t = (i - m + n/2) mod n has the parity
+    of m + i because n/2 is even, so phi takes that sign off again.  A block
+    of rows at a time is multiplied and added on in the order of m, so no
+    n x n array is made and the sum is that of a loop over the rows.
+    """
     n = psi.grid.n_points
-    # windows[s, i] = psi[(s + i) mod n]; row n + n/2 - m is psi(x_i - x_m)
-    windows = sliding_window_view(np.tile(psi.values, 3), n)
+    tiled = np.tile(psi.values, 3)  # n is even, so (-1)^t repeats with it
+    np.negative(tiled[1::2], out=tiled[1::2])
+    # windows[s, i] = phi[(s + i) mod n]; row n + n/2 - m is phi(x_i - x_m)
+    windows = sliding_window_view(tiled, n)
     shifted = windows[n + n // 2 : n // 2 : -1]
-    return np.einsum("mi,mi->i", modes, shifted) / n
+    block = min(_BLOCK_ROWS, n)
+    # row 0 is the running sum, rows 1.. the block's terms
+    terms = np.zeros((block + 1, n), dtype=complex)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        np.multiply(modes[rows], shifted[rows], out=terms[1:])
+        np.add.reduce(terms, axis=0, out=terms[0])
+    return terms[0] / n
 
 
 # Decimal arithmetic for the ordering weights: far more digits than a
@@ -486,18 +561,20 @@ def _apply_poly(
     x = psi.grid.x_values()
     p = psi.grid.p_values(psi.hbar)
     # transform each x^j psi once, and sum every term with the same outer
-    # power x^o in momentum space so that each o needs one inverse transform
+    # power x^o in momentum space so that each o needs one inverse transform;
+    # j is the outer loop, so one transform is alive at a time
     terms = _float_terms(a, psi.hbar)
     weights = {r: ordering_weights(r) for r in {r for r, _, _ in terms}}
-    g_hat: dict[int, np.ndarray] = {}
     inner: dict[int, np.ndarray] = {}
-    for r, s, c in terms:
-        for j, weight in enumerate(weights[r]):
+    for j in range(max(weights, default=-1) + 1):
+        g_hat = None
+        for r, s, c in terms:
+            weight = weights[r][j] if j <= r else 0.0
             if weight == 0.0:
                 continue
-            if j not in g_hat:
-                g_hat[j] = _cdft((x**j) * psi.values, -1)
-            term = (c * weight) * (p**s) * g_hat[j]
+            if g_hat is None:
+                g_hat = _cdft((x**j) * psi.values, -1)
+            term = (c * weight) * (p**s) * g_hat
             if r - j in inner:
                 inner[r - j] += term
             else:
@@ -647,14 +724,17 @@ def antiwick_apply(
     dx = grid.spacing
     dp = grid.p_spacing(1.0)
     envelope = _coherent_envelope(grid)  # [x index m, t index j]
-    windowed = envelope * psi.values[None, :]
-    # V[m, k] = <psi, Phi_{(x_m, p_k)}> / pi^{-1/4}
-    overlaps = _cdft(windowed, -1, axis=1) * dx
+    # the centring signs of both DFTs over t: (-1)^j on psi and on the
+    # output; those over p cancel between the two
+    signs = np.resize([1.0, -1.0], n)
+    windowed = envelope * (signs * psi.values)
+    # V[m, k] = (-1)^k <psi, Phi_{(x_m, p_k)}> / pi^{-1/4}
+    overlaps = np.fft.fft(windowed, axis=1, out=windowed) * dx
     weighted = a.values * overlaps
-    # G[m, j] = sum_k a(x_m, p_k) V[m, k] exp(i t_j p_k) dp
-    modes = _cdft(weighted, +1, axis=1) * dp
+    # G[m, j] = (-1)^j sum_k a(x_m, p_k) V[m, k] exp(i t_j p_k) dp
+    modes = np.fft.ifft(weighted, axis=1, norm="forward", out=weighted) * dp
     out = np.einsum("mj,mj->j", envelope, modes) * dx / sqrt(pi)
-    return psi.with_values(out)
+    return psi.with_values(signs * out)
 
 
 def q_norm_estimate(psi: SampledWavefunction, s: float) -> float:

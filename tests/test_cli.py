@@ -3,9 +3,14 @@ table of the error paths of the CLI and the numeric layer."""
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,9 @@ from bjcalc.cli import (
     main,
 )
 from bjcalc.quantize import Tau, quantize_symbol
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -373,6 +381,28 @@ class TestApply:
                      ["--grid", str(MAX_GRID_POINTS), "apply", "harmonic", "hermite:0"]):
             code, out, _ = run(argv)
             assert code == 0 and out.startswith("N=")
+
+    def test_polynomial_route_holds_one_transform_at_a_time(self):
+        # x^1000 on 4096 points transforms x^j psi for j = 0..1000, 64 MB if
+        # all are kept; one at a time, the command peaked at 94 MB (157 MB
+        # when all were kept).  A middle process runs the command, so that
+        # its RUSAGE_CHILDREN peak is the command's alone (ru_maxrss is in
+        # kB on Linux).  The samples overflow: exit 2.
+        probe = textwrap.dedent("""
+            import resource, subprocess, sys
+            done = subprocess.run(
+                [sys.executable, "-m", "bjcalc.cli", "--max-degree", "1000",
+                 "--grid", "4096", "apply", "monomial:1000:0", "gaussian"],
+                capture_output=True, text=True)
+            print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=120)
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 2
+        assert peak_kb < 125 * 1024, peak_kb
 
     def test_bad_tolerance_is_usage_error(self):
         for tol in ("nan", "0", "-1e-8"):

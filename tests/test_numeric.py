@@ -504,6 +504,72 @@ class TestSampledRouteOracle:
         assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+class TestFoldedSigns:
+    """The N x N transforms take plain FFTs and put the centring signs of
+    their centred DFTs on the input copy, the state or the output, where
+    negation and power-of-two scaling are exact.  Each is compared, to the
+    last bit, with the same steps built from the centred _cdft."""
+
+    @staticmethod
+    def _symplectic(values):
+        from bjcalc.numeric import _cdft
+
+        w = values.T.copy()
+        _cdft(w, -1, axis=1)
+        _cdft(w, +1, axis=0)
+        w /= len(values)
+        return w
+
+    @staticmethod
+    def _sinc_filter(n):
+        from bjcalc.numeric import _over_q
+
+        half = np.sin(np.pi * np.arange(n) / n) * (n / np.pi)
+        return _over_q(n, np.concatenate([half, -half]))
+
+    def _apply(self, a, psi, scheme):
+        """Centred modes, then a sequential gather one row m at a time."""
+        from bjcalc.numeric import _cdft, _mode_multiplier
+
+        n = a.grid.n_points
+        modes = self._symplectic(a.values) * _mode_multiplier(n, scheme)(slice(None))
+        _cdft(modes, +1, axis=1)
+        i = np.arange(n)
+        out = np.zeros(n, dtype=complex)
+        for m in range(n):
+            out += modes[m] * psi.values[(i - m + n // 2) % n]
+        return out / n
+
+    def _antiwick(self, a, psi):
+        from bjcalc.numeric import _cdft
+
+        grid = a.grid
+        x = grid.x_values()
+        envelope = np.exp(-0.5 * np.subtract.outer(x, x) ** 2)
+        overlaps = _cdft(envelope * psi.values[None, :], -1, axis=1) * grid.spacing
+        modes = _cdft(a.values * overlaps, +1, axis=1) * grid.p_spacing(1.0)
+        return np.einsum("mj,mj->j", envelope, modes) * grid.spacing / np.sqrt(np.pi)
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_sampled_route(self, n):
+        grid = UniformGrid(n, 20.0)
+        a = _smooth_symbol(grid, seed=n, hbar=0.5)
+        psi = _random_state(grid, seed=n + 1, hbar=0.5)
+        for scheme in (WeylScheme(), TauScheme(0.3), BJSinc(), BJQuadrature(5)):
+            want = self._apply(a, psi, scheme)
+            assert np.array_equal(apply_operator(a, psi, scheme).values, want), scheme
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_symplectic_transforms_and_antiwick(self, n):
+        grid = UniformGrid(n, 20.0)
+        a = _smooth_symbol(grid, seed=n)
+        psi = _random_state(grid, seed=n + 1)
+        assert np.array_equal(symplectic_ft(a).values, self._symplectic(a.values))
+        filtered = self._symplectic(a.values) * self._sinc_filter(n)
+        assert np.array_equal(bj_weyl_symbol_numeric(a).values, self._symplectic(filtered))
+        assert np.array_equal(antiwick_apply(a, psi).values, self._antiwick(a, psi))
+
+
 class TestReusedModes:
     """A SampledSymbol keeps the state-free stage of the sampled route (its
     modes) for the last scheme it was applied with, over read-only samples."""
@@ -597,6 +663,17 @@ class TestReusedModes:
             fresh = SampledSymbol(grid, a.values.copy())
             peak = _traced_peak(lambda: apply_operator(fresh, psi, scheme))
             assert peak < 3 * 4 * 2**20, (scheme, peak)
+
+    def test_hit_peak_memory(self):
+        # a hit is the gather alone, a block of rows at a time: well under
+        # the 4 MiB of one N x N complex array at N = 512
+        grid = _grid(512)
+        psi = hermite_state(grid, 3)
+        a = _smooth_symbol(grid)
+        for scheme in (WeylScheme(), BJSinc(), BJQuadrature(16)):
+            apply_operator(a, psi, scheme)
+            peak = _traced_peak(lambda: apply_operator(a, psi, scheme))
+            assert peak < 2**20, (scheme, peak)
 
 
 def _oracle_apply_poly(a, psi, scheme):
