@@ -54,8 +54,9 @@ MAX_NUMERAL_DIGITS = 1000
 # 18 s at 1000.
 MAX_DIM = 100
 # Largest `apply --max-degree`: the polynomial route transforms x^j psi for
-# every j up to the degree; monomial:2000:0 at --grid 4096 and --quadrature
-# 256 takes about 3 s.
+# every j up to the degree, and its ordering weights cost the quadrature
+# order times the degree squared; monomial:2000:0 at --grid 4096 and
+# --quadrature 256 takes about 3.5 s.
 MAX_APPLY_DEGREE = 2000
 
 

@@ -26,7 +26,9 @@ whose samples are read-only, keeps that state-free stage for the last scheme
 it was applied with, and applying one symbol object to many states under one
 scheme computes it once.  On the polynomial route the measure averages the
 binomial ordering weights instead; the uniform measure averages each of them
-exactly, to 1/(r + 1) on x^r p^s.
+exactly, to 1/(r + 1) on x^r p^s, and any other measure runs the Bernstein
+recurrence once at all of its nodes up to the largest power of x; each outer
+power's sum is transformed back as soon as no later term adds to it.
 
 The grid's DFTs are centred: for N divisible by 4 the centred DFT is
 S F S, with F the plain FFT and S = diag((-1)^j).  The N x N transforms run
@@ -56,8 +58,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from math import comb, frexp, inf, isfinite, ldexp, log, pi, sqrt
+from math import frexp, inf, isfinite, ldexp, log, pi, sqrt
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -501,43 +502,39 @@ def _apply_sampled(modes: np.ndarray, psi: SampledWavefunction) -> np.ndarray:
     return terms[0] / n
 
 
-# Decimal arithmetic for the ordering weights: far more digits than a
-# double, and an exponent range that holds C(r, j) and the powers of the
-# nodes at any degree.
-_WEIGHT_CONTEXT = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
-def _ordering_weights(scheme: Scheme) -> Callable[[int], list[float]]:
+def _ordering_weights(scheme: Scheme, powers: set[int]) -> dict[int, list[float]]:
     """r -> the scheme's average over tau of C(r, j) (1-tau)^(r-j) tau^j,
-    for j = 0..r.
+    for j = 0..r, at each power r in powers.
 
     The uniform average C(r, j) B(r-j+1, j+1) is 1/(r+1) for every j.  Any
-    other measure is summed over its nodes in decimal arithmetic and each
-    weight rounded once, so no weight overflows on the way or loses digits;
-    one that lies outside double range is infinite.
+    other measure runs the Bernstein recurrence
+    b(k, j) = (1-t) b(k-1, j) + t b(k-1, j-1), from b(0, 0) = 1, once at all
+    of its nodes t up to the largest power, and sums the row of each power
+    over the nodes with the measure's weights.  For every real t both terms
+    have the sign of b(k, j), so nothing cancels and no C(r, j) is formed.  A
+    weight past double range is infinite; for tau outside [0, 1] so may be
+    others in its row, which changes no result, as one infinite weight makes
+    the route's output non-finite.  The work is the number of nodes times
+    the largest power squared, over two.
     """
     if isinstance(scheme, BornJordan):
-        return lambda r: [1.0 / (r + 1)] * (r + 1)
+        return {r: [1.0 / (r + 1)] * (r + 1) for r in powers}
     nodes, weights = _ordering_measure(scheme)
-    measure = [
-        (Decimal(t), Decimal(u), Decimal(w))
-        for t, u, w in zip(nodes.tolist(), (1.0 - nodes).tolist(), weights.tolist())
-    ]
-
-    def row(r: int) -> list[float]:
-        with localcontext(_WEIGHT_CONTEXT):
-            totals = [Decimal(0)] * (r + 1)
-            for t, u, w in measure:
-                weighted_t_powers = [w]  # w t^j
-                for _ in range(r):
-                    weighted_t_powers.append(weighted_t_powers[-1] * t)
-                u_power = Decimal(1)  # u^(r-j)
-                for j in range(r, -1, -1):
-                    totals[j] += weighted_t_powers[j] * u_power
-                    u_power *= u
-            return [float(comb(r, j) * total) for j, total in enumerate(totals)]
-
-    return row
+    complements = 1.0 - nodes
+    top = max(powers, default=0)
+    b = np.zeros((top + 1, nodes.size))  # b[j] = b(k, j) at every node
+    b[0] = 1.0
+    t_part = np.empty_like(b)
+    rows = {}
+    with np.errstate(over="ignore"):
+        for k in range(top + 1):
+            if k:
+                np.multiply(b[:k], nodes, out=t_part[:k])
+                b[:k] *= complements
+                b[1 : k + 1] += t_part[:k]
+            if k in powers:
+                rows[k] = (b[: k + 1] @ weights).tolist()
+    return rows
 
 
 def _float_terms(a: SymbolPoly, hbar: float) -> list[tuple[int, int, complex]]:
@@ -548,25 +545,27 @@ def _float_terms(a: SymbolPoly, hbar: float) -> list[tuple[int, int, complex]]:
     return [(r, s, coeff.to_complex(hbar)) for ((r,), (s,)), coeff in a.terms.items()]
 
 
-def _apply_poly(
-    a: SymbolPoly,
-    psi: SampledWavefunction,
-    ordering_weights: Callable[[int], list[float]],
-) -> np.ndarray:
+def _apply_poly(a: SymbolPoly, psi: SampledWavefunction, scheme: Scheme) -> np.ndarray:
     """Exact pseudospectral route for one-dimensional polynomial symbols.
 
     x^r p^s at ordering tau is sum_j C(r, j) (1-tau)^(r-j) tau^j
-    x^(r-j) p^s x^j, so an average over tau averages these weights.
+    x^(r-j) p^s x^j, so an average over tau averages these weights; all rows
+    the symbol needs come from one _ordering_weights call.  Each x^j psi is
+    transformed once, and every term with the same outer power x^o is summed
+    in momentum space, so each o needs one inverse transform.  j is the outer
+    loop, so one transform is alive at a time; and after step j no later
+    step adds to the outer power top - j, so that sum is transformed back
+    and added to the result there, and a monomial holds a few state-sized
+    arrays whatever its degree.
     """
     x = psi.grid.x_values()
     p = psi.grid.p_values(psi.hbar)
-    # transform each x^j psi once, and sum every term with the same outer
-    # power x^o in momentum space so that each o needs one inverse transform;
-    # j is the outer loop, so one transform is alive at a time
     terms = _float_terms(a, psi.hbar)
-    weights = {r: ordering_weights(r) for r in {r for r, _, _ in terms}}
+    weights = _ordering_weights(scheme, {r for r, _, _ in terms})
+    top = max(weights, default=-1)
     inner: dict[int, np.ndarray] = {}
-    for j in range(max(weights, default=-1) + 1):
+    out = np.zeros_like(psi.values)
+    for j in range(top + 1):
         g_hat = None
         for r, s, c in terms:
             weight = weights[r][j] if j <= r else 0.0
@@ -579,9 +578,9 @@ def _apply_poly(
                 inner[r - j] += term
             else:
                 inner[r - j] = term
-    out = np.zeros_like(psi.values)
-    for o, acc in inner.items():
-        out += (x**o) * (_cdft(acc, +1) / psi.grid.n_points)
+        done = inner.pop(top - j, None)
+        if done is not None:
+            out += (x ** (top - j)) * (_cdft(done, +1) / psi.grid.n_points)
     return out
 
 
@@ -612,7 +611,7 @@ def apply_operator(
         if isinstance(symbol, SampledSymbol):
             values = _apply_sampled(symbol._modes_for(scheme), psi)
         else:
-            values = _apply_poly(symbol, psi, _ordering_weights(scheme))
+            values = _apply_poly(symbol, psi, scheme)
     return psi.with_values(values)
 
 

@@ -767,10 +767,23 @@ class TestPolyRouteOracle:
         apply_operator(parse("(x+p)^12"), hermite_state(grid, 2), BJQuadrature(16))
         assert len(calls) <= 26
 
+    def test_monomial_peak_memory(self):
+        # each outer power's sum is transformed back as soon as it is
+        # complete, so a monomial holds a few N-sample arrays (64 KiB each at
+        # N = 4096; measured 7.5-8 with the result's checks) whatever its
+        # degree; keeping every sum held R + 1 of them
+        grid = UniformGrid(4096, 2.0)
+        psi = gaussian_state(grid, 0.01)
+        for scheme in (WeylScheme(), TauScheme(0.3), BornJordan()):
+            for r in (10, 400):
+                a = SymbolPoly.monomial(1, x=(r,), p=(0,))
+                peak = _traced_peak(lambda: apply_operator(a, psi, scheme))
+                assert peak < 12 * 2**16, (scheme, r, peak)
+
 
 class TestOrderingWeights:
-    """The polynomial route's ordering weights, summed over a scheme's nodes
-    and rounded once."""
+    """The polynomial route's ordering weights: the Bernstein recurrence at a
+    scheme's nodes, summed over them with its weights."""
 
     SCHEMES = (WeylScheme(), TauScheme(0.3), TauScheme(Fraction(1, 3)), TauScheme(0),
                TauScheme(1), TauScheme(-0.7), TauScheme(2.5), BJQuadrature(2),
@@ -792,9 +805,9 @@ class TestOrderingWeights:
         # relative difference measured: 3.3e-16
         from bjcalc.numeric import _ordering_weights
 
-        weights = _ordering_weights(scheme)
+        weights = _ordering_weights(scheme, set(range(13)))
         for r in range(13):
-            for j, got in enumerate(weights(r)):
+            for j, got in enumerate(weights[r]):
                 want = self._float_weight(scheme, r, j)
                 assert abs(got - want) <= 1e-15 * abs(want), (r, j)
 
@@ -805,13 +818,67 @@ class TestOrderingWeights:
         # of a binomial law averaged over the nodes, so they sum to 1
         from bjcalc.numeric import _ordering_weights
 
-        row = _ordering_weights(scheme)(1100)
+        row = _ordering_weights(scheme, {1100})[1100]
         assert all(np.isfinite(row)) and abs(sum(row) - 1.0) < 1e-12
 
     def test_weight_past_double_range_is_infinite(self):
         from bjcalc.numeric import _ordering_weights
 
-        assert _ordering_weights(TauScheme(-3.0))(600)[0] == np.inf
+        assert _ordering_weights(TauScheme(-3.0), {600})[600][0] == np.inf
+
+    @staticmethod
+    def _exact_row(scheme, r):
+        """Row r as the exact sum over the scheme's nodes t and weights w of
+        w C(r, j) (1-t)^(r-j) t^j, each weight rounded once.  1 - t is the
+        float complement that the route uses, as part of the measure: below
+        t = 1/2 it is rounded, and its power r - j moves by up to (r - j)/2
+        ulps from that of the exact 1 - t, far more than the arithmetic."""
+        from math import comb
+
+        from bjcalc.numeric import _ordering_measure
+
+        def dyadic(v):
+            """(n, e) with v = n / 2^e exactly."""
+            exact = Fraction(v)
+            return exact.numerator, exact.denominator.bit_length() - 1
+
+        nodes, weights = _ordering_measure(scheme)
+        measure = [(dyadic(t), dyadic(1.0 - t), dyadic(w))
+                   for t, w in zip(nodes.tolist(), weights.tolist())]
+        # every term over the one denominator 2^scale
+        scale = max(ew + r * max(et, eu) for (_, et), (_, eu), (_, ew) in measure)
+        sums = [0] * (r + 1)
+        for (t, et), (u, eu), (w, ew) in measure:
+            weighted_t_powers = [w]
+            for _ in range(r):
+                weighted_t_powers.append(weighted_t_powers[-1] * t)
+            u_power = 1
+            for j in range(r, -1, -1):
+                shift = scale - ew - et * j - eu * (r - j)
+                sums[j] += (weighted_t_powers[j] * u_power) << shift
+                u_power *= u
+        return [float(Fraction(comb(r, j) * total, 1 << scale)) for j, total in enumerate(sums)]
+
+    @pytest.mark.parametrize("scheme, top", [
+        (WeylScheme(), 300), (TauScheme(0.3), 300), (TauScheme(-0.7), 300),
+        (TauScheme(2.5), 300), (BJQuadrature(2), 300), (BJQuadrature(16), 300),
+        (BJQuadrature(64), 300),
+        # exact sums over 256 nodes take 0.5 s up to r = 120, 4 s up to 300
+        (BJQuadrature(256), 120),
+    ], ids=repr)
+    def test_rows_match_exact_sums(self, scheme, top):
+        # largest relative difference measured over these rows: 2.3e-15
+        # (BJQuadrature(2) at r = 300)
+        from bjcalc.numeric import _ordering_weights
+
+        rows = {0, 1, 2, 3, 12, 40, top // 2, top}
+        got = _ordering_weights(scheme, rows)
+        assert set(got) == rows
+        for r in rows:
+            for j, (g, want) in enumerate(zip(got[r], self._exact_row(scheme, r), strict=True)):
+                assert abs(g - want) <= 4e-15 * abs(want), (r, j, g, want)
+            # a row does not depend on the other powers asked for with it
+            assert _ordering_weights(scheme, {r})[r] == got[r], r
 
 
 class TestSampleSymbol:
