@@ -31,19 +31,23 @@ recurrence once at all of its nodes up to the largest power of x; each outer
 power's sum is transformed back as soon as no later term adds to it.
 
 The grid's DFTs are centred: for N divisible by 4 the centred DFT is
-S F S, with F the plain FFT and S = diag((-1)^j).  The N x N transforms run
-plain FFTs and put each S where it costs no pass of its own; negation and
-scaling by a power of two are exact, so this changes no bit.  The input
-signs of the symplectic transform, and its 1/N, go into its one copy of the
-samples.  Its output signs over momentum cancel the input signs of the
-inverse DFT over momentum that follows it on the sampled route, and those
-of bj_weyl_symbol_numeric's first transform cancel the input signs of its
-second.  The sampled route's remaining signs, (-1)^m and (-1)^i on mode
-(m, i), combine to (-1)^t on the state sample psi[t] that the gather meets
-there; symplectic_ft and bj_weyl_symbol_numeric keep one output
-checkerboard pass, and antiwick_apply puts its signs on psi and on the
-output vector.  The length-N transforms and the reflection route keep the
-centred _cdft.
+S F S, with F the plain FFT and S = diag((-1)^j).  Every transform is a plain
+FFT, and each S goes where it costs no pass of its own: on an input copy, a
+state, a real factor or the one output checkerboard, or it cancels against
+the next transform's.  The input signs of the symplectic transform, and its
+1/N, go into its one copy of the samples.  Its output signs over momentum
+cancel the input signs of the inverse DFT over momentum that follows it on
+the sampled route, and those of bj_weyl_symbol_numeric's first transform
+cancel the input signs of its second.  The sampled route's remaining signs,
+(-1)^m and (-1)^i on mode (m, i), combine to (-1)^t on the state sample
+psi[t] that the gather meets there; symplectic_ft and bj_weyl_symbol_numeric
+keep one output checkerboard pass.  A length-N forward and inverse pair
+cancels its middle signs around the pointwise factor between them, so the
+polynomial route and heisenberg_shift put S on psi and on the real x^o or
+the output phase, and antiwick_apply on psi and on the output vector.  The
+reflection route puts S on its copy of each block of rows and reads only
+even columns, whose output sign is +1.  Signs are multiplied onto a factor,
+not negated onto a result, which would turn an exact +0 into -0.
 
 States and symbols share one immutable sample form with read-only samples,
 checked once when it is made, and every route that applies a sampled symbol
@@ -254,35 +258,6 @@ class BJQuadrature:
 
 
 Scheme = Union[QuantizationScheme, BJQuadrature]
-
-
-# ---------------------------------------------------------------------------
-# Centered discrete Fourier transforms
-# ---------------------------------------------------------------------------
-
-
-def _cdft(v: np.ndarray, sign: int, axis: int = 0) -> np.ndarray:
-    """sum_j exp(sign * i * 2pi (k - N/2)(j - N/2) / N) v_j along an axis, in
-    place: v, a writeable complex array, is overwritten and returned, so a
-    caller that must keep its input passes a copy.
-
-    For N divisible by 4 (every UniformGrid size) the centred kernel is
-    (-1)^(j+k) times the plain DFT kernel, so odd samples change sign before
-    and after the FFT instead of being rolled by N/2.  The length-N
-    transforms and the reflection route use it; the N x N transforms of the
-    sampled route take plain FFTs and put these signs elsewhere (see
-    _signed_copy).
-    """
-    odd = [slice(None)] * v.ndim
-    odd[axis] = slice(1, None, 2)
-    odd = tuple(odd)
-    np.negative(v[odd], out=v[odd])
-    if sign < 0:
-        np.fft.fft(v, axis=axis, out=v)
-    else:
-        np.fft.ifft(v, axis=axis, norm="forward", out=v)
-    np.negative(v[odd], out=v[odd])
-    return v
 
 
 def _check_boundary_decay(psi: SampledWavefunction, tolerance: float) -> None:
@@ -556,10 +531,14 @@ def _apply_poly(a: SymbolPoly, psi: SampledWavefunction, scheme: Scheme) -> np.n
     loop, so one transform is alive at a time; and after step j no later
     step adds to the outer power top - j, so that sum is transformed back
     and added to the result there, and a monomial holds a few state-sized
-    arrays whatever its degree.
+    arrays whatever its degree.  The centring signs go on psi once and on
+    the real factor x^o (see the module docstring).
     """
+    n = psi.grid.n_points
+    signs = np.tile([1.0, -1.0], n // 2)
     x = psi.grid.x_values()
     p = psi.grid.p_values(psi.hbar)
+    phi = signs * psi.values
     terms = _float_terms(a, psi.hbar)
     weights = _ordering_weights(scheme, {r for r, _, _ in terms})
     top = max(weights, default=-1)
@@ -572,7 +551,8 @@ def _apply_poly(a: SymbolPoly, psi: SampledWavefunction, scheme: Scheme) -> np.n
             if weight == 0.0:
                 continue
             if g_hat is None:
-                g_hat = _cdft((x**j) * psi.values, -1)
+                g_hat = (x**j) * phi
+                np.fft.fft(g_hat, out=g_hat)
             term = (c * weight) * (p**s) * g_hat
             if r - j in inner:
                 inner[r - j] += term
@@ -580,7 +560,8 @@ def _apply_poly(a: SymbolPoly, psi: SampledWavefunction, scheme: Scheme) -> np.n
                 inner[r - j] = term
         done = inner.pop(top - j, None)
         if done is not None:
-            out += (x ** (top - j)) * (_cdft(done, +1) / psi.grid.n_points)
+            np.fft.ifft(done, norm="forward", out=done)
+            out += (signs * x ** (top - j)) * (done / n)
     return out
 
 
@@ -634,10 +615,12 @@ def heisenberg_shift(
         raise ValueError("shift exceeds half the box length")
     p = grid.p_values(hbar)
     x = grid.x_values()
-    spectrum = _cdft(psi.values.copy(), -1)
+    # the centring signs go on the state and on the output phase
+    signs = np.tile([1.0, -1.0], grid.n_points // 2)
+    spectrum = np.fft.fft(signs * psi.values)
     spectrum *= np.exp(-1j * p * x0 / hbar)
-    translated = _cdft(spectrum, +1) / grid.n_points
-    phase = np.exp(1j * (p0 * x - 0.5 * p0 * x0) / hbar)
+    translated = np.fft.ifft(spectrum, norm="forward", out=spectrum) / grid.n_points
+    phase = signs * np.exp(1j * (p0 * x - 0.5 * p0 * x0) / hbar)
     return psi.with_values(phase * translated)
 
 
@@ -678,6 +661,8 @@ def weyl_via_grossmann_royer(
     _check_pair(a, psi)
     n = a.grid.n_points
     half = n // 2
+    # the centring signs over k go on each block's copy (module docstring)
+    signs = np.tile([1.0, -1.0], half)
     block = min(_BLOCK_ROWS, half)  # divides N/2, so no block wraps past it
     # tile[r, c] = modes[start + r, 2((c + N/4) mod N/2)]
     columns = 2 * ((np.arange(3 * half) + n // 4) % half)
@@ -687,7 +672,9 @@ def weyl_via_grossmann_royer(
     terms = np.zeros((block + 1, n), dtype=complex)
     for start in range(0, n, block):
         rows = slice(start, start + block)
-        tile = np.take(_cdft(a.values[rows].copy(), +1, axis=1), columns, axis=1)
+        modes = a.values[rows] * signs
+        np.fft.ifft(modes, axis=1, norm="forward", out=modes)
+        tile = np.take(modes, columns, axis=1)
         # row m = start + r reads the tile from column N/2 - (m mod N/2) on
         skew = half - start % half
         doubled = sliding_window_view(tile.ravel(), n)[skew :: 3 * half - 1][:block]
@@ -740,9 +727,9 @@ def q_norm_estimate(psi: SampledWavefunction, s: float) -> float:
     """L2 norm of the anti-Wick operator with symbol <z>^s applied to psi."""
     grid = psi.grid
     x = grid.x_values()
-    p = grid.p_values(1.0)
+    p = grid.p_values(psi.hbar)
     weight = (1.0 + np.add.outer(x**2, p**2)) ** (s / 2.0)
-    symbol = SampledSymbol(grid, weight.astype(complex), 1.0)
+    symbol = SampledSymbol(grid, weight.astype(complex), psi.hbar)
     return antiwick_apply(symbol, psi).norm()
 
 
@@ -766,6 +753,9 @@ def estimate_shubin_order(
     radii = list(radii)
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be at least 3 increasing values")
+    _require_int(n_angles, "n_angles")
+    if n_angles < 1:
+        raise ValueError(f"n_angles must be positive, got {n_angles}")
     theta = np.linspace(0.0, 2 * pi, n_angles, endpoint=False)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
@@ -888,6 +878,8 @@ def null_symbol(
     omitted a balanced point with x0 p0 = 2 pi hbar is chosen, where the
     Born-Jordan filter vanishes.  Returns the symbol and the z0 used.
     """
+    if not 0 < width_factor < inf:
+        raise ValueError(f"width_factor must be positive and finite, got {width_factor!r}")
     n = grid.n_points
     if x0 is None and p0 is None:
         # factor n = m_idx * k_idx with both offsets inside the grid
@@ -977,6 +969,7 @@ def wavefunction_to_json(psi: SampledWavefunction) -> dict:
 def wavefunction_from_json(payload: Union[str, dict]) -> SampledWavefunction:
     if isinstance(payload, str):
         payload = json.loads(payload)
-    grid = UniformGrid(int(payload["N"]), float(payload["L"]))
+    _require_int(payload["N"], "N")
+    grid = UniformGrid(payload["N"], float(payload["L"]))
     values = np.asarray([complex(re, im) for re, im in payload["values"]])
     return SampledWavefunction(grid, values, float(payload["hbar"]))

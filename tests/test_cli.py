@@ -306,6 +306,14 @@ class TestApply:
         assert rows[0] == "x,re,im"
         assert len(rows) == 65
 
+    def test_zero_symbol_prints_no_negative_zero(self):
+        # the polynomial route's centring signs are folded in by multiplying
+        # a factor; negating the result would print an exact zero as -0
+        code, out, _ = run(["--grid", "64", "--output", "csv", "apply", "0", "gaussian"])
+        assert code == 0
+        fields = [f for row in out.strip().splitlines()[1:] for f in row.split(",")[1:]]
+        assert len(fields) == 128 and "-0" not in fields
+
     def test_json_output_shape(self):
         code, out, _ = run(
             ["--output", "json", "--grid", "64", "--box", "16", "apply",

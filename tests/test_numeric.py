@@ -396,6 +396,29 @@ class TestApplicationRoutes:
             apply_operator(a, psi, WeylScheme())
 
 
+def _cdft(v, sign, axis=0):
+    """sum_j exp(sign * i * 2pi (k - N/2)(j - N/2) / N) v_j along an axis, in
+    place: v, a writeable complex array, is overwritten and returned, so a
+    caller that must keep its input passes a copy.
+
+    For N divisible by 4 (every UniformGrid size) the centred kernel is
+    (-1)^(j+k) times the plain DFT kernel, so odd samples change sign before
+    and after the FFT instead of being rolled by N/2.  The grid layer's plain
+    FFTs put these signs elsewhere; the tests build its routes' steps from
+    this centred DFT, which negates exactly, and compare them bit for bit.
+    """
+    odd = [slice(None)] * v.ndim
+    odd[axis] = slice(1, None, 2)
+    odd = tuple(odd)
+    np.negative(v[odd], out=v[odd])
+    if sign < 0:
+        np.fft.fft(v, axis=axis, out=v)
+    else:
+        np.fft.ifft(v, axis=axis, norm="forward", out=v)
+    np.negative(v[odd], out=v[odd])
+    return v
+
+
 def _centred_dft(v, sign, axis):
     # the centred DFT by rolling the zero index to the front and back
     shifted = np.fft.ifftshift(v, axes=axis)
@@ -505,15 +528,16 @@ class TestSampledRouteOracle:
 
 
 class TestFoldedSigns:
-    """The N x N transforms take plain FFTs and put the centring signs of
-    their centred DFTs on the input copy, the state or the output, where
-    negation and power-of-two scaling are exact.  Each is compared, to the
-    last bit, with the same steps built from the centred _cdft."""
+    """Every grid transform is a plain FFT, with the centring signs of its
+    centred DFT put on an input copy, the state, a real factor or the one
+    output checkerboard, or cancelled between two transforms.  Each route is
+    compared with the same steps built from the test-local centred _cdft:
+    the polynomial route bit for bit, signed zeros included, and the rest
+    with np.array_equal, since a sign multiplied onto an exact zero may
+    differ from a sign negated onto it."""
 
     @staticmethod
     def _symplectic(values):
-        from bjcalc.numeric import _cdft
-
         w = values.T.copy()
         _cdft(w, -1, axis=1)
         _cdft(w, +1, axis=0)
@@ -529,7 +553,7 @@ class TestFoldedSigns:
 
     def _apply(self, a, psi, scheme):
         """Centred modes, then a sequential gather one row m at a time."""
-        from bjcalc.numeric import _cdft, _mode_multiplier
+        from bjcalc.numeric import _mode_multiplier
 
         n = a.grid.n_points
         modes = self._symplectic(a.values) * _mode_multiplier(n, scheme)(slice(None))
@@ -540,9 +564,41 @@ class TestFoldedSigns:
             out += modes[m] * psi.values[(i - m + n // 2) % n]
         return out / n
 
-    def _antiwick(self, a, psi):
-        from bjcalc.numeric import _cdft
+    @staticmethod
+    def _poly(a, psi, scheme):
+        """The polynomial route with a centred transform per power x^j and
+        per outer power x^o, each sum added in the route's order."""
+        from bjcalc.numeric import _float_terms, _ordering_weights
 
+        n = psi.grid.n_points
+        x, p = psi.grid.x_values(), psi.grid.p_values(psi.hbar)
+        terms = _float_terms(a, psi.hbar)
+        weights = _ordering_weights(scheme, {r for r, _, _ in terms})
+        top = max(weights, default=-1)
+        inner = {}
+        for j in range(top + 1):
+            g_hat = _cdft((x**j) * psi.values, -1)
+            for r, s, c in terms:
+                weight = weights[r][j] if j <= r else 0.0
+                if weight != 0.0:
+                    term = (c * weight) * (p**s) * g_hat
+                    inner[r - j] = inner[r - j] + term if r - j in inner else term
+        out = np.zeros_like(psi.values)
+        for o in range(top, -1, -1):
+            if o in inner:
+                out += (x**o) * (_cdft(inner[o], +1) / n)
+        return out
+
+    @staticmethod
+    def _shift(psi, z0):
+        x0, p0 = z0
+        grid, hbar = psi.grid, psi.hbar
+        spectrum = _cdft(psi.values.copy(), -1)
+        spectrum *= np.exp(-1j * grid.p_values(hbar) * x0 / hbar)
+        translated = _cdft(spectrum, +1) / grid.n_points
+        return np.exp(1j * (p0 * grid.x_values() - 0.5 * p0 * x0) / hbar) * translated
+
+    def _antiwick(self, a, psi):
         grid = a.grid
         x = grid.x_values()
         envelope = np.exp(-0.5 * np.subtract.outer(x, x) ** 2)
@@ -568,6 +624,35 @@ class TestFoldedSigns:
         filtered = self._symplectic(a.values) * self._sinc_filter(n)
         assert np.array_equal(bj_weyl_symbol_numeric(a).values, self._symplectic(filtered))
         assert np.array_equal(antiwick_apply(a, psi).values, self._antiwick(a, psi))
+
+    @staticmethod
+    def _states(grid):
+        """A smooth state, the same with every third sample exactly zero,
+        and the zero state."""
+        psi = _random_state(grid, seed=grid.n_points + 2, hbar=0.5)
+        holes = psi.values.copy()
+        holes[::3] = 0.0
+        return psi, psi.with_values(holes), psi.with_values(np.zeros(grid.n_points))
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_poly_route(self, n):
+        symbols = [parse(t) for t in ("0", "1", "x*p", "(x+p)^12", "x^3*p - 1/2*x*p^2 + p^3")]
+        for psi in self._states(UniformGrid(n, 20.0)):
+            for scheme in (WeylScheme(), TauScheme(0.3), BJSinc(), BJQuadrature(5)):
+                for a in symbols:
+                    got = apply_operator(a, psi, scheme).values
+                    want = self._poly(a, psi, scheme)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (a, scheme)
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_shift_and_reflection(self, n):
+        for psi in self._states(UniformGrid(n, 20.0)):
+            for z0 in ((0.0, 0.0), (1.25, 2.0), (0.3117, -1.77), (-2.5, 0.0)):
+                assert np.array_equal(heisenberg_shift(psi, z0).values, self._shift(psi, z0))
+                inner = self._shift(psi, (-z0[0], -z0[1]))
+                mirrored = psi.with_values(np.roll(inner[::-1], 1))
+                got = grossmann_royer_apply(psi, z0).values
+                assert np.array_equal(got, self._shift(mirrored, z0))
 
 
 class TestReusedModes:
@@ -929,8 +1014,6 @@ class TestReflectionRouteOracle:
     @staticmethod
     def _row_loop(a, psi):
         """The reflection superposition gathered one row m at a time."""
-        from bjcalc.numeric import _cdft
-
         n = a.grid.n_points
         modes = _cdft(a.values.copy(), +1, axis=1)
         i_idx = np.arange(n)
@@ -1160,6 +1243,11 @@ class TestNullSymbol:
         with pytest.raises(ValueError):
             null_symbol(grid, x0=1.0, p0=None)
 
+    @pytest.mark.parametrize("width", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_bad_width(self, width):
+        with pytest.raises(ValueError, match="width_factor must be positive and finite"):
+            null_symbol(UniformGrid(64, 20.0), width_factor=width)
+
 
 class TestAntiWick:
     def test_hbar_restriction(self):
@@ -1202,7 +1290,7 @@ class TestAntiWick:
 
     def test_q_norm_rejects_hbar(self):
         grid = _grid(64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only defined for hbar = 1"):
             q_norm_estimate(gaussian_state(grid, hbar=0.5), 1.0)
 
 
@@ -1236,6 +1324,11 @@ class TestShubinOrder:
             estimate_shubin_order(lambda x, p: x, [3, 2, 5])
         with pytest.raises(ValueError):
             estimate_shubin_order(lambda x, p: x * np.inf, [3, 5, 8])
+
+    @pytest.mark.parametrize("n_angles", [0, -3, 2.5, True])
+    def test_rejects_bad_angle_count(self, n_angles):
+        with pytest.raises(ValueError, match="n_angles must be"):
+            estimate_shubin_order(lambda x, p: 1 + x**2, [3, 5, 8], n_angles=n_angles)
 
 
 class TestDataExchange:
@@ -1277,6 +1370,13 @@ class TestDataExchange:
         back = wavefunction_from_json(payload)
         assert back.grid == grid and back.hbar == psi.hbar
         assert np.max(np.abs(back.values - psi.values)) == 0.0
+
+    @pytest.mark.parametrize("n", [64.9, 64.0, "64", True])
+    def test_json_rejects_non_int_size(self, n):
+        payload = wavefunction_to_json(gaussian_state(_grid(64)))
+        payload["N"] = n
+        with pytest.raises(ValueError, match="N must be an integer"):
+            wavefunction_from_json(json.dumps(payload))
 
     def test_csv_malformed(self):
         with pytest.raises(ValueError):
