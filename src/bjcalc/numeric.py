@@ -22,13 +22,15 @@ are tabulated from the integer m k without N^2 transcendental calls, and
 every scheme costs one symplectic transform and one pass.  That transform,
 the multiplier and the inverse DFT over momentum depend on the symbol and
 the scheme alone; only the last gather meets the state.  So a SampledSymbol,
-whose samples are read-only, keeps that state-free stage for the last scheme
-it was applied with, and applying one symbol object to many states under one
-scheme computes it once.  On the polynomial route the measure averages the
-binomial ordering weights instead; the uniform measure averages each of them
-exactly, to 1/(r + 1) on x^r p^s, and any other measure runs the Bernstein
-recurrence once at all of its nodes up to the largest power of x; each outer
-power's sum is transformed back as soon as no later term adds to it.
+whose samples are read-only, keeps that state-free stage for the last two
+schemes it was applied with, at one N x N complex array each: applying one
+symbol object to many states under one scheme, or comparing it under two
+schemes, computes it once per scheme.  On the polynomial route the measure
+averages the binomial ordering weights instead; the uniform measure averages
+each of them exactly, to 1/(r + 1) on x^r p^s, and any other measure runs the
+Bernstein recurrence once at all of its nodes up to the largest power of x;
+each outer power's sum is transformed back as soon as no later term adds to
+it.
 
 The grid's DFTs are centred: for N divisible by 4 the centred DFT is
 S F S, with F the plain FFT and S = diag((-1)^j).  Every transform is a plain
@@ -47,7 +49,9 @@ polynomial route and heisenberg_shift put S on psi and on the real x^o or
 the output phase, and antiwick_apply on psi and on the output vector.  The
 reflection route puts S on its copy of each block of rows and reads only
 even columns, whose output sign is +1.  Signs are multiplied onto a factor,
-not negated onto a result, which would turn an exact +0 into -0.
+not negated onto a result, which would turn an exact +0 into -0; the one
+sign multiplied onto a result, antiwick_apply's, is followed by + 0.0, which
+takes -0 back to +0 and leaves every other value as it is.
 
 States and symbols share one immutable sample form with read-only samples,
 checked once when it is made, and every route that applies a sampled symbol
@@ -187,26 +191,42 @@ class SampledWavefunction(_Samples):
         return scale * sqrt(self.grid.spacing * float(np.sum(magnitudes**2)))
 
 
+# Schemes whose modes a SampledSymbol keeps: two, so that one symbol compared
+# under two rules computes each rule's modes once.
+_KEPT_MODES = 2
+
+
 class SampledSymbol(_Samples):
     """Complex samples a(x_j, p_k) on the square phase-space grid.
 
     The symbol keeps the state-free stage of the sampled route (_modes) for
-    the last scheme it was applied with, so applying it to many states under
-    one scheme computes that stage once.
+    the last two schemes it was applied with, so applying it to many states
+    under one scheme, or comparing it under two, computes that stage once per
+    scheme.  The cost is one N x N complex array per kept scheme.
     """
 
     _ndim = 2
-    _modes_entry = None  # (scheme, modes) of the last scheme applied
+    _modes_entries = ()  # (scheme, modes) pairs, most recently used first
 
     def _modes_for(self, scheme: Scheme) -> np.ndarray:
-        """_modes(self, scheme), from the one kept entry when it was computed
+        """_modes(self, scheme), from a kept entry when one was computed
         under an equal scheme and the samples are still read-only."""
-        entry = self._modes_entry
-        if entry is None or entry[0] != scheme or self.values.flags.writeable:
-            # the old entry goes first, so that a miss never holds two
-            object.__setattr__(self, "_modes_entry", None)
-            entry = (scheme, _modes(self, scheme))
-            object.__setattr__(self, "_modes_entry", entry)
+        entries = self._modes_entries
+        if self.values.flags.writeable:
+            # samples made writeable by hand may differ from every entry's
+            object.__setattr__(self, "_modes_entries", ())
+            return _modes(self, scheme)
+        for entry in entries:
+            if entry[0] == scheme:
+                rest = tuple(e for e in entries if e is not entry)
+                object.__setattr__(self, "_modes_entries", (entry, *rest))
+                return entry[1]
+        # the older entry goes first, so that a miss holds at most one old
+        # entry beside its new buffer
+        kept = entries[: _KEPT_MODES - 1]
+        object.__setattr__(self, "_modes_entries", kept)
+        entry = (scheme, _modes(self, scheme))
+        object.__setattr__(self, "_modes_entries", (entry, *kept))
         return entry[1]
 
 
@@ -343,15 +363,16 @@ def bj_weyl_symbol_numeric(a: SampledSymbol) -> SampledSymbol:
     """
     n = a.grid.n_points
     half = np.sin(pi * np.arange(n) / n) * (n / pi)
-    filtered = np.empty((n, n), dtype=complex)
+    head = np.concatenate([half, -half])
     # the output signs of the first transform cancel the input signs of the
     # second, and both 1/n's go into the first copy; the filter is symmetric
-    # in (m, k), so the second copy reads it in C order
-    np.multiply(
-        _plain_symplectic(_signed_copy(a.values, 1.0 / n**2)).T,
-        _over_q(n, np.concatenate([half, -half])),
-        out=filtered,
-    )
+    # in (m, k), so the second copy reads it in C order, a block of rows at
+    # a time
+    transformed = _plain_symplectic(_signed_copy(a.values, 1.0 / n**2)).T
+    filtered = np.empty((n, n), dtype=complex)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        np.multiply(transformed[rows], _over_q(n, head, rows), out=filtered[rows])
     return a.with_values(_checkerboard(_plain_symplectic(filtered)))
 
 
@@ -423,8 +444,9 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
 
 
 # Rows made at a time where a whole n x n intermediate would add to the peak
-# (the mode multiplier, the reflection route's transform): small beside an
-# n x n buffer, and few enough blocks to cost nothing per block.
+# (the mode multiplier, the sinc filter, the reflection route's transform):
+# small beside an n x n buffer, and few enough blocks to cost nothing per
+# block.
 _BLOCK_ROWS = 32
 
 
@@ -713,14 +735,18 @@ def antiwick_apply(
     # the centring signs of both DFTs over t: (-1)^j on psi and on the
     # output; those over p cancel between the two
     signs = np.resize([1.0, -1.0], n)
-    windowed = envelope * (signs * psi.values)
+    # one n x n buffer, transformed and scaled in place
+    work = envelope * (signs * psi.values)
     # V[m, k] = (-1)^k <psi, Phi_{(x_m, p_k)}> / pi^{-1/4}
-    overlaps = np.fft.fft(windowed, axis=1, out=windowed) * dx
-    weighted = a.values * overlaps
+    np.fft.fft(work, axis=1, out=work)
+    work *= dx
+    np.multiply(a.values, work, out=work)
     # G[m, j] = (-1)^j sum_k a(x_m, p_k) V[m, k] exp(i t_j p_k) dp
-    modes = np.fft.ifft(weighted, axis=1, norm="forward", out=weighted) * dp
-    out = np.einsum("mj,mj->j", envelope, modes) * dx / sqrt(pi)
-    return psi.with_values(signs * out)
+    np.fft.ifft(work, axis=1, norm="forward", out=work)
+    work *= dp
+    out = np.einsum("mj,mj->j", envelope, work) * dx / sqrt(pi)
+    # + 0.0 turns the -0 of a sign on an exact zero into +0
+    return psi.with_values(signs * out + 0.0)
 
 
 def q_norm_estimate(psi: SampledWavefunction, s: float) -> float:
@@ -855,6 +881,13 @@ def sample_symbol(
 
 
 def _periodized_gaussian(u: np.ndarray, period: float, width: float) -> np.ndarray:
+    """sum_j exp(-(u - j period)^2 / 2 width^2).  By Poisson summation it is
+    width sqrt(2pi)/period times 1 + 2 sum_k exp(-2 (pi k width/period)^2)
+    cos(2pi k u/period); from width = 2 period on, the first of those terms
+    is at most 2 exp(-8 pi^2), about 1e-34, so the sum is that constant, at
+    a cost that does not grow with the width."""
+    if width >= 2 * period:
+        return np.full_like(u, width * sqrt(2 * pi) / period)
     total = np.zeros_like(u)
     images = int(np.ceil(8 * width / period)) + 2
     for j in range(-images, images + 1):

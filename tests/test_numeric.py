@@ -657,7 +657,8 @@ class TestFoldedSigns:
 
 class TestReusedModes:
     """A SampledSymbol keeps the state-free stage of the sampled route (its
-    modes) for the last scheme it was applied with, over read-only samples."""
+    modes) for the last two schemes it was applied with, most recently used
+    first, over read-only samples."""
 
     def test_samples_are_read_only(self):
         a = _smooth_symbol(_grid(64))
@@ -736,6 +737,75 @@ class TestReusedModes:
         apply_operator(a, _random_state(grid), WeylScheme())
         # Tau(1/2) is a different class from Weyl, so it is a miss, then hits
         assert calls == [WeylScheme(), TauScheme(Fraction(1, 2)), BJQuadrature(16), WeylScheme()]
+
+    @staticmethod
+    def _counted_modes(monkeypatch):
+        """The schemes _modes is called with, in order."""
+        from bjcalc import numeric
+
+        calls = []
+        real = numeric._modes
+        monkeypatch.setattr(numeric, "_modes", lambda a, s: calls.append(s) or real(a, s))
+        return calls
+
+    @staticmethod
+    def _fresh_apply(a, psi, scheme):
+        return apply_operator(SampledSymbol(a.grid, a.values.copy()), psi, scheme).values
+
+    def test_two_schemes_alternated_compute_each_once(self, monkeypatch):
+        grid = _grid(64)
+        psi = _random_state(grid)
+        a = _smooth_symbol(grid)
+        want = {s: self._fresh_apply(a, psi, s) for s in (BJQuadrature(16), BJSinc())}
+        calls = self._counted_modes(monkeypatch)
+        for _ in range(4):
+            for scheme in (BJQuadrature(16), BJSinc()):
+                got = apply_operator(a, psi, scheme).values
+                assert np.array_equal(got.view(np.uint64), want[scheme].view(np.uint64))
+        assert calls == [BJQuadrature(16), BJSinc()]
+
+    def test_a_miss_evicts_the_least_recently_used(self, monkeypatch):
+        grid = _grid(64)
+        psi = _random_state(grid)
+        a = _smooth_symbol(grid)
+        first, second, third = WeylScheme(), BJSinc(), TauScheme(0.3)
+        want = {s: self._fresh_apply(a, psi, s) for s in (first, second, third)}
+        calls = self._counted_modes(monkeypatch)
+        # the hit on `first` puts it in front, so `third` evicts `second`
+        for scheme in (first, second, first, third, first, third, second):
+            got = apply_operator(a, psi, scheme).values
+            assert np.array_equal(got.view(np.uint64), want[scheme].view(np.uint64)), scheme
+        assert calls == [first, second, third, second]
+
+    def test_writeable_samples_miss_both_entries(self, monkeypatch):
+        grid = _grid(64)
+        psi = _random_state(grid)
+        values = _smooth_symbol(grid).values.copy()
+        a = SampledSymbol(grid, values)
+        want = {s: apply_operator(a, psi, s).values for s in (WeylScheme(), BJSinc())}
+        calls = self._counted_modes(monkeypatch)
+        values.flags.writeable = True
+        values *= 2
+        for scheme in (WeylScheme(), BJSinc()):
+            assert np.array_equal(apply_operator(a, psi, scheme).values, 2 * want[scheme])
+        # nothing computed from writeable samples is kept, so samples
+        # changed again and frozen by hand are not served stale modes
+        values *= 2
+        values.flags.writeable = False
+        assert np.array_equal(apply_operator(a, psi, BJSinc()).values, 4 * want[BJSinc()])
+        assert calls == [WeylScheme(), BJSinc(), BJSinc()]
+
+    def test_miss_with_two_entries_held_peak_memory(self):
+        # the older entry is dropped before the new modes are computed, so a
+        # miss stays under test_miss_peak_memory's bound with both held
+        grid = _grid(512)
+        psi = hermite_state(grid, 3)
+        a = _smooth_symbol(grid)
+        apply_operator(a, psi, WeylScheme())
+        apply_operator(a, psi, BJSinc())
+        for scheme in (BJQuadrature(16), TauScheme(0.3), WeylScheme()):
+            peak = _traced_peak(lambda: apply_operator(a, psi, scheme))
+            assert peak < 3 * 4 * 2**20, (scheme, peak)
 
     def test_miss_peak_memory(self):
         # one N x N complex array at N = 512 is 4 MiB; a miss may hold at
@@ -1076,6 +1146,14 @@ class TestSymbolConversionOnGrid:
             np.abs(a.values)
         )
 
+    def test_peak_memory(self):
+        # two N x N complex arrays of 4 MiB at N = 512, the transformed
+        # samples and the filtered copy; the filter is made a block of rows
+        # at a time
+        a = _smooth_symbol(_grid(512))
+        peak = _traced_peak(lambda: bj_weyl_symbol_numeric(a))
+        assert peak < 10 * 2**20, peak
+
 
 class TestGaussianExpansions:
     """The Born-Jordan <-> Weyl expansions on a symbol where the series do
@@ -1243,6 +1321,37 @@ class TestNullSymbol:
         with pytest.raises(ValueError):
             null_symbol(grid, x0=1.0, p0=None)
 
+    @pytest.mark.parametrize("width", [2.0, 10.0, 100.0])
+    def test_wide_window_is_the_poisson_constant(self, width):
+        from bjcalc.numeric import _periodized_gaussian
+
+        u = UniformGrid(64, 20.0).x_values()
+        images = int(np.ceil(8 * width)) + 2
+        direct = sum(np.exp(-((u - j * 20.0) ** 2) / (2 * (20.0 * width) ** 2))
+                     for j in range(-images, images + 1))
+        got = _periodized_gaussian(u, 20.0, 20.0 * width)
+        assert np.max(np.abs(got - direct) / direct) < 1e-14
+
+    def test_default_window_keeps_the_direct_sum(self):
+        from bjcalc.numeric import _periodized_gaussian
+
+        u = UniformGrid(64, 20.0).x_values()
+        direct = np.zeros_like(u)
+        for j in range(-10, 11):
+            direct += np.exp(-((u - j * 20.0) ** 2) / (2 * 20.0**2))
+        assert np.array_equal(_periodized_gaussian(u, 20.0, 20.0), direct)
+
+    def test_huge_width_returns_at_once(self):
+        import time
+
+        # 1e4 first: a sum over the images takes about 0.6 s there, where
+        # at 1e9 it would take hours
+        for width in (1e4, 1e9):
+            start = time.perf_counter()
+            symbol, _ = null_symbol(UniformGrid(64, 20.0), width_factor=width)
+            assert time.perf_counter() - start < 0.3, width
+            assert np.all(np.isfinite(symbol.values))
+
     @pytest.mark.parametrize("width", [-1.0, 0.0, np.inf, np.nan])
     def test_rejects_bad_width(self, width):
         with pytest.raises(ValueError, match="width_factor must be positive and finite"):
@@ -1274,6 +1383,16 @@ class TestAntiWick:
         zero = SampledSymbol(grid, np.zeros((64, 64), dtype=complex))
         out = antiwick_apply(zero, gaussian_state(grid))
         assert np.max(np.abs(out.values)) == 0.0
+        # +0 everywhere, not -0 on the samples whose centring sign is -1
+        assert not np.any(np.signbit(out.values.view(float)))
+
+    def test_peak_memory(self):
+        # one buffer of 4 MiB and the real 2 MiB envelope at N = 512
+        grid = _grid(512)
+        a = _smooth_symbol(grid)
+        psi = hermite_state(grid, 3)
+        peak = _traced_peak(lambda: antiwick_apply(a, psi))
+        assert peak < 8 * 2**20, peak
 
     def test_q_norm_monotone_and_finite(self):
         grid = _grid(128)
