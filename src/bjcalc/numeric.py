@@ -53,6 +53,23 @@ not negated onto a result, which would turn an exact +0 into -0; the one
 sign multiplied onto a result, antiwick_apply's, is followed by + 0.0, which
 takes -0 back to +0 and leaves every other value as it is.
 
+Each N x N pass that is independent across rows or across columns runs in
+two halves (_halves): the symplectic transform's signed copy and its DFT over
+x (rows) and its inverse DFT over momentum (columns), in symplectic_ft,
+bj_weyl_symbol_numeric and the sampled route; the sampled route's multiplier
+and inverse DFT over momentum (rows); the sinc filter (rows); and
+antiwick_apply's transforms and products (rows).  One helper daemon thread,
+started on first use, runs the upper half while the caller runs the lower
+one and then waits.  Each half applies the same 1-D transforms and
+element-wise products to the same data, so no bit depends on the split; the
+gathers and every running sum stay whole, in their order.  The split is made
+only when the process may run on two or more CPUs (os.sched_getaffinity) and
+N is at least _SPLIT_MIN_N = 256, below which the hand-off costs more than
+half a pass saves; otherwise the same phase functions run once over the
+whole range.  The helper runs its half in a copy of the caller's contextvars
+context, so NumPy's error state (np.errstate) holds there as it does in the
+caller, and a child made by os.fork starts a helper of its own.
+
 States and symbols share one immutable sample form with read-only samples,
 checked once when it is made, and every route that applies a sampled symbol
 to a state checks in one place that the two share their grid and hbar.
@@ -63,11 +80,14 @@ box boundary (a state that does not emits a warning, not an error).
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from math import frexp, inf, isfinite, ldexp, log, pi, sqrt
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -295,41 +315,149 @@ def _check_boundary_decay(psi: SampledWavefunction, tolerance: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# N x N passes in two halves
+# ---------------------------------------------------------------------------
+
+
+# Rows made at a time where a whole n x n intermediate would add to the peak
+# (the mode multiplier, the sinc filter, the reflection route's transform):
+# small beside an n x n buffer, and few enough blocks to cost nothing per
+# block.
+_BLOCK_ROWS = 32
+
+# The smallest n whose passes _halves splits: below it, handing a half to
+# the helper thread costs more than it saves (see CHANGES.md).
+_SPLIT_MIN_N = 256
+
+
+def _blocks(rows: slice) -> Iterator[slice]:
+    """rows (a slice with a start and a stop), _BLOCK_ROWS at a time."""
+    for start in range(rows.start, rows.stop, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, rows.stop))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_helper_jobs: queue.SimpleQueue | None = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """In a child made by os.fork, which has no helper thread."""
+    global _helper_jobs, _helper_lock
+    _helper_jobs, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The helper thread: run each (context, phase, part, reply) job and put
+    None, or the exception it raised, on its reply queue."""
+    while True:
+        context, phase, part, reply = jobs.get()
+        try:
+            context.run(phase, part)
+        except BaseException as error:  # raised again by the caller
+            outcome = error
+        else:
+            outcome = None
+        # the phase may hold N x N buffers: drop it before the caller goes on
+        del context, phase, part
+        reply.put(outcome)
+        del outcome, reply
+
+
+def _helper() -> queue.SimpleQueue:
+    """The helper thread's job queue; the thread starts on first use."""
+    global _helper_jobs
+    import queue  # here, not at the top: see _halves
+
+    with _helper_lock:
+        if _helper_jobs is None:
+            _helper_jobs = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(_helper_jobs,), name="bjcalc-halves", daemon=True
+            ).start()
+        return _helper_jobs
+
+
+def _halves(n: int, phase: Callable[[slice], None]) -> None:
+    """phase(part) over the parts of range(n): phase(slice(0, n)) on one
+    CPU or below _SPLIT_MIN_N; otherwise the helper thread runs the upper
+    half, in a copy of the caller's context (NumPy's error state included),
+    while the caller runs the lower half and then waits for it.  An
+    exception of either half is raised here, after both have ended."""
+    if n < _SPLIT_MIN_N or _cpus() < 2:
+        phase(slice(0, n))
+        return
+    import queue  # here, not at the top: it adds about 0.8 ms to a cold import
+
+    reply: queue.SimpleQueue = queue.SimpleQueue()
+    _helper().put((contextvars.copy_context(), phase, slice(n // 2, n), reply))
+    try:
+        phase(slice(0, n // 2))
+    finally:
+        error = reply.get()
+    if error is not None:
+        raise error
+
+
+# ---------------------------------------------------------------------------
 # Symplectic Fourier transform and the sinc filter
 # ---------------------------------------------------------------------------
 
 
-def _signed_copy(values: np.ndarray, scale: float) -> np.ndarray:
-    """(-1)^(j+k) values[j, k] scale at [k, j], in a new C-ordered array:
-    the symplectic transform's input signs and its 1/n (scale, a power of
-    two), taken in its one copy of the samples (see the module docstring).
-    The momentum index comes first, so that the transform over x runs along
-    contiguous rows.
+def _signed_copy(values: np.ndarray, scale: float, out: np.ndarray, rows: slice) -> None:
+    """out[k, j] = (-1)^(j+k) values[j, k] scale for the rows k of out in
+    rows, an even start: the symplectic transform's input signs and its 1/n
+    (scale, a power of two), taken in its one copy of the samples (see the
+    module docstring).  The momentum index comes first, so that the
+    transform over x runs along contiguous rows.
     """
-    n = len(values)
-    out = np.empty((n, n), dtype=complex)
-    signs = np.resize([scale, -scale], (n, 1))  # (-1)^k scale
+    signs = np.resize([scale, -scale], (len(values), 1))[rows]  # (-1)^k scale
     # even and odd rows j of values; written in the order of out's rows,
     # which took half the time of the order of values' rows
-    np.multiply(values[::2].T, signs, out=out[:, ::2])
-    np.multiply(values[1::2].T, -signs, out=out[:, 1::2])
-    return out
+    np.multiply(values[::2, rows].T, signs, out=out[rows, ::2])
+    np.multiply(values[1::2, rows].T, -signs, out=out[rows, 1::2])
 
 
-def _plain_symplectic(w: np.ndarray) -> np.ndarray:
-    """The plain DFT over the x index j of w[k, j], then the plain inverse
-    DFT over the momentum index k, in place; the result is indexed [m, k].
-    Without the centring signs, it is (-1)^(m+k) times the symplectic
-    transform of the samples that _signed_copy took."""
-    np.fft.fft(w, axis=1, out=w)
-    return np.fft.ifft(w, axis=0, norm="forward", out=w)
-
-
-def _checkerboard(w: np.ndarray) -> np.ndarray:
-    """w[m, k] times (-1)^(m+k), in place: the output signs of both
-    centred DFTs."""
+def _checkerboard(w: np.ndarray) -> None:
+    """w[m, k] times (-1)^(m+k), in place, for a w whose first row and
+    column are even: the output signs of both centred DFTs."""
     np.negative(w[::2, 1::2], out=w[::2, 1::2])
     np.negative(w[1::2, ::2], out=w[1::2, ::2])
+
+
+def _plain_symplectic(
+    w: np.ndarray, fill: Callable[[slice], None], checkerboard: bool = False
+) -> np.ndarray:
+    """w after fill(rows), which writes w[rows], and the plain DFT over the
+    x index j of w[k, j], then the plain inverse DFT over the momentum index
+    k, in place; the result is indexed [m, k].  Without the centring signs,
+    it is (-1)^(m+k) times the symplectic transform of what fill wrote, and
+    with checkerboard those output signs are taken too.  The first phase
+    runs over halves of the rows and the second over halves of the columns
+    (see _halves)."""
+
+    def forward(rows: slice) -> None:
+        fill(rows)
+        np.fft.fft(w[rows], axis=1, out=w[rows])
+
+    def inverse(columns: slice) -> None:
+        np.fft.ifft(w[:, columns], axis=0, norm="forward", out=w[:, columns])
+        if checkerboard:
+            _checkerboard(w[:, columns])
+
+    _halves(len(w), forward)
+    _halves(len(w), inverse)
     return w
 
 
@@ -339,8 +467,12 @@ def symplectic_ft(a: SampledSymbol) -> SampledSymbol:
     a_sigma(x_m, p_k) = (1/2pi hbar) sum_{j,l}
         exp(-i (p_k x_j - x_m p_l)/hbar) a(x_j, p_l) dx dp.
     """
-    w = _signed_copy(a.values, 1.0 / a.grid.n_points)
-    return a.with_values(_checkerboard(_plain_symplectic(w)))
+    n = a.grid.n_points
+    w = np.empty((n, n), dtype=complex)
+    _plain_symplectic(
+        w, lambda rows: _signed_copy(a.values, 1.0 / n, w, rows), checkerboard=True
+    )
+    return a.with_values(w)
 
 
 def _over_q(n: int, head: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
@@ -368,12 +500,17 @@ def bj_weyl_symbol_numeric(a: SampledSymbol) -> SampledSymbol:
     # second, and both 1/n's go into the first copy; the filter is symmetric
     # in (m, k), so the second copy reads it in C order, a block of rows at
     # a time
-    transformed = _plain_symplectic(_signed_copy(a.values, 1.0 / n**2)).T
+    w = np.empty((n, n), dtype=complex)
+    transformed = _plain_symplectic(
+        w, lambda rows: _signed_copy(a.values, 1.0 / n**2, w, rows)
+    ).T
     filtered = np.empty((n, n), dtype=complex)
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        np.multiply(transformed[rows], _over_q(n, head, rows), out=filtered[rows])
-    return a.with_values(_checkerboard(_plain_symplectic(filtered)))
+
+    def filter_rows(rows: slice) -> None:
+        for block in _blocks(rows):
+            np.multiply(transformed[block], _over_q(n, head, block), out=filtered[block])
+
+    return a.with_values(_plain_symplectic(filtered, filter_rows, checkerboard=True))
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +580,6 @@ def _mode_multiplier(n: int, scheme: Scheme) -> Callable[[slice], np.ndarray]:
     return rows_of
 
 
-# Rows made at a time where a whole n x n intermediate would add to the peak
-# (the mode multiplier, the sinc filter, the reflection route's transform):
-# small beside an n x n buffer, and few enough blocks to cost nothing per
-# block.
-_BLOCK_ROWS = 32
-
-
 def _modes(a: SampledSymbol, scheme: Scheme) -> np.ndarray:
     """The state-free stage of the sampled route: (-1)^(m+i) times
     [C+_k (a_sigma mu)](m, i), where a_sigma is the symplectic transform, mu
@@ -466,11 +596,24 @@ def _modes(a: SampledSymbol, scheme: Scheme) -> np.ndarray:
     """
     n = a.grid.n_points
     multiplier_rows = _mode_multiplier(n, scheme)
-    modes = _plain_symplectic(_signed_copy(a.values, 1.0 / n))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        modes[rows] *= multiplier_rows(rows)
-    return np.fft.ifft(modes, axis=1, norm="forward", out=modes)
+    modes = np.empty((n, n), dtype=complex)
+    _plain_symplectic(modes, lambda rows: _signed_copy(a.values, 1.0 / n, modes, rows))
+
+    def finish_rows(rows: slice) -> None:
+        for block in _blocks(rows):
+            modes[block] *= multiplier_rows(block)
+        np.fft.ifft(modes[rows], axis=1, norm="forward", out=modes[rows])
+
+    _halves(n, finish_rows)
+    return modes
+
+
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised complex array starting on a 64-byte boundary."""
+    size = shape[0] * shape[1] * np.dtype(complex).itemsize
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(complex).reshape(shape)
 
 
 def _apply_sampled(modes: np.ndarray, psi: SampledWavefunction) -> np.ndarray:
@@ -490,8 +633,11 @@ def _apply_sampled(modes: np.ndarray, psi: SampledWavefunction) -> np.ndarray:
     windows = sliding_window_view(tiled, n)
     shifted = windows[n + n // 2 : n // 2 : -1]
     block = min(_BLOCK_ROWS, n)
-    # row 0 is the running sum, rows 1.. the block's terms
-    terms = np.zeros((block + 1, n), dtype=complex)
+    # row 0 is the running sum, rows 1.. the block's terms.  The products
+    # took up to 5% longer at N = 512 into a block off a 32-byte boundary,
+    # and where np.empty puts one depends on the heap's history.
+    terms = _aligned_empty((block + 1, n))
+    terms[0] = 0.0
     for start in range(0, n, block):
         rows = slice(start, start + block)
         np.multiply(modes[rows], shifted[rows], out=terms[1:])
@@ -735,15 +881,23 @@ def antiwick_apply(
     # the centring signs of both DFTs over t: (-1)^j on psi and on the
     # output; those over p cancel between the two
     signs = np.resize([1.0, -1.0], n)
-    # one n x n buffer, transformed and scaled in place
-    work = envelope * (signs * psi.values)
-    # V[m, k] = (-1)^k <psi, Phi_{(x_m, p_k)}> / pi^{-1/4}
-    np.fft.fft(work, axis=1, out=work)
-    work *= dx
-    np.multiply(a.values, work, out=work)
-    # G[m, j] = (-1)^j sum_k a(x_m, p_k) V[m, k] exp(i t_j p_k) dp
-    np.fft.ifft(work, axis=1, norm="forward", out=work)
-    work *= dp
+    phi = signs * psi.values
+    # one n x n buffer, transformed and scaled in place, a half of the rows
+    # at a time
+    work = np.empty((n, n), dtype=complex)
+
+    def rows_of(rows: slice) -> None:
+        w = work[rows]
+        np.multiply(envelope[rows], phi, out=w)
+        # V[m, k] = (-1)^k <psi, Phi_{(x_m, p_k)}> / pi^{-1/4}
+        np.fft.fft(w, axis=1, out=w)
+        w *= dx
+        np.multiply(a.values[rows], w, out=w)
+        # G[m, j] = (-1)^j sum_k a(x_m, p_k) V[m, k] exp(i t_j p_k) dp
+        np.fft.ifft(w, axis=1, norm="forward", out=w)
+        w *= dp
+
+    _halves(n, rows_of)
     out = np.einsum("mj,mj->j", envelope, work) * dx / sqrt(pi)
     # + 0.0 turns the -0 of a sign on an exact zero into +0
     return psi.with_values(signs * out + 0.0)

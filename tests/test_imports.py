@@ -99,3 +99,28 @@ def test_numeric_all_is_the_lazily_resolved_names():
 
     assert len(numeric.__all__) == len(set(numeric.__all__))
     assert set(numeric.__all__) == bjcalc._NUMERIC_NAMES
+
+
+def test_no_thread_or_logging_at_import_or_in_small_commands():
+    # the grid layer's helper thread starts on the first split pass, from
+    # N = numeric._SPLIT_MIN_N on; importing it, an exact command and
+    # `verify` (whose N x N passes are at N = 64) start none
+    assert_runs("""
+        import io, sys, threading
+        from contextlib import redirect_stdout
+
+        def check(stage):
+            assert threading.active_count() == 1, stage
+            for name in ("concurrent.futures", "logging"):
+                assert name not in sys.modules, (stage, name)
+
+        import bjcalc.numeric
+        check("import bjcalc.numeric")
+        from bjcalc.cli import main
+
+        with redirect_stdout(io.StringIO()):
+            assert main(["quantize", "bj", "x^2*p^2"]) == 0
+            check("an exact command")
+            assert main(["verify"]) == 0
+            check("verify")
+    """)

@@ -2,6 +2,12 @@
 operators, coherent-state machinery, and growth-order estimation."""
 
 import json
+import os
+import select
+import signal
+import sys
+import threading
+import time
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -10,6 +16,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from bjcalc import numeric
 from bjcalc.exact import SymbolPoly
 from bjcalc.numeric import (
     BJQuadrature,
@@ -1226,6 +1233,109 @@ class TestGaussianExpansions:
         assert errors[-1] > 1e-3
 
 
+class TestShubinRemainder:
+    """The paper's remainder estimate for the Born-Jordan-to-Weyl series, on
+    a symbol of negative Shubin order: a = (1 + (x^2 + p^2)/sigma^2)^(m/2)
+    lies in Gamma^m, term k of the series in Gamma^(m - 2k), and the odd
+    terms vanish, so the remainder after the terms k <= 2K is of order
+    hbar^(2K + 2) and decays like <z>^(m - 4K - 4).
+
+    With s = x^2 + p^2 and g_j the j-th derivative of
+    g(s) = (1 + s/sigma^2)^(m/2), D^k a = sum_j P_kj(x, p) g_j(s) for D =
+    d_x d_p, with integer polynomials from D(P g_j) = P_xp g_j
+    + 2 (x P_p + p P_x) g_(j+1) + 4 x p P g_(j+2), so every term is exact at
+    each grid point.  The weights come from the exact layer, as in
+    TestGaussianExpansions.  L = sqrt(2 pi N hbar) gives x and p the same
+    range.
+
+    estimate_shubin_order is not used: it calls a closed-form evaluator at
+    off-grid points of circles, and it fits one slope over all radii, which
+    near r = sigma are pre-asymptotic."""
+
+    M, SIGMA, N = -8, 4.0, 512
+
+    @staticmethod
+    def _d_polys(top):
+        """P[k][j] as integer arrays c[a, b] of x^a p^b, k = 0..top."""
+        polys = [{0: np.ones((1, 1), dtype=np.int64)}]
+        for _ in range(top):
+            terms = {}
+            for j, c in polys[-1].items():
+                ra, rb = c.shape
+                a_pow, b_pow = np.arange(ra)[:, None], np.arange(rb)[None, :]
+                mixed, cross, product = np.zeros((3, ra + 1, rb + 1), dtype=np.int64)
+                mixed[: ra - 1, : rb - 1] = (c * a_pow * b_pow)[1:, 1:]  # P_xp
+                cross[1:, : rb - 1] += 2 * (c * b_pow)[:, 1:]  # 2 x P_p
+                cross[: ra - 1, 1:] += 2 * (c * a_pow)[1:, :]  # 2 p P_x
+                product[1:, 1:] = 4 * c  # 4 x p P
+                for shift, part in ((0, mixed), (1, cross), (2, product)):
+                    if part.any():
+                        terms[j + shift] = terms.get(j + shift, 0) + part
+            polys.append(terms)
+        return polys
+
+    def _g(self, j, s):
+        """The j-th derivative of (1 + s/sigma^2)^(m/2)."""
+        half = self.M / 2
+        coeff = np.prod([half - i for i in range(j)]) / self.SIGMA ** (2 * j)
+        return coeff * (1 + s / self.SIGMA**2) ** (half - j)
+
+    def _remainders(self, hbar):
+        """The grid, and the sinc filter of a minus the partial sums of its
+        series after the terms k <= 0 and k <= 2."""
+        grid = UniformGrid(self.N, np.sqrt(2 * np.pi * self.N * hbar))
+        x, p = grid.x_values(), grid.p_values(hbar)
+        s = np.add.outer(x**2, p**2)
+        weyl = bj_weyl_symbol_numeric(SampledSymbol(grid, self._g(0, s) + 0j, hbar)).values
+        total, remainders = 0.0, []
+        for k, polys in enumerate(self._d_polys(2)):
+            x_k_p_k = SymbolPoly.monomial(1, x=(k,), p=(k,))
+            constant = bj_to_weyl(x_k_p_k).terms.get(((0,), (0,)))
+            if constant is not None:
+                d_k = sum(
+                    np.polynomial.polynomial.polygrid2d(x, p, c) * self._g(j, s)
+                    for j, c in polys.items()
+                )
+                total = total + constant.to_complex(hbar) / factorial(k) ** 2 * d_k
+                remainders.append(weyl - total)
+        return grid, remainders
+
+    def test_derivative_polynomials_match_differences(self):
+        # the recurrence against central differences of D^(k-1) a
+        x0, p0, h = 1.3, -0.7, 1e-4
+        polys = self._d_polys(2)
+
+        def d_k(k, x, p):
+            return sum(
+                np.polynomial.polynomial.polyval2d(x, p, c) * self._g(j, x * x + p * p)
+                for j, c in polys[k].items()
+            )
+
+        for k in (1, 2):
+            diff = (d_k(k - 1, x0 + h, p0 + h) - d_k(k - 1, x0 + h, p0 - h)
+                    - d_k(k - 1, x0 - h, p0 + h) + d_k(k - 1, x0 - h, p0 - h)) / (4 * h * h)
+            assert abs(diff - d_k(k, x0, p0)) < 1e-6 * abs(d_k(k, x0, p0))
+
+    def test_remainder_orders_in_hbar_and_decay(self):
+        # measured: halving hbar from 0.5 to 0.25 divided the largest
+        # remainder by 3.95 after k = 0 (hbar^2) and by 15.5 after k <= 2
+        # (hbar^4); at hbar = 0.5 the local slope after k = 0 between the
+        # rings at r = 18 and 19 (the last ring inside the L = 40.1 box) read
+        # -12.03, against m - 4 = -12 for Gamma^(m - 4)
+        grid, (k0, k2) = self._remainders(0.5)
+        _, (half_k0, half_k2) = self._remainders(0.25)
+        ratio_k0 = np.max(np.abs(k0)) / np.max(np.abs(half_k0))
+        ratio_k2 = np.max(np.abs(k2)) / np.max(np.abs(half_k2))
+        assert 3.7 < ratio_k0 < 4.2, ratio_k0
+        assert 14.5 < ratio_k2 < 17.0, ratio_k2
+        radius = np.sqrt(np.add.outer(grid.x_values() ** 2, grid.p_values(0.5) ** 2))
+        assert 19.5 < grid.length / 2
+        ring_max = [np.max(np.abs(k0)[np.abs(radius - r) < 0.5]) for r in (18.0, 19.0)]
+        bracket = [np.log(np.hypot(1.0, r / self.SIGMA)) for r in (18.0, 19.0)]
+        slope = np.diff(np.log(ring_max))[0] / np.diff(bracket)[0]
+        assert -12.4 < slope < -11.7, slope
+
+
 class TestPhaseSpaceShifts:
     def test_zero_shift_is_identity(self):
         grid = _grid()
@@ -1611,3 +1721,170 @@ class TestSharedRules:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite"):
                     apply_operator(a, psi, rule)
+
+
+def test_the_gather_block_starts_on_a_64_byte_boundary():
+    # the gather's products ran slower into a block off a 32-byte boundary
+    for shape in ((33, 512), (17, 16), (33, 1024)):
+        blocks = [numeric._aligned_empty(shape) for _ in range(8)]
+        for block in blocks:
+            assert block.shape == shape and block.dtype == complex
+            assert block.ctypes.data % 64 == 0 and block.flags.c_contiguous
+
+
+class TestHalves:
+    """From N = numeric._SPLIT_MIN_N on, and when the process may run on two
+    CPUs (numeric._cpus), each N x N pass that is independent across rows or
+    across columns runs in two halves, the upper one on a helper thread.
+    Each half runs the same 1-D transforms and element-wise products on the
+    same data, so the bits are those of one pass over the whole range."""
+
+    SCHEMES = (WeylScheme(), TauScheme(0.3), BJSinc(), BJQuadrature(5), BJQuadrature(16))
+
+    @staticmethod
+    def _split_everywhere(monkeypatch, cpus=2):
+        monkeypatch.setattr(numeric, "_cpus", lambda: cpus)
+        monkeypatch.setattr(numeric, "_SPLIT_MIN_N", 16)
+
+    def _outputs(self, n):
+        grid = UniformGrid(n, 20.0)
+        a = _smooth_symbol(grid, seed=n, hbar=0.5)
+        psi = _random_state(grid, seed=n + 1, hbar=0.5)
+        unit = _smooth_symbol(grid, seed=n + 2)
+        unit_psi = _random_state(grid, seed=n + 3)
+        # a new symbol object per scheme, so that no kept modes are reused
+        outputs = [apply_operator(a.with_values(a.values), psi, s).values for s in self.SCHEMES]
+        outputs += [symplectic_ft(a).values, bj_weyl_symbol_numeric(a).values,
+                    antiwick_apply(unit, unit_psi).values]
+        return outputs
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 512])
+    def test_same_bits_on_one_cpu_and_two(self, n, monkeypatch):
+        self._split_everywhere(monkeypatch, cpus=1)
+        one = self._outputs(n)
+        self._split_everywhere(monkeypatch, cpus=2)
+        two = self._outputs(n)
+        for i, (want, got) in enumerate(zip(one, two)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), i
+
+    def test_overflow_in_a_half_is_one_value_error(self, monkeypatch):
+        # the helper's half runs in the caller's context, so apply_operator's
+        # np.errstate holds there too and no RuntimeWarning escapes
+        self._split_everywhere(monkeypatch)
+        grid = UniformGrid(512, 20.0)
+        a = SampledSymbol(grid, np.full((512, 512), 1e307, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_operator(a, gaussian_state(grid), WeylScheme())
+
+    def test_the_helper_keeps_no_buffer(self, monkeypatch):
+        # antiwick_apply's last split pass holds its 4 MiB buffer and the
+        # 2 MiB envelope at N = 512; after the call the helper holds neither
+        import tracemalloc
+
+        self._split_everywhere(monkeypatch)
+        grid = _grid(512)
+        a, psi = _smooth_symbol(grid), hermite_state(grid, 3)
+        tracemalloc.start()
+        try:
+            out = antiwick_apply(a, psi)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20, (held, out)
+
+    def test_an_error_in_either_half_reaches_the_caller(self, monkeypatch):
+        self._split_everywhere(monkeypatch)
+        ended = []
+
+        def fail_in(start):
+            def phase(part):
+                if part.start == start:
+                    raise KeyError(f"half at {start}")
+                time.sleep(0.05)
+                ended.append(part.start)
+            return phase
+
+        # the helper's half, then the caller's, which waits for the helper's
+        with pytest.raises(KeyError, match="half at 8"):
+            numeric._halves(16, fail_in(8))
+        with pytest.raises(KeyError, match="half at 0"):
+            numeric._halves(16, fail_in(0))
+        assert ended == [0, 8]
+        grid = _grid(256)
+        a, psi = _smooth_symbol(grid), _random_state(grid)
+        want = apply_operator(a, psi, BJSinc()).values
+        monkeypatch.setattr(numeric, "_cpus", lambda: 1)
+        assert np.array_equal(apply_operator(a.with_values(a.values), psi, BJSinc()).values, want)
+
+    def test_concurrent_callers_get_the_serial_bits(self, monkeypatch):
+        # more callers than CPUs share the one helper, switching often; each
+        # call waits on its own reply, so none takes another's half
+        self._split_everywhere(monkeypatch)
+        grid = _grid(256)
+        psi = _random_state(grid)
+        symbols = [_smooth_symbol(grid, seed=seed) for seed in range(4)]
+
+        def run(a):
+            return [apply_operator(a.with_values(a.values), psi, s).values for s in self.SCHEMES]
+
+        want = [run(a) for a in symbols]
+        got = [None] * len(symbols)
+        start = threading.Barrier(len(symbols))
+
+        def caller(i):
+            start.wait()
+            got[i] = [run(symbols[i]) for _ in range(3)]
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(symbols))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        helpers = [t for t in threading.enumerate() if t.name == "bjcalc-halves"]
+        assert len(helpers) == 1 and helpers[0].daemon
+        for i, results in enumerate(got):
+            assert results is not None, i
+            for repeat in results:
+                for w, g in zip(want[i], repeat):
+                    assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), i
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helper(self, monkeypatch):
+        self._split_everywhere(monkeypatch)
+        grid = _grid(256)
+        a, psi = _smooth_symbol(grid), _random_state(grid)
+        want = apply_operator(a, psi, BJQuadrature(5)).values  # starts this process's helper
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 on warns that forking a threaded process may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child has no helper thread until it needs one
+            try:
+                got = apply_operator(a.with_values(a.values), psi, BJQuadrature(5)).values
+                os.write(write, got.tobytes())
+            finally:
+                os._exit(0)
+        os.close(write)
+        data, deadline = b"", time.monotonic() + 60
+        try:
+            while time.monotonic() < deadline:
+                if select.select([read], [], [], 1.0)[0]:
+                    chunk = os.read(read, 1 << 16)
+                    if not chunk:
+                        break
+                    data += chunk
+        finally:
+            os.close(read)
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert np.array_equal(np.frombuffer(data, dtype=np.uint64), want.view(np.uint64))
