@@ -5,7 +5,7 @@ symbols, normal-ordered operator polynomials, the symmetric / ordering-family
 / Born-Jordan quantization maps, and closed-form conversions between their
 symbols.  The numeric layer realizes the same calculi on a periodic grid via
 FFT-based application routes, plus phase-space diagnostics (symplectic
-transform, reflection operators, coherent-state averages, growth-order fits).
+transform, reflection operators, coherent-state averages, Shubin ring slopes).
 
 Only the exact layer is imported with the package.  The numeric names (and
 NumPy with them) load on first access, so exact work never pays for NumPy.
@@ -88,14 +88,12 @@ __all__ = [
     "NumericParams",
     "SampledSymbol",
     "SampledWavefunction",
-    "ShubinOrderEstimate",
     "TauScheme",
     "UniformGrid",
     "WeylScheme",
     "antiwick_apply",
     "apply_operator",
     "bj_weyl_symbol_numeric",
-    "estimate_shubin_order",
     "gaussian_state",
     "grossmann_royer_apply",
     "heisenberg_shift",
@@ -103,6 +101,7 @@ __all__ = [
     "null_symbol",
     "q_norm_estimate",
     "sample_symbol",
+    "shubin_slopes",
     "symplectic_ft",
     "wavefunction_from_csv",
     "wavefunction_from_json",

@@ -100,7 +100,6 @@ __all__ = [
     "SampledWavefunction",
     "SampledSymbol",
     "NumericParams",
-    "ShubinOrderEstimate",
     "WeylScheme",
     "TauScheme",
     "BJQuadrature",
@@ -113,7 +112,7 @@ __all__ = [
     "weyl_via_grossmann_royer",
     "antiwick_apply",
     "q_norm_estimate",
-    "estimate_shubin_order",
+    "shubin_slopes",
     "sample_symbol",
     "gaussian_state",
     "hermite_state",
@@ -269,13 +268,6 @@ class NumericParams:
             raise ValueError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}"
             )
-
-
-@dataclass(frozen=True)
-class ShubinOrderEstimate:
-    m_est: float
-    rho_est: float | None
-    residual: float
 
 
 # -- application schemes ----------------------------------------------------
@@ -856,12 +848,6 @@ def weyl_via_grossmann_royer(
 # ---------------------------------------------------------------------------
 
 
-def _coherent_envelope(grid: UniformGrid) -> np.ndarray:
-    # W[m, j] = exp(-(t_j - x_m)^2 / 2)
-    x = grid.x_values()
-    return np.exp(-0.5 * np.subtract.outer(x, x) ** 2)
-
-
 def antiwick_apply(
     a: SampledSymbol, psi: SampledWavefunction
 ) -> SampledWavefunction:
@@ -877,10 +863,13 @@ def antiwick_apply(
     n = grid.n_points
     dx = grid.spacing
     dp = grid.p_spacing(1.0)
-    envelope = _coherent_envelope(grid)  # [x index m, t index j]
+    # W[m, j] = exp(-(t_j - x_m)^2 / 2) depends on j - m alone: a view of its
+    # 2n - 1 values, d = j - m from -(n - 1) on
+    gaussian = np.exp(-0.5 * (np.arange(1 - n, n) * dx) ** 2)
+    envelope = sliding_window_view(gaussian, n)[::-1]
     # the centring signs of both DFTs over t: (-1)^j on psi and on the
     # output; those over p cancel between the two
-    signs = np.resize([1.0, -1.0], n)
+    signs = np.tile([1.0, -1.0], n // 2)
     phi = signs * psi.values
     # one n x n buffer, transformed and scaled in place, a half of the rows
     # at a time
@@ -914,56 +903,38 @@ def q_norm_estimate(psi: SampledWavefunction, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Growth-order diagnostics
+# Shubin-order diagnostics, read from the samples
 # ---------------------------------------------------------------------------
 
 
-def estimate_shubin_order(
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    radii: Sequence[float],
-    estimate_rho: bool = False,
-    n_angles: int = 720,
-) -> ShubinOrderEstimate:
-    """Least-squares growth order of a phase-space function.
-
-    Fits log max_{|z|=r} |a(z)| against log sqrt(1 + r^2); optionally probes
-    the first-derivative decay by central finite differences to estimate the
-    smoothing exponent.
+def shubin_slopes(a: SampledSymbol, radii: Sequence[float]) -> np.ndarray:
+    """Local Shubin order of sampled a between consecutive rings:
+    d log max_ring |a| / d log <r>, with <r> = sqrt(1 + r^2).  Ring r holds
+    the grid points with ||z| - r| < w, w half the larger of dx and dp, and
+    must lie inside the box.  A symbol of Gamma^m reads m far out; applied
+    to samples of |grad a|, the reader gives m - rho.
     """
-    radii = list(radii)
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be at least 3 increasing values")
-    _require_int(n_angles, "n_angles")
-    if n_angles < 1:
-        raise ValueError(f"n_angles must be positive, got {n_angles}")
-    theta = np.linspace(0.0, 2 * pi, n_angles, endpoint=False)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-    def ring_max(fn, r):
-        vals = np.abs(fn(r * cos_t, r * sin_t))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("evaluator returned non-finite values")
-        return float(np.max(vals))
-
-    logs = np.log([ring_max(evaluator, r) for r in radii])
-    bracket = np.log(np.sqrt(1.0 + np.asarray(radii, dtype=float) ** 2))
-    design = np.vstack([bracket, np.ones_like(bracket)]).T
-    (slope, _), res, _, _ = np.linalg.lstsq(design, logs, rcond=None)
-    residual = float(np.sqrt(res[0] / len(radii))) if res.size else 0.0
-
-    rho_est = None
-    if estimate_rho:
-        def grad_mag(xv, pv):
-            h = 1e-3 * (1.0 + np.sqrt(xv**2 + pv**2))
-            dx = (evaluator(xv + h, pv) - evaluator(xv - h, pv)) / (2 * h)
-            dp = (evaluator(xv, pv + h) - evaluator(xv, pv - h)) / (2 * h)
-            return np.sqrt(np.abs(dx) ** 2 + np.abs(dp) ** 2)
-
-        glogs = np.log([max(ring_max(grad_mag, r), 1e-300) for r in radii])
-        (gslope, _), _, _, _ = np.linalg.lstsq(design, glogs, rcond=None)
-        rho_est = float(slope - gslope)
-
-    return ShubinOrderEstimate(m_est=float(slope), rho_est=rho_est, residual=residual)
+    radii = np.asarray(radii, dtype=float)
+    grid, n = a.grid, a.grid.n_points
+    dx, dp = grid.spacing, grid.p_spacing(a.hbar)
+    half_width = max(dx, dp) / 2
+    if radii.ndim != 1 or len(radii) < 2:
+        raise ValueError("give at least 2 radii")
+    if not np.all(np.isfinite(radii) & (radii >= 0)):
+        raise ValueError("radii must be finite and non-negative")
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must strictly increase")
+    if radii[-1] + half_width >= min(grid.length, n * dp) / 2:
+        raise ValueError(f"the ring at r = {radii[-1]:g} leaves the box")
+    distance = np.hypot.outer(grid.x_values(), grid.p_values(a.hbar))
+    magnitude = np.abs(a.values)
+    peaks = []
+    for r in radii:
+        ring = np.abs(distance - r) < half_width
+        peaks.append(np.max(magnitude, where=ring, initial=0.0))
+        if peaks[-1] == 0.0:
+            raise ValueError(f"the symbol vanishes on the ring at r = {r:g}")
+    return np.diff(np.log(peaks)) / np.diff(np.log(np.hypot(1.0, radii)))
 
 
 # ---------------------------------------------------------------------------
@@ -1153,10 +1124,31 @@ def wavefunction_to_json(psi: SampledWavefunction) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def wavefunction_from_json(payload: Union[str, dict]) -> SampledWavefunction:
+    """The inverse of wavefunction_to_json: an object with the integer N,
+    the numbers L and hbar, and values, one [re, im] pair of numbers per
+    sample.  A malformed payload raises a ValueError that names the field."""
     if isinstance(payload, str):
         payload = json.loads(payload)
+    if not isinstance(payload, dict):
+        raise ValueError(f"state JSON must be an object, got {type(payload).__name__}")
+    for field in ("N", "L", "hbar", "values"):
+        if field not in payload:
+            raise ValueError(f"state JSON has no field {field!r}")
     _require_int(payload["N"], "N")
+    for field in ("L", "hbar"):
+        if not _is_number(payload[field]):
+            raise ValueError(f"{field} must be a number, got {payload[field]!r}")
+    samples = payload["values"]
+    if not isinstance(samples, list):
+        raise ValueError(f"values must be a list of [re, im] pairs, got {type(samples).__name__}")
+    for i, sample in enumerate(samples):
+        if not (isinstance(sample, list) and len(sample) == 2 and all(map(_is_number, sample))):
+            raise ValueError(f"values[{i}] must be a pair [re, im] of numbers, got {sample!r}")
     grid = UniformGrid(payload["N"], float(payload["L"]))
-    values = np.asarray([complex(re, im) for re, im in payload["values"]])
+    values = np.asarray([complex(re, im) for re, im in samples])
     return SampledWavefunction(grid, values, float(payload["hbar"]))

@@ -61,50 +61,46 @@ class SymLangError(ValueError):
 
 _PUNCT = set("+-*^/()")
 _DIGITS = set("0123456789")
-_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_WORD = _LETTERS | _DIGITS
+
+_Tokens = tuple[list[str], list[str], list[int]]
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # "int" | "ident" | punctuation | "eof"
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
+def _tokenize(text: str) -> _Tokens:
+    """The kind, text and start position of each token, in three lists that
+    end with an "eof" token at len(text).  A kind is "int", "ident" or the
+    punctuation character."""
+    kinds, texts, starts = [], [], []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
+        j = i + 1
         if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
+            kind = ch
         # ASCII only: str.isdigit/isalnum accept characters like superscript
         # digits that int() rejects.
-        if ch in _DIGITS:
-            j = i
+        elif ch in _DIGITS:
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch in _LETTERS or ch == "_":
-            j = i
-            while j < n and (text[j] in _LETTERS or text[j] in _DIGITS
-                             or text[j] == "_"):
+            kind = "int"
+        elif ch in _LETTERS:
+            while j < n and text[j] in _WORD:
                 j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise SymLangError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
-    return tokens
+            kind = "ident"
+        else:
+            raise SymLangError(f"unexpected character {ch!r}", i)
+        kinds.append(kind)
+        texts.append(text[i:j])
+        starts.append(i)
+        i = j
+    kinds.append("eof")
+    texts.append("")
+    starts.append(n)
+    return kinds, texts, starts
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +127,18 @@ def _exponent_bound(text: str) -> int:
     return min(int(digits or "0"), MAX_EXPONENT + 1)
 
 
-def _numeral(tok: _Token) -> int:
+def _numeral(text: str, start: int) -> int:
     """An integer literal's value.  Python converts at most
     sys.get_int_max_str_digits() digits, leading zeros included, so past
     that the zeros are dropped, and only a numeral still too long is an
     error, at its position."""
     try:
-        return int(tok.text)
+        return int(text)
     except ValueError:  # past Python's limit on the digits of converted ints
-        digits = tok.text.lstrip("0")
+        digits = text.lstrip("0")
         limit = sys.get_int_max_str_digits()
         if len(digits) > limit:
-            raise SymLangError(f"numeral has more than {limit} digits", tok.pos) from None
+            raise SymLangError(f"numeral has more than {limit} digits", start) from None
         return int(digits or "0")
 
 
@@ -150,7 +146,7 @@ def _numeral(tok: _Token) -> int:
 _BEFORE_UNARY = frozenset(("(", "*", "^", "/", "+", "-"))
 
 
-def _field_width(tokens: list[_Token], kinds: list[str]) -> int:
+def _field_width(kinds: list[str], texts: list[str]) -> int:
     """Bits per key slot: those of a bound on the total degree (hbar
     included) of every intermediate, and one spare bit.  Without a power
     the identifier count is such a bound.  Otherwise one pass over the
@@ -163,10 +159,9 @@ def _field_width(tokens: list[_Token], kinds: list[str]) -> int:
     outer = []  # (largest term, current term) of each enclosing group
     largest = term = factor = 0
     prev = "("
-    for tok in tokens:
-        kind = tok.kind
+    for kind, text in zip(kinds, texts):
         if kind == "int" and prev == "^":
-            factor *= max(1, _exponent_bound(tok.text))
+            factor *= max(1, _exponent_bound(text))
         elif kind == "ident" or kind == "int":
             term += factor
             factor = 1 if kind == "ident" else 0
@@ -229,32 +224,28 @@ def _product(a, b):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], dim: int, max_degree: int | None):
-        self.tokens = tokens
-        self.kinds = [tok.kind for tok in tokens]
-        self.pos = 0
+    def __init__(self, tokens: _Tokens, dim: int, max_degree: int | None):
+        self.kinds, self.texts, self.starts = tokens
+        self.pos = 0  # the index of the next token
         self.dim = dim
         self.depth = 0
         self.max_degree = max_degree
         self.products = 0
-        width = self.width = _field_width(tokens, self.kinds)
+        width = self.width = _field_width(self.kinds, self.texts)
         self.deg_shift = (2 * dim + 2) * width
         # the monomial of each identifier read so far
         self.atoms = {"i": (0, 0, 1, 1), "hbar": (1 << 2 * dim * width, 1, 0, 1)}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> int:
+        """The next token's index, which the parser then passes."""
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
             raise SymLangError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos
+                f"expected {kind!r}, found {self.texts[i] or 'end of input'!r}", self.starts[i]
             )
         return self.advance()
 
@@ -262,7 +253,7 @@ class _Parser:
         # no matching decrement on an error: it ends the parse
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise SymLangError("expression too deeply nested", self.peek().pos)
+            raise SymLangError("expression too deeply nested", self.starts[self.pos])
 
     def _degree(self, value) -> int:
         if len(value) == 4:
@@ -270,18 +261,18 @@ class _Parser:
             return key >> self.deg_shift if re or im else 0
         return value[1]
 
-    def _check_degree(self, degree: int, what: str, tok: _Token) -> None:
+    def _check_degree(self, degree: int, what: str, start: int) -> None:
         if degree > self.max_degree:
             raise SymLangError(
-                f"{what} degree {degree} exceeds max degree {self.max_degree}", tok.pos
+                f"{what} degree {degree} exceeds max degree {self.max_degree}", start
             )
 
-    def _charge(self, pairs: int, tok: _Token) -> None:
+    def _charge(self, pairs: int, start: int) -> None:
         """Count term-pair products before they are formed."""
         self.products += pairs
         if self.products > MAX_TERM_PRODUCTS:
             raise SymLangError(
-                f"expansion exceeds {MAX_TERM_PRODUCTS} term products", tok.pos
+                f"expansion exceeds {MAX_TERM_PRODUCTS} term products", start
             )
 
     def parse_expr(self):
@@ -343,7 +334,7 @@ class _Parser:
                 poly = _product(poly, factor)
             if kinds[self.pos] != "*":
                 break
-            star = self.advance()
+            star = self.starts[self.advance()]
         if poly is None:
             return key, re, im, den
         if not (re or im) or not poly[0]:
@@ -360,17 +351,17 @@ class _Parser:
 
     def _power(self, base):
         """base ^ the exponent literal at the next tokens."""
-        caret = self.advance()
-        tok = self.peek()
-        if tok.kind != "int":
+        caret = self.starts[self.advance()]
+        i = self.pos
+        if self.kinds[i] != "int":
             raise SymLangError(
                 "exponent must be a non-negative integer literal",
-                tok.pos if tok.kind != "eof" else caret.pos,
+                self.starts[i] if self.kinds[i] != "eof" else caret,
             )
         self.advance()
-        exponent = _exponent_bound(tok.text)
+        exponent = _exponent_bound(self.texts[i])
         if exponent > MAX_EXPONENT:
-            raise SymLangError(f"exponent exceeds limit {MAX_EXPONENT}", tok.pos)
+            raise SymLangError(f"exponent exceeds limit {MAX_EXPONENT}", self.starts[i])
         if self.max_degree is not None:
             self._check_degree(self._degree(base) * exponent, "power", caret)
         if len(base) == 4:
@@ -386,25 +377,25 @@ class _Parser:
         return power
 
     def parse_atom(self):
-        tok = self.tokens[self.pos]
-        kind = tok.kind
+        i = self.pos
+        kind, text, start = self.kinds[i], self.texts[i], self.starts[i]
         if kind == "int" or kind == "ident":
             if self.depth >= MAX_DEPTH:
-                raise SymLangError("expression too deeply nested", tok.pos)
+                raise SymLangError("expression too deeply nested", start)
             self.pos += 1
             if kind == "ident":
-                atom = self.atoms.get(tok.text)
+                atom = self.atoms.get(text)
                 if atom is None:
-                    atom = self.atoms[tok.text] = self._variable(tok)
+                    atom = self.atoms[text] = self._variable(text, start)
                 return atom
-            num = _numeral(tok)
+            num = _numeral(text, start)
             if self.kinds[self.pos] != "/":
                 return 0, num, 0, 1
             self.pos += 1
-            den_tok = self.expect("int")
-            den = _numeral(den_tok)
+            d = self.expect("int")
+            den = _numeral(self.texts[d], self.starts[d])
             if den == 0:
-                raise SymLangError("zero denominator", den_tok.pos)
+                raise SymLangError("zero denominator", self.starts[d])
             return 0, num, 0, den
         self._enter()
         if kind == "(":
@@ -417,20 +408,17 @@ class _Parser:
             self.pos += 1
             value = _negate(self.parse_factor())
         else:
-            raise SymLangError(
-                f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
-            )
+            raise SymLangError(f"expected a value, found {text or 'end of input'!r}", start)
         self.depth -= 1
         return value
 
-    def _variable(self, tok: _Token):
-        name = tok.text
+    def _variable(self, name: str, start: int):
         if name[0] not in "xp":
-            raise SymLangError(f"unknown identifier {name!r}", tok.pos)
+            raise SymLangError(f"unknown identifier {name!r}", start)
         try:
             block, j = parse_var(name, self.dim)
         except ValueError as exc:
-            raise SymLangError(str(exc), tok.pos) from None
+            raise SymLangError(str(exc), start) from None
         slot = j if block == "x" else self.dim + j
         return (1 << slot * self.width) + (1 << self.deg_shift), 1, 0, 1
 
@@ -482,11 +470,11 @@ def parse(text: str, dim: int = 1, max_degree: int | None = None) -> SymbolPoly:
         raise TypeError("input must be a string")
     parser = _Parser(_tokenize(text), dim, max_degree)
     value = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise SymLangError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+    i = parser.pos
+    if parser.kinds[i] != "eof":
+        raise SymLangError(f"unexpected trailing input {parser.texts[i]!r}", parser.starts[i])
     if max_degree is not None:
-        parser._check_degree(parser._degree(value), "symbol", parser.tokens[0])
+        parser._check_degree(parser._degree(value), "symbol", parser.starts[0])
     return parser.finish(value)
 
 

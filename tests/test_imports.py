@@ -62,7 +62,7 @@ def test_every_public_name_resolves_and_is_listed():
         for name in bjcalc.__all__:
             assert name in dir(bjcalc), name
             getattr(bjcalc, name)
-        assert len(bjcalc.__all__) == len(set(bjcalc.__all__)) == 60
+        assert len(bjcalc.__all__) == len(set(bjcalc.__all__)) == 59
         assert bjcalc.apply_operator is bjcalc.numeric.apply_operator
     """)
 

@@ -31,7 +31,6 @@ from bjcalc.numeric import (
     antiwick_apply,
     apply_operator,
     bj_weyl_symbol_numeric,
-    estimate_shubin_order,
     gaussian_state,
     grossmann_royer_apply,
     heisenberg_shift,
@@ -39,6 +38,7 @@ from bjcalc.numeric import (
     null_symbol,
     q_norm_estimate,
     sample_symbol,
+    shubin_slopes,
     symplectic_ft,
     wavefunction_from_csv,
     wavefunction_from_json,
@@ -1248,9 +1248,9 @@ class TestShubinRemainder:
     TestGaussianExpansions.  L = sqrt(2 pi N hbar) gives x and p the same
     range.
 
-    estimate_shubin_order is not used: it calls a closed-form evaluator at
-    off-grid points of circles, and it fits one slope over all radii, which
-    near r = sigma are pre-asymptotic."""
+    The slope is read against the scaled bracket <z/sigma>, not through
+    shubin_slopes, whose <z> bracket reads -11.35 between the same radii:
+    at r = 18 = 4.5 sigma, log <z/sigma> still grows 5% slower than log r."""
 
     M, SIGMA, N = -8, 4.0, 512
 
@@ -1334,6 +1334,70 @@ class TestShubinRemainder:
         bracket = [np.log(np.hypot(1.0, r / self.SIGMA)) for r in (18.0, 19.0)]
         slope = np.diff(np.log(ring_max))[0] / np.diff(bracket)[0]
         assert -12.4 < slope < -11.7, slope
+
+
+class TestShubinRemainderWeylToBJ:
+    """The remainder estimate in the Weyl-to-Born-Jordan direction, on
+    TestShubinRemainder's symbol a and with its P_kj oracle: b_K, the
+    partial sum of weyl_to_bj's series on a through the terms k <= K, is a
+    Born-Jordan symbol whose sinc filter should give a back.  The weights
+    are the constant terms of weyl_to_bj(x^k p^k) over (k!)^2.  The series'
+    generating function, s/sinh(s), has poles at s = +-i pi, so the filter
+    is only asymptotically invertible: the remainder falls to a minimum and
+    then rises, and the test pins that minimum, not convergence."""
+
+    M, SIGMA, N = TestShubinRemainder.M, TestShubinRemainder.SIGMA, TestShubinRemainder.N
+    _d_polys = staticmethod(TestShubinRemainder._d_polys)
+    _g = TestShubinRemainder._g
+
+    def _remainders(self, hbar, top):
+        """The grid, and the sinc filter of b_K minus a for the even K <= top
+        (the odd terms vanish)."""
+        grid = UniformGrid(self.N, np.sqrt(2 * np.pi * self.N * hbar))
+        x, p = grid.x_values(), grid.p_values(hbar)
+        s = np.add.outer(x**2, p**2)
+        a = self._g(0, s)
+        total, remainders = 0.0, []
+        for k, polys in enumerate(self._d_polys(top)):
+            x_k_p_k = SymbolPoly.monomial(1, x=(k,), p=(k,))
+            constant = weyl_to_bj(x_k_p_k).terms.get(((0,), (0,)))
+            if constant is not None:
+                d_k = sum(
+                    np.polynomial.polynomial.polygrid2d(x, p, c) * self._g(j, s)
+                    for j, c in polys.items()
+                )
+                total = total + constant.to_complex(hbar) / factorial(k) ** 2 * d_k
+                filtered = bj_weyl_symbol_numeric(SampledSymbol(grid, total, hbar))
+                remainders.append(filtered.values - a)
+        return grid, remainders
+
+    def test_remainder_orders_in_hbar_and_decay(self):
+        # measured: halving hbar from 0.5 to 0.25 divided the largest
+        # remainder by 3.95 after k = 0 (hbar^2) and by 14.9 after k <= 2
+        # (hbar^4); at hbar = 0.5 shubin_slopes on the rings 12 and 14 read
+        # -10.64 after k = 0 and -13.74 after k <= 2, which lies in
+        # Gamma^(m - 8) and reads -16 far out
+        grid, (k0, k2) = self._remainders(0.5, 2)
+        _, (half_k0, half_k2) = self._remainders(0.25, 2)
+        ratio_k0 = np.max(np.abs(k0)) / np.max(np.abs(half_k0))
+        ratio_k2 = np.max(np.abs(k2)) / np.max(np.abs(half_k2))
+        assert 3.7 < ratio_k0 < 4.2, ratio_k0
+        assert 14.0 < ratio_k2 < 16.5, ratio_k2
+        (slope_k0,) = shubin_slopes(SampledSymbol(grid, k0, 0.5), [12.0, 14.0])
+        (slope_k2,) = shubin_slopes(SampledSymbol(grid, k2, 0.5), [12.0, 14.0])
+        assert -11.0 < slope_k0 < -10.3, slope_k0
+        assert -14.2 < slope_k2 < -13.3, slope_k2
+
+    def test_remainder_stops_falling_at_k_8(self):
+        # measured at hbar = 0.5, K = 0, 2, ..., 12: 3.2e-3, 1.3e-4, 1.9e-5,
+        # 7.2e-6, 5.03e-6, 5.31e-6, 7.0e-6, each largest at the origin
+        _, remainders = self._remainders(0.5, 12)
+        errors = [np.max(np.abs(r)) for r in remainders]
+        best = int(np.argmin(errors))
+        assert best == 4, errors  # K = 8
+        assert 4.5e-6 < errors[best] < 5.6e-6, errors
+        assert all(later < earlier for earlier, later in zip(errors[:best], errors[1:best + 1]))
+        assert all(later > earlier for earlier, later in zip(errors[best:], errors[best + 1:]))
 
 
 class TestPhaseSpaceShifts:
@@ -1497,7 +1561,8 @@ class TestAntiWick:
         assert not np.any(np.signbit(out.values.view(float)))
 
     def test_peak_memory(self):
-        # one buffer of 4 MiB and the real 2 MiB envelope at N = 512
+        # one buffer of 4 MiB at N = 512 (4.6 MiB measured); the envelope is
+        # a view of 2N - 1 values, where it was a real 2 MiB array
         grid = _grid(512)
         a = _smooth_symbol(grid)
         psi = hermite_state(grid, 3)
@@ -1524,40 +1589,86 @@ class TestAntiWick:
 
 
 class TestShubinOrder:
+    """shubin_slopes on sampled symbols: at N = 1024, L = sqrt(2 pi N), the
+    local slopes between the rings 3, 5, 8, 13, 21, 34 read 1.988-1.998 for
+    1 + |z|^2, -3.028 to -3.004 for (1 + |z|^2)^-1.5, at most 0.057 in size
+    for 2 + sin x cos p, and rho = 0.93-0.997 for the quadratic."""
+
+    RADII = [3, 5, 8, 13, 21, 34]
+
+    @staticmethod
+    def _sampled(f, n=1024, hbar=1.0):
+        grid = UniformGrid(n, np.sqrt(2 * np.pi * n * hbar))
+        x, p = grid.x_values()[:, None], grid.p_values(hbar)[None, :]
+        return SampledSymbol(grid, f(x, p) + 0j * p, hbar)
+
     def test_polynomial_orders(self):
-        radii = [3, 5, 8, 13, 21, 34]
-        est = estimate_shubin_order(lambda x, p: 1 + x**2 + p**2, radii)
-        assert abs(est.m_est - 2.0) < 0.05
-        est = estimate_shubin_order(
-            lambda x, p: (1 + x**2 + p**2) ** -1.5, radii
-        )
-        assert abs(est.m_est + 3.0) < 0.05
+        slopes = shubin_slopes(self._sampled(lambda x, p: 1 + x**2 + p**2), self.RADII)
+        assert slopes.shape == (len(self.RADII) - 1,)
+        assert np.all(np.abs(slopes - 2.0) < 0.05), slopes
+        decaying = self._sampled(lambda x, p: (1 + x**2 + p**2) ** -1.5)
+        slopes = shubin_slopes(decaying, self.RADII)
+        assert np.all(np.abs(slopes + 3.0) < 0.05), slopes
 
     def test_bounded_symbol_has_order_zero(self):
-        est = estimate_shubin_order(
-            lambda x, p: 2 + np.sin(x) * np.cos(p), [3, 5, 8, 13, 21, 34]
-        )
-        assert abs(est.m_est) < 0.1
+        bounded = self._sampled(lambda x, p: 2 + np.sin(x) * np.cos(p))
+        slopes = shubin_slopes(bounded, self.RADII)
+        assert np.all(np.abs(slopes) < 0.1), slopes
 
     def test_rho_probe(self):
-        est = estimate_shubin_order(
-            lambda x, p: 1 + x**2 + p**2, [3, 5, 8, 13, 21, 34], estimate_rho=True
-        )
-        # gradient of a quadratic grows one order slower
-        assert abs(est.rho_est - 1.0) < 0.1
+        # the gradient of a quadratic grows one order slower: the reader on
+        # |grad a| gives m - rho
+        a = self._sampled(lambda x, p: 1 + x**2 + p**2)
+        d_x, d_p = np.gradient(a.values.real, a.grid.spacing, a.grid.p_spacing(a.hbar))
+        gradient = a.with_values(np.hypot(d_x, d_p))
+        rho = shubin_slopes(a, self.RADII) - shubin_slopes(gradient, self.RADII)
+        assert np.all(np.abs(rho - 1.0) < 0.1), rho
+
+    def test_readings_follow_hbar(self):
+        # the rings are in phase-space units; hbar only sets dp
+        slopes = shubin_slopes(self._sampled(lambda x, p: 1 + x**2 + p**2, 256, 0.25), [2, 4, 6])
+        assert np.all(np.abs(slopes - 2.0) < 0.05), slopes
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            estimate_shubin_order(lambda x, p: x, [1, 2])
-        with pytest.raises(ValueError):
-            estimate_shubin_order(lambda x, p: x, [3, 2, 5])
-        with pytest.raises(ValueError):
-            estimate_shubin_order(lambda x, p: x * np.inf, [3, 5, 8])
+        # radii that do not strictly increase
+        a = self._sampled(lambda x, p: 1 + x**2, 64)
+        assert shubin_slopes(a, [2, 5]).shape == (1,)
+        for radii in ([3, 2, 5], [2, 2, 5]):
+            with pytest.raises(ValueError, match="strictly increase"):
+                shubin_slopes(a, radii)
 
-    @pytest.mark.parametrize("n_angles", [0, -3, 2.5, True])
-    def test_rejects_bad_angle_count(self, n_angles):
-        with pytest.raises(ValueError, match="n_angles must be"):
-            estimate_shubin_order(lambda x, p: 1 + x**2, [3, 5, 8], n_angles=n_angles)
+    @pytest.mark.parametrize("radii", [[], [3], 3.0])
+    def test_rejects_fewer_than_two_radii(self, radii):
+        with pytest.raises(ValueError, match="at least 2 radii"):
+            shubin_slopes(self._sampled(lambda x, p: 1 + x**2, 64), radii)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_radius(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            shubin_slopes(self._sampled(lambda x, p: 1 + x**2, 64), [bad, 5.0, 6.0])
+
+    def test_rejects_a_ring_outside_the_box(self):
+        # N = 64, L = sqrt(128 pi) = 20.05: half a box of 10.03, w = 0.157
+        a = self._sampled(lambda x, p: 1 + x**2, 64)
+        assert len(shubin_slopes(a, [1.0, 9.8])) == 1
+        for last in (9.9, 10.1, 40.0):
+            with pytest.raises(ValueError, match="leaves the box"):
+                shubin_slopes(a, [1.0, last])
+        # the p side is the shorter one at hbar = 0.25 on the same box
+        grid = UniformGrid(64, np.sqrt(128 * np.pi))
+        narrow = SampledSymbol(grid, np.ones((64, 64), dtype=complex), 0.25)
+        with pytest.raises(ValueError, match="leaves the box"):
+            shubin_slopes(narrow, [1.0, 5.0])
+
+    def test_rejects_a_ring_where_the_symbol_vanishes(self):
+        # a log(0) here would be a RuntimeWarning, which tier-1 makes an error
+        ring = self._sampled(lambda x, p: np.exp(-(x**2 + p**2)) * (x**2 + p**2 < 16), 64)
+        assert len(shubin_slopes(ring, [1.0, 2.0])) == 1
+        with pytest.raises(ValueError, match="vanishes on the ring at r = 6"):
+            shubin_slopes(ring, [1.0, 6.0, 8.0])
+        zero = ring.with_values(np.zeros((64, 64)))
+        with pytest.raises(ValueError, match="vanishes on the ring at r = 0"):
+            shubin_slopes(zero, [0.0, 1.0])
 
 
 class TestDataExchange:
@@ -1606,6 +1717,30 @@ class TestDataExchange:
         payload["N"] = n
         with pytest.raises(ValueError, match="N must be an integer"):
             wavefunction_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d.pop("L"), "no field 'L'"),
+            (lambda d: d.update(L=None), "L must be a number, got None"),
+            (lambda d: d.update(hbar="1"), "hbar must be a number, got '1'"),
+            (lambda d: d["values"].__setitem__(3, [0.0]), r"values\[3\] must be a pair"),
+            (lambda d: d["values"].__setitem__(3, ["a", 0.0]), r"values\[3\] must be a pair"),
+            (lambda d: d["values"].__setitem__(3, [None, 0.0]), r"values\[3\] must be a pair"),
+            (lambda d: d.update(values=5), "values must be a list of .* got int"),
+        ],
+        ids=["missing", "null-L", "string-hbar", "short-sample", "string-part",
+             "null-part", "values-not-a-list"],
+    )
+    def test_json_errors_name_the_field(self, change, message):
+        payload = wavefunction_to_json(gaussian_state(_grid(64)))
+        change(payload)
+        with pytest.raises(ValueError, match=message):
+            wavefunction_from_json(json.dumps(payload))
+
+    def test_json_rejects_a_top_level_list(self):
+        with pytest.raises(ValueError, match="must be an object, got list"):
+            wavefunction_from_json("[64, 20.0, 1.0, []]")
 
     def test_csv_malformed(self):
         with pytest.raises(ValueError):
