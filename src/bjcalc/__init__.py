@@ -34,8 +34,6 @@ from .quantize import (
     tau_average,
 )
 from .transforms import (
-    CoeffTable,
-    CoefficientCapError,
     bernoulli,
     bj_to_tau,
     bj_to_weyl,
@@ -68,8 +66,6 @@ __all__ = [
     "quantize_monomial",
     "quantize_symbol",
     "tau_average",
-    "CoeffTable",
-    "CoefficientCapError",
     "bernoulli",
     "bj_to_tau",
     "bj_to_weyl",

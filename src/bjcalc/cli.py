@@ -25,9 +25,10 @@ from .exact import ExactScalar, SymbolPoly
 from .operators import MAX_TOTAL_DEGREE, OpPoly
 from .quantize import BornJordan, Tau, Weyl, quantize_monomial, quantize_symbol, tau_average
 from .transforms import (
-    CoeffTable,
+    bernoulli,
     bj_to_tau,
     bj_to_weyl,
+    c_coeff_1d,
     tau_shift,
     weyl_to_bj,
 )
@@ -241,12 +242,12 @@ def _poly_json(kind: str, poly: SymbolPoly | OpPoly) -> dict:
     return {"kind": kind, "dimension": n, "terms": terms}
 
 
-def _table_json(table: CoeffTable) -> dict:
+def _table_json(max_order: int) -> dict:
     entries = [
-        {"order": k, "c": str(table.values[k]), "bernoulli": str(table.bernoullis[k])}
-        for k in sorted(table.values)
+        {"order": k, "c": str(c_coeff_1d(k)), "bernoulli": str(bernoulli(k))}
+        for k in range(0, max_order + 1, 2)
     ]
-    return {"kind": "table", "max_order": table.max_order, "entries": entries}
+    return {"kind": "table", "max_order": max_order, "entries": entries}
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -321,17 +322,16 @@ def _cmd_convert(args, out) -> int:
 def _cmd_coeffs(args, out) -> int:
     if not 0 <= args.max <= MAX_COEFF_ORDER:
         raise UsageError(f"--max must be between 0 and {MAX_COEFF_ORDER}")
-    table = CoeffTable.build(args.max)
     if args.output == "json":
-        _emit_json(_table_json(table), out)
+        _emit_json(_table_json(args.max), out)
     elif args.output == "csv":
         out.write("order,c,bernoulli\n")
-        for k in sorted(table.values):
-            out.write(f"{k},{table.values[k]},{table.bernoullis[k]}\n")
+        for k in range(0, args.max + 1, 2):
+            out.write(f"{k},{c_coeff_1d(k)},{bernoulli(k)}\n")
     else:
         out.write("order  c                 bernoulli\n")
-        for k in sorted(table.values):
-            out.write(f"{k:<6d} {str(table.values[k]):<17s} {table.bernoullis[k]}\n")
+        for k in range(0, args.max + 1, 2):
+            out.write(f"{k:<6d} {str(c_coeff_1d(k)):<17s} {bernoulli(k)}\n")
     return 0
 
 
@@ -409,7 +409,6 @@ def _verify_checks():
         return weyl_to_bj(bj_to_weyl(a)) == a and bj_to_weyl(weyl_to_bj(a)) == a
 
     def coefficient_table():
-        table = CoeffTable.build(8)
         expected = {
             0: Fraction(1),
             2: Fraction(-1, 3),
@@ -417,7 +416,7 @@ def _verify_checks():
             6: Fraction(-31, 21),
             8: Fraction(127, 15),
         }
-        return table.values == expected
+        return {k: c_coeff_1d(k) for k in range(0, 9, 2)} == expected
 
     def grid_involution():
         grid = UniformGrid(64, 12.0)

@@ -1,6 +1,5 @@
 """Exact arithmetic substrate: Gaussian-rational scalars with formal hbar
-(plus the auxiliary integration variable tau) and sparse multivariate
-polynomials.
+and the ordering parameter tau, and sparse multivariate polynomials.
 
 Scalars and polynomials (SymbolPoly, AmplitudePoly, and the OpPoly of
 operators.py) share one storage form: all terms in one flat map.  The three
@@ -41,18 +40,9 @@ from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
-# Scalar exponent slots: (hbar, tau).  tau is the auxiliary variable of
-# tau-averaging.
-_HBAR, _TAU = 0, 1
-
+# A scalar key: the exponents of hbar and of tau, the ordering parameter
+# that tau-averaging integrates over.
 ScalarKey = tuple[int, int]
-
-
-def _aux_slot(name: str) -> int:
-    """The scalar slot of an auxiliary variable; tau is the only one."""
-    if name != "tau":
-        raise ValueError(f"unknown auxiliary variable {name!r}: the only one is 'tau'")
-    return _TAU
 
 
 def _as_fraction(v: RationalLike) -> Fraction:
@@ -261,21 +251,19 @@ class _FlatPoly:
             result = result * self
         return result
 
-    # -- auxiliary-variable operations ------------------------------------
+    # -- tau operations ----------------------------------------------------
 
-    def integrate_unit_interval(self, name: str = "tau"):
+    def integrate_unit_interval(self):
         """Coefficientwise exact integral of tau over [0,1]: tau^t becomes 1/(t+1)."""
-        _aux_slot(name)
         m = self._width
         parts = [(key[:m], key[m], 0, re, im, {0: 1}, key[m + 1] + 1)
                  for key, (re, im) in self._num.items()]
         return self._from_flat(self.dim, *_collect(parts, self._den))
 
-    def substitute_aux(self, name: str, value: RationalLike):
+    def substitute_aux(self, value: RationalLike):
         """tau^t becomes value^t."""
         value = _as_fraction(value)
         vn, vd = value.numerator, value.denominator
-        _aux_slot(name)
         m = self._width
         parts = [(key[:m], key[m], 0, re, im, {0: vn ** key[m + 1]}, vd ** key[m + 1])
                  for key, (re, im) in self._num.items()]
@@ -353,14 +341,8 @@ class ExactScalar(_FlatPoly):
         return cls({(power, 0): (1, 0)})
 
     @classmethod
-    def aux(cls, name: str, power: int = 1) -> "ExactScalar":
-        key = [0] * _N_SCALAR
-        key[_aux_slot(name)] = power
-        return cls({tuple(key): (1, 0)})
-
-    @classmethod
     def tau(cls) -> "ExactScalar":
-        return cls.aux("tau")
+        return cls({(0, 1): (1, 0)})
 
     # -- queries -----------------------------------------------------------
 
@@ -381,20 +363,18 @@ class ExactScalar(_FlatPoly):
             0, {k: (re, -im) for k, (re, im) in self._num.items()}, self._den
         )
 
-    integrate_unit = _FlatPoly.integrate_unit_interval
-
     # -- conversions -------------------------------------------------------
 
     def to_complex(self, hbar: float) -> complex:
-        """Numeric value at a concrete hbar; requires no auxiliary variables.
+        """Numeric value at a concrete hbar; requires no tau.
 
         Each coefficient is rounded once, from its exact Fraction.
         """
         if self.has_aux():
             raise ValueError("scalar still carries an auxiliary variable")
         total = 0j
-        for key, (re, im) in self.terms.items():
-            total += complex(re, im) * hbar ** key[_HBAR]
+        for (h, _), (re, im) in self.terms.items():
+            total += complex(re, im) * hbar ** h
         return total
 
 

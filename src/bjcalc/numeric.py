@@ -1090,21 +1090,29 @@ def wavefunction_to_csv(psi: SampledWavefunction) -> str:
 def wavefunction_from_csv(text: str, length: float, hbar: float = 1.0) -> SampledWavefunction:
     """Rows x, Re psi, Im psi (header optional) on UniformGrid(rows, length).
 
-    The x column must match that grid's x_values within 1e-9 L.
+    The x column must match that grid's x_values within 1e-9 L.  A field
+    that is not a number raises a ValueError naming its row and column.
     """
-    rows = [line for line in text.strip().splitlines() if line]
+    rows = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if rows:
         try:
-            float(rows[0].split(",")[0])
+            float(rows[0][1].split(",")[0])
         except ValueError:
             rows = rows[1:]  # header
     xs, values = [], []
-    for row in rows:
+    for n, row in rows:
         parts = row.split(",")
         if len(parts) != 3:
             raise ValueError(f"malformed CSV row: {row!r}")
-        xs.append(float(parts[0]))
-        values.append(complex(float(parts[1]), float(parts[2])))
+        numbers = []
+        for column, field in zip(("x", "re", "im"), parts):
+            try:
+                numbers.append(float(field))
+            except ValueError:
+                raise ValueError(
+                    f"CSV row {n}: {column} must be a number, got {field!r}") from None
+        xs.append(numbers[0])
+        values.append(complex(numbers[1], numbers[2]))
     grid = UniformGrid(len(values), length)
     deviation = float(np.max(np.abs(np.asarray(xs) - grid.x_values())))
     if not deviation <= 1e-9 * length:

@@ -141,7 +141,7 @@ def _scheme_weight(scheme: QuantizationScheme) -> SchemeWeight:
 
 def tau_average(op: OpPoly) -> OpPoly:
     """Coefficientwise exact integral of the formal ordering parameter over [0,1]."""
-    return op.integrate_unit_interval("tau")
+    return op.integrate_unit_interval()
 
 
 def quantize_monomial(scheme: QuantizationScheme, r: int, s: int) -> OpPoly:

@@ -12,12 +12,12 @@ D = sum_j d_xj d_pj.  With s = i hbar D / 2 the generating functions are
 D lowers the degree of a polynomial, so each series is the finite sum
 sum_k w_k (i hbar)^k / k! D^k a, and each conversion only supplies its
 weights w_k.  The Taylor coefficients of x/sinh(x) are c_k / k! with
-c_k = (2 - 2^k) B_k and B_k the Bernoulli numbers.
+c_k = (2 - 2^k) B_k and B_k the Bernoulli numbers: `c_coeff_1d(k)` and
+`bernoulli(k)`.  In n dimensions `c_coeff_multi(alpha)` is c_|alpha|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -33,12 +33,6 @@ from .exact import (
     _collect,
     _rotate,
 )
-
-C_ALPHA_DEFAULT_CAP = 12
-
-
-class CoefficientCapError(Exception):
-    """Raised when a reciprocal-coefficient request exceeds the order cap."""
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +63,7 @@ def c_coeff_1d(k: int) -> Fraction:
     return (2 - 2**k) * bernoulli(k)
 
 
-def c_coeff_multi(alpha: MultiIndex, cap: int = C_ALPHA_DEFAULT_CAP) -> Fraction:
+def c_coeff_multi(alpha: MultiIndex) -> Fraction:
     """Multi-dimensional reciprocal coefficient c_alpha.
 
     Equals the alternating sum over ordered tuples of nonzero even-order
@@ -80,28 +74,7 @@ def c_coeff_multi(alpha: MultiIndex, cap: int = C_ALPHA_DEFAULT_CAP) -> Fraction
     alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("multi-index entries must be non-negative")
-    if sum(alpha) > cap:
-        raise CoefficientCapError(
-            f"|alpha| = {sum(alpha)} exceeds cap {cap}"
-        )
     return c_coeff_1d(sum(alpha))
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Tabulated 1-D reciprocal coefficients alongside the Bernoulli numbers."""
-
-    max_order: int
-    values: dict[int, Fraction] = field(default_factory=dict)
-    bernoullis: dict[int, Fraction] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, max_order: int) -> "CoeffTable":
-        if max_order < 0:
-            raise ValueError("max_order must be non-negative")
-        values = {k: c_coeff_1d(k) for k in range(0, max_order + 1, 2)}
-        berns = {k: bernoulli(k) for k in range(0, max_order + 1, 2)}
-        return cls(max_order=max_order, values=values, bernoullis=berns)
 
 
 # ---------------------------------------------------------------------------

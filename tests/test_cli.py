@@ -521,6 +521,18 @@ class TestFlagStyle:
         )
         assert code == 0
 
+    def test_csv_state_bad_sample(self, tmp_path):
+        from bjcalc import UniformGrid, gaussian_state, wavefunction_to_csv
+
+        rows = wavefunction_to_csv(gaussian_state(UniformGrid(128, 20.0))).splitlines()
+        x, _, im = rows[5].split(",")
+        rows[5] = f"{x},a,{im}"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows))
+        code, out, err = run(["--grid", "128", "apply", "harmonic", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: CSV row 6: re must be a number, got 'a'\n"
+
 
 VERIFY_CHECKS = (
     "commutator-normalization", "monomial-equal-weight-average", "symmetric-midpoint",

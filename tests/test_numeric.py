@@ -888,6 +888,73 @@ POLY_SCHEMES = (
 )
 
 
+def _ladder_matrices(size, hbar):
+    """x-hat = sqrt(hbar/2)(A + A^+) and p-hat = i sqrt(hbar/2)(A^+ - A) on
+    the first `size` Hermite functions, with A h_j = sqrt(j) h_(j-1)."""
+    lower = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+    half = np.sqrt(hbar / 2)
+    return half * (lower + lower.T), 1j * half * (lower.T - lower)
+
+
+def _hermite_oracle(op, grid, k, hbar=1.0):
+    """The one-dimensional operator op, a quantize_symbol result in
+    x-hat^a p-hat^b order, applied to h_k: banded ladder matrices on the
+    K = k + degree + 2 Hermite coefficients, sampled with hermite_state.
+    No FFT, ordering weight or grid operator enters."""
+    size = k + op.total_degree() + 2
+    x_hat, p_hat = _ladder_matrices(size, hbar)
+    h_k = np.eye(size)[k]
+    coeffs = sum(
+        c.to_complex(hbar) * (np.linalg.matrix_power(x_hat, a)
+                              @ np.linalg.matrix_power(p_hat, b) @ h_k)
+        for ((a,), (b,)), c in op.terms.items()
+    )
+    return sum(c * hermite_state(grid, j, hbar).values for j, c in enumerate(coeffs) if c)
+
+
+class TestHermiteOracle:
+    """The routes against an oracle that shares no step with them: the
+    exact quantizer's operator in the Hermite basis.  Errors are the
+    largest deviation over the largest true value."""
+
+    @staticmethod
+    def _error(a, scheme, grid, k, hbar=1.0):
+        ref = _hermite_oracle(quantize_symbol(scheme, a), grid, k, hbar)
+        got = apply_operator(a, hermite_state(grid, k, hbar), scheme).values
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    def test_oracle_matches_the_direct_ladder_product(self):
+        # the Weyl operator of (x+p)^12 is (x-hat + p-hat)^12; measured 4.2e-15
+        grid = UniformGrid(128, 20.0)
+        x_hat, p_hat = _ladder_matrices(16, 1.0)
+        direct = np.linalg.matrix_power(x_hat + p_hat, 12)[:, 2]
+        ref = sum(c * hermite_state(grid, j).values for j, c in enumerate(direct))
+        oracle = _hermite_oracle(quantize_symbol(Weyl(), parse("(x+p)^12")), grid, 2)
+        assert np.max(np.abs(oracle - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme, bound", [
+        (Weyl(), 5e-7),  # measured 1.79e-7
+        (BornJordan(), 2e-6),  # 7.60e-7
+        (Tau(Fraction(1, 3)), 1e-6),  # 3.32e-7
+    ], ids=["weyl", "bj", "tau-1/3"])
+    def test_route_on_a_coarse_grid(self, scheme, bound):
+        assert self._error(parse("(x+p)^12"), scheme, UniformGrid(128, 20.0), 2) < bound
+
+    @pytest.mark.parametrize("hbar", [0.1, 0.01])
+    @pytest.mark.parametrize("scheme", [Weyl(), BornJordan(), Tau(Fraction(1, 3))],
+                             ids=["weyl", "bj", "tau-1/3"])
+    def test_route_at_small_hbar(self, scheme, hbar):
+        # measured at hbar = 0.1 / 0.01: Weyl 1.13e-11 / 8.03e-12, BornJordan
+        # 3.74e-11 / 2.35e-11, Tau(1/3) 3.55e-11 / 2.58e-11
+        error = self._error(parse("x^4*p^2 + p^4"), scheme, UniformGrid(512, 20.0), 1, hbar)
+        assert error < 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: round-off amplified by p^s")
+    def test_route_at_the_cli_default_grid(self):
+        # reads 0.509 at N = 512, the CLI's default grid
+        assert self._error(parse("(x+p)^12"), Weyl(), UniformGrid(512, 20.0), 2) < 5e-7
+
+
 class TestPolyRouteOracle:
     @pytest.mark.parametrize("n, box", [(64, 16.0), (128, 20.0)])
     def test_matches_per_term_transforms(self, n, box):
@@ -1256,14 +1323,16 @@ class TestShubinRemainder:
 
     @staticmethod
     def _d_polys(top):
-        """P[k][j] as integer arrays c[a, b] of x^a p^b, k = 0..top."""
-        polys = [{0: np.ones((1, 1), dtype=np.int64)}]
+        """P[k][j] as arrays c[a, b] of the Python-int coefficients of x^a p^b,
+        k = 0..top: exact, where int64 wraps by k = 16."""
+        polys = [{0: np.ones((1, 1), dtype=object)}]
         for _ in range(top):
             terms = {}
             for j, c in polys[-1].items():
                 ra, rb = c.shape
-                a_pow, b_pow = np.arange(ra)[:, None], np.arange(rb)[None, :]
-                mixed, cross, product = np.zeros((3, ra + 1, rb + 1), dtype=np.int64)
+                a_pow = np.arange(ra, dtype=object)[:, None]
+                b_pow = np.arange(rb, dtype=object)[None, :]
+                mixed, cross, product = np.zeros((3, ra + 1, rb + 1), dtype=object)
                 mixed[: ra - 1, : rb - 1] = (c * a_pow * b_pow)[1:, 1:]  # P_xp
                 cross[1:, : rb - 1] += 2 * (c * b_pow)[:, 1:]  # 2 x P_p
                 cross[: ra - 1, 1:] += 2 * (c * a_pow)[1:, :]  # 2 p P_x
@@ -1293,12 +1362,20 @@ class TestShubinRemainder:
             constant = bj_to_weyl(x_k_p_k).terms.get(((0,), (0,)))
             if constant is not None:
                 d_k = sum(
-                    np.polynomial.polynomial.polygrid2d(x, p, c) * self._g(j, s)
+                    np.polynomial.polynomial.polygrid2d(x, p, c.astype(float)) * self._g(j, s)
                     for j, c in polys.items()
                 )
                 total = total + constant.to_complex(hbar) / factorial(k) ** 2 * d_k
                 remainders.append(weyl - total)
         return grid, remainders
+
+    def test_derivative_polynomials_stay_exact(self):
+        # every term of the recurrence is non-negative, so an int64 wrap
+        # would show as a negative coefficient; by k = 16 the largest one
+        # is past 2^63
+        coefficients = [v for c in self._d_polys(16)[16].values() for v in c.flat]
+        assert all(type(v) is int and v >= 0 for v in coefficients)
+        assert max(coefficients) > 2**63
 
     def test_derivative_polynomials_match_differences(self):
         # the recurrence against central differences of D^(k-1) a
@@ -1307,7 +1384,8 @@ class TestShubinRemainder:
 
         def d_k(k, x, p):
             return sum(
-                np.polynomial.polynomial.polyval2d(x, p, c) * self._g(j, x * x + p * p)
+                np.polynomial.polynomial.polyval2d(x, p, c.astype(float))
+                * self._g(j, x * x + p * p)
                 for j, c in polys[k].items()
             )
 
@@ -1363,7 +1441,7 @@ class TestShubinRemainderWeylToBJ:
             constant = weyl_to_bj(x_k_p_k).terms.get(((0,), (0,)))
             if constant is not None:
                 d_k = sum(
-                    np.polynomial.polynomial.polygrid2d(x, p, c) * self._g(j, s)
+                    np.polynomial.polynomial.polygrid2d(x, p, c.astype(float)) * self._g(j, s)
                     for j, c in polys.items()
                 )
                 total = total + constant.to_complex(hbar) / factorial(k) ** 2 * d_k
@@ -1743,8 +1821,19 @@ class TestDataExchange:
             wavefunction_from_json("[64, 20.0, 1.0, []]")
 
     def test_csv_malformed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed CSV row"):
             wavefunction_from_csv("x,re\n0,1\n", length=10.0)
+
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "re", "im"])
+    def test_csv_errors_name_the_row_and_column(self, column):
+        # line 1 is the header, so the fourth sample is on row 5
+        rows = wavefunction_to_csv(gaussian_state(_grid(64))).splitlines()
+        fields = rows[4].split(",")
+        fields[column] = "a"
+        rows[4] = ",".join(fields)
+        name = ("x", "re", "im")[column]
+        with pytest.raises(ValueError, match=f"^CSV row 5: {name} must be a number, got 'a'$"):
+            wavefunction_from_csv("\n".join(rows), length=_grid(64).length)
 
 
 class TestNorm:

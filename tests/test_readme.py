@@ -1,9 +1,13 @@
-"""The README's library example runs, and prints what its comments say."""
+"""The README's library example and command-line block run, and print
+what their comments say."""
 
 import io
 import re
+import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
+
+from bjcalc.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,51 @@ def test_library_example_prints_its_comments():
     with redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+# comments in the command-line block that describe a command rather than
+# give its output; "same thing" says it prints what the command before it did
+DESCRIPTIONS = {
+    "conversion coefficient table",
+    "state loaded from CSV",
+    "built-in identity checks",
+    "each check's residual and tolerance",
+}
+
+
+def _command_lines() -> list[tuple[list[str], str | None]]:
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "bjcalc", line
+        commands.append((argv[1:], comment.strip() or None))
+    return commands
+
+
+def test_command_line_block_runs_and_prints_its_comments(tmp_path, monkeypatch):
+    from bjcalc import UniformGrid, gaussian_state, wavefunction_to_csv
+
+    monkeypatch.chdir(tmp_path)
+    psi = gaussian_state(UniformGrid(512, 20.0))
+    (tmp_path / "state.csv").write_text(wavefunction_to_csv(psi))
+    commands = _command_lines()
+    assert len(commands) == 10
+    previous, checked = None, 0
+    for argv, comment in commands:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0, argv
+        if comment is None or comment in DESCRIPTIONS:
+            pass
+        elif comment.startswith("same thing"):
+            assert out.getvalue() == previous, argv
+            checked += 1
+        else:
+            assert out.getvalue() == comment + "\n", argv
+            checked += 1
+        previous = out.getvalue()
+    assert checked == 4

@@ -12,8 +12,6 @@ from bjcalc.exact import ExactScalar, SymbolPoly
 from bjcalc import transforms
 from bjcalc.quantize import BornJordan, Tau, Weyl, quantize_symbol
 from bjcalc.transforms import (
-    CoeffTable,
-    CoefficientCapError,
     bernoulli,
     bj_to_tau,
     bj_to_weyl,
@@ -71,8 +69,7 @@ class TestCoefficients:
 
     def test_c_table_values(self):
         expected = {0: F(1), 2: F(-1, 3), 4: F(7, 15), 6: F(-31, 21), 8: F(127, 15)}
-        table = CoeffTable.build(8)
-        assert table.values == expected
+        assert {k: c_coeff_1d(k) for k in range(0, 9, 2)} == expected
         assert all(c_coeff_1d(k) == 0 for k in range(1, 13, 2))
 
     def test_multi_reduces_to_1d(self):
@@ -108,9 +105,12 @@ class TestCoefficients:
         for alpha in [(2,), (4,), (1, 1), (2, 2), (3, 1), (2, 1, 1)]:
             assert c_coeff_multi(alpha) == oracle(alpha)
 
-    def test_cap(self):
-        with pytest.raises(CoefficientCapError):
-            c_coeff_multi((14,), cap=12)
+    def test_multi_has_no_order_cap(self):
+        # c_alpha = c_|alpha| at every order; only negative entries are rejected
+        assert c_coeff_multi((14,)) == c_coeff_1d(14)
+        assert c_coeff_multi((7, 7, 6)) == c_coeff_1d(20)
+        with pytest.raises(ValueError, match="non-negative"):
+            c_coeff_multi((2, -1))
 
 
 class TestConversions:
@@ -186,7 +186,7 @@ class TestTauFamily:
             a = SymbolPoly.monomial(dim, x=(2,) + ones, p=(2,) + ones)
             formal = bj_to_tau(a)
             assert formal.has_aux()
-            assert formal.substitute_aux("tau", F(1, 3)) == bj_to_tau(a, F(1, 3))
+            assert formal.substitute_aux(F(1, 3)) == bj_to_tau(a, F(1, 3))
 
     def test_tau_shift_xp_example(self):
         # shifting x p from parameter tau' to tau adds i hbar (tau - tau')
