@@ -81,7 +81,6 @@ __all__ = [
     "BJQuadrature",
     "BJSinc",
     "BoundaryDecayWarning",
-    "NumericParams",
     "SampledSymbol",
     "SampledWavefunction",
     "TauScheme",

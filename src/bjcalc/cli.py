@@ -113,7 +113,7 @@ def _fields(text: str, form: str, kind: type, what: str) -> list:
 
 def _calc_point(text: str) -> Fraction | None:
     """Map a calculus name to its ordering parameter (None for Born-Jordan)."""
-    if text in ("bj", "born-jordan"):
+    if text == "bj":
         return None
     if text == "weyl":
         return Weyl.tau
@@ -261,12 +261,7 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _cmd_quantize(args, out) -> int:
-    if args.rule is not None and args.rule_flag is not None:
-        raise UsageError("give the rule either positionally or via --rule, not both")
-    rule_text = args.rule if args.rule is not None else args.rule_flag
-    if rule_text is None:
-        raise UsageError("missing rule (positional or --rule)")
-    tau = _calc_point(rule_text)
+    tau = _calc_point(args.rule)
     rule = BornJordan() if tau is None else Tau(tau)
     a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
     if a.total_degree() <= MAX_TOTAL_DEGREE:  # else quantize_symbol rejects it at once
@@ -291,24 +286,14 @@ def _convert_between(a: SymbolPoly, s: Fraction | None, t: Fraction | None) -> S
 def _cmd_convert(args, out) -> int:
     a = symlang.parse(args.symbol, dim=args.dim, max_degree=args.max_degree)
     d = args.direction
-    if d is not None and (args.from_calc is not None or args.to_calc is not None):
-        raise UsageError(
-            "give the direction either positionally or via --from/--to, not both"
-        )
-    if d is None:
-        if args.from_calc is None or args.to_calc is None:
-            raise UsageError("missing direction (positional or --from/--to)")
-        s, t = _calc_point(args.from_calc), _calc_point(args.to_calc)
-    elif d in ("bj-to-weyl", "weyl-to-bj"):
-        s, t = map(_calc_point, d.split("-to-"))
-    elif d.startswith("bj-to-tau:"):
-        s, t = None, _calc_point(d[len("bj-to-"):])
-    elif d.startswith("tau-shift:"):
+    if d.startswith("tau-shift:"):
         s, t = _fields(d, "tau-shift:FROM:TO", Fraction, "ordering parameters")
+    elif "-to-" in d:
+        s, t = map(_calc_point, d.split("-to-", 1))
     else:
         raise UsageError(
-            f"unknown direction {d!r} (expected bj-to-weyl, weyl-to-bj, "
-            "bj-to-tau:VALUE, or tau-shift:FROM:TO)"
+            f"unknown direction {d!r} (expected FROM-to-TO, each of FROM and TO "
+            "weyl, bj, or tau:VALUE, or tau-shift:FROM:TO)"
         )
     _check_printable(a, lambda part: _convert_between(part, s, t))
     result = _convert_between(a, s, t)
@@ -339,7 +324,7 @@ def _cmd_apply(args, out) -> int:
     import numpy as np
 
     from . import numeric
-    from .numeric import BJQuadrature, NumericParams, UniformGrid
+    from .numeric import BJQuadrature, UniformGrid
 
     if args.dim != 1:
         raise UsageError("apply supports dimension 1 only")
@@ -356,13 +341,12 @@ def _cmd_apply(args, out) -> int:
     try:
         grid = UniformGrid(args.grid, args.box)
         quadrature = BJQuadrature(args.quadrature)
-        params = NumericParams(tolerance=args.tolerance)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     scheme = _parse_scheme(args.scheme, quadrature)
     psi = _named_state(args.state, grid, args.hbar)
     symbol = _named_symbol(args.symbol, grid, args.hbar, args.max_degree)
-    result = numeric.apply_operator(symbol, psi, scheme, params)
+    result = numeric.apply_operator(symbol, psi, scheme)
     if args.output == "json":
         _emit_json(numeric.wavefunction_to_json(result), out)
     elif args.output == "csv":
@@ -520,7 +504,6 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--quadrature", type=int, default=d(16),
                         help="Gauss-Legendre order for the averaged rule "
                         f"(at most {MAX_QUADRATURE_ORDER})")
-    parser.add_argument("--tolerance", type=float, default=d(1e-8))
     parser.add_argument("--max-degree", type=int, default=d(64),
                         help=f"largest symbol degree (at most {MAX_APPLY_DEGREE} for apply)")
 
@@ -533,21 +516,16 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("quantize", help="quantize a polynomial symbol")
     _add_common(q, top=False)
-    q.add_argument("rule", nargs="?", default=None, help="weyl, bj, or tau:VALUE")
+    q.add_argument("rule", help="weyl, bj, or tau:VALUE")
     q.add_argument("symbol")
-    q.add_argument("--rule", dest="rule_flag", default=None,
-                   help="alternative to the positional rule")
     q.set_defaults(func=_cmd_quantize)
 
     c = sub.add_parser("convert", help="convert between calculi symbols")
     _add_common(c, top=False)
-    c.add_argument("direction", nargs="?", default=None,
-                   help="bj-to-weyl, weyl-to-bj, bj-to-tau:VALUE, tau-shift:FROM:TO")
+    c.add_argument("direction",
+                   help="FROM-to-TO, each of FROM and TO weyl, bj, or tau:VALUE "
+                   "(weyl-to-bj, bj-to-tau:1/3, tau:0-to-bj), or tau-shift:FROM:TO")
     c.add_argument("symbol")
-    c.add_argument("--from", dest="from_calc", default=None,
-                   help="source calculus: weyl, bj, or tau:VALUE")
-    c.add_argument("--to", dest="to_calc", default=None,
-                   help="target calculus: weyl, bj, or tau:VALUE")
     c.set_defaults(func=_cmd_convert)
 
     t = sub.add_parser("coeffs", help="tabulate the conversion coefficients")

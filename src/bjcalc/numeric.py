@@ -86,7 +86,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from math import frexp, inf, isfinite, ldexp, log, pi, sqrt
+from math import frexp, inf, ldexp, log, pi, sqrt
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -99,7 +99,6 @@ __all__ = [
     "UniformGrid",
     "SampledWavefunction",
     "SampledSymbol",
-    "NumericParams",
     "WeylScheme",
     "TauScheme",
     "BJQuadrature",
@@ -257,19 +256,6 @@ def _check_pair(a: SampledSymbol, psi: SampledWavefunction) -> None:
         raise ValueError("symbol and state hbar differ")
 
 
-@dataclass(frozen=True)
-class NumericParams:
-    """apply_operator's boundary-decay tolerance."""
-
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if not (isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(
-                f"tolerance must be positive and finite, got {self.tolerance!r}"
-            )
-
-
 # -- application schemes ----------------------------------------------------
 
 
@@ -292,12 +278,17 @@ class BJQuadrature:
 Scheme = Union[QuantizationScheme, BJQuadrature]
 
 
-def _check_boundary_decay(psi: SampledWavefunction, tolerance: float) -> None:
+# apply_operator warns when a state's first sample exceeds this fraction of
+# its largest one.
+_BOUNDARY_TOLERANCE = 1e-8
+
+
+def _check_boundary_decay(psi: SampledWavefunction) -> None:
     scale = float(np.max(np.abs(psi.values)))
     if scale == 0.0:
         return
     edge = abs(psi.values[0])
-    if edge > tolerance * scale:
+    if edge > _BOUNDARY_TOLERANCE * scale:
         warnings.warn(
             "wavefunction does not decay below tolerance at the box boundary "
             f"(relative edge magnitude {edge / scale:.2e})",
@@ -729,7 +720,6 @@ def apply_operator(
     symbol: Union[SampledSymbol, SymbolPoly],
     psi: SampledWavefunction,
     scheme: Scheme,
-    params: NumericParams | None = None,
 ) -> SampledWavefunction:
     """Apply the quantized operator of a symbol to a sampled state.
 
@@ -740,11 +730,14 @@ def apply_operator(
     the ordering phase is one per-mode multiplier, so every scheme costs one
     pass.  Polynomial symbols use the exact pseudospectral route with the
     scheme's average of the binomial ordering weights.
+
+    A state whose first sample is above 1e-8 of its largest one
+    (_BOUNDARY_TOLERANCE) does not decay at the periodic box boundary; it is
+    applied all the same, with one BoundaryDecayWarning.
     """
-    params = params or NumericParams()
     if isinstance(symbol, SampledSymbol):
         _check_pair(symbol, psi)
-    _check_boundary_decay(psi, params.tolerance)
+    _check_boundary_decay(psi)
 
     # a symbol that overflows double precision on the grid gives non-finite
     # samples, which the result's own check rejects with one ValueError
@@ -1005,18 +998,14 @@ def sample_symbol(
     return SampledSymbol(grid, values, hbar)
 
 
-def _periodized_gaussian(u: np.ndarray, period: float, width: float) -> np.ndarray:
-    """sum_j exp(-(u - j period)^2 / 2 width^2).  By Poisson summation it is
-    width sqrt(2pi)/period times 1 + 2 sum_k exp(-2 (pi k width/period)^2)
-    cos(2pi k u/period); from width = 2 period on, the first of those terms
-    is at most 2 exp(-8 pi^2), about 1e-34, so the sum is that constant, at
-    a cost that does not grow with the width."""
-    if width >= 2 * period:
-        return np.full_like(u, width * sqrt(2 * pi) / period)
+def _periodized_gaussian(u: np.ndarray, period: float) -> np.ndarray:
+    """sum_j exp(-(u - j period)^2 / 2 period^2), a Gaussian of width one
+    period summed over its images, for u in [-period/2, period/2).  The
+    images |j| <= 10 are summed; the first one left out is below exp(-55),
+    about 1e-24, of the sum."""
     total = np.zeros_like(u)
-    images = int(np.ceil(8 * width / period)) + 2
-    for j in range(-images, images + 1):
-        total += np.exp(-((u - j * period) ** 2) / (2 * width**2))
+    for j in range(-10, 11):
+        total += np.exp(-((u - j * period) ** 2) / (2 * period**2))
     return total
 
 
@@ -1025,32 +1014,25 @@ def null_symbol(
     hbar: float = 1.0,
     x0: float | None = None,
     p0: float | None = None,
-    width_factor: float = 1.0,
 ) -> tuple[SampledSymbol, tuple[float, float]]:
     """Windowed phase-space exponential annihilated by the Born-Jordan rule.
 
     Builds c(z) = exp(-i sigma(z, z0)/hbar) w(x) w(p) with z0 = (x0, p0) on
-    the grid, where w is a smooth periodized Gaussian of width width_factor
-    times the box size; the symplectic transform of c is then concentrated at
-    z0.  Requested coordinates are snapped to grid points; with x0 and p0
-    omitted a balanced point with x0 p0 = 2 pi hbar is chosen, where the
-    Born-Jordan filter vanishes.  Returns the symbol and the z0 used.
+    the grid, where w is a smooth periodized Gaussian one box wide, in x and
+    in p; the symplectic transform of c is then concentrated at z0.
+    Requested coordinates are snapped to grid points; with x0 and p0 omitted
+    a balanced point with x0 p0 = 2 pi hbar is chosen, where the Born-Jordan
+    filter vanishes.  Returns the symbol and the z0 used.
     """
-    if not 0 < width_factor < inf:
-        raise ValueError(f"width_factor must be positive and finite, got {width_factor!r}")
     n = grid.n_points
     if x0 is None and p0 is None:
-        # factor n = m_idx * k_idx with both offsets inside the grid
-        best = None
-        for m in range(1, n // 2):
-            if n % m == 0 and n // m < n // 2:
-                cand = (m, n // m)
-                balance = abs(m * grid.spacing - (n // m) * grid.p_spacing(hbar))
-                if best is None or balance < best[0]:
-                    best = (balance, cand)
-        if best is None:
-            raise ValueError("no on-grid null point exists for this grid")
-        m_idx, k_idx = best[1]
+        # factor n = m_idx * k_idx with both offsets inside the grid, the
+        # most balanced first; m_idx = 4 qualifies on every grid (n >= 16)
+        m_idx = min(
+            (m for m in range(1, n // 2) if n % m == 0 and n // m < n // 2),
+            key=lambda m: abs(m * grid.spacing - (n // m) * grid.p_spacing(hbar)),
+        )
+        k_idx = n // m_idx
     elif x0 is not None and p0 is not None:
         m, k = x0 / grid.spacing, p0 / grid.p_spacing(hbar)
         # n/2 is even, so round() takes +-(n/2 - 1/2) off the grid to +-n/2;
@@ -1067,8 +1049,8 @@ def null_symbol(
     p = grid.p_values(hbar)
     p_extent = n * grid.p_spacing(hbar)
     window = np.outer(
-        _periodized_gaussian(x, grid.length, width_factor * grid.length),
-        _periodized_gaussian(p, p_extent, width_factor * p_extent),
+        _periodized_gaussian(x, grid.length),
+        _periodized_gaussian(p, p_extent),
     )
     phase = np.exp(-1j * (np.outer(np.ones(n), p) * x0 - np.outer(x, np.ones(n)) * p0) / hbar)
     return SampledSymbol(grid, phase * window, hbar), (x0, p0)
@@ -1087,18 +1069,25 @@ def wavefunction_to_csv(psi: SampledWavefunction) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reads_as_float(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def wavefunction_from_csv(text: str, length: float, hbar: float = 1.0) -> SampledWavefunction:
     """Rows x, Re psi, Im psi (header optional) on UniformGrid(rows, length).
 
-    The x column must match that grid's x_values within 1e-9 L.  A field
-    that is not a number raises a ValueError naming its row and column.
+    The first row is a header when none of its fields is a number, so a
+    sample row with one bad field is reported, not taken for a header.  The
+    x column must match that grid's x_values within 1e-9 L.  A field that is
+    not a number raises a ValueError naming its row and column.
     """
     rows = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    if rows:
-        try:
-            float(rows[0][1].split(",")[0])
-        except ValueError:
-            rows = rows[1:]  # header
+    if rows and not any(map(_reads_as_float, rows[0][1].split(","))):
+        rows = rows[1:]  # header
     xs, values = [], []
     for n, row in rows:
         parts = row.split(",")

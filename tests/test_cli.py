@@ -206,7 +206,6 @@ class TestLeadingDash:
     @pytest.mark.parametrize("argv, message", [
         (["--hbar", "-1e-3"], "--hbar must be positive and finite"),
         (["--box", "-inf"], "--box must be finite"),
-        (["--tolerance", "-1e-8"], "tolerance must be positive and finite"),
     ])
     def test_negative_values_reach_their_range_checks(self, argv, message):
         code, out, err = run(argv + ["apply", "harmonic", "gaussian"])
@@ -412,12 +411,6 @@ class TestApply:
         assert code == 2
         assert peak_kb < 125 * 1024, peak_kb
 
-    def test_bad_tolerance_is_usage_error(self):
-        for tol in ("nan", "0", "-1e-8"):
-            code, _, err = run(["--tolerance", tol, "apply", "harmonic", "hermite:2"])
-            assert code == 1
-            assert "tolerance must be positive and finite" in err
-
     @pytest.mark.parametrize("spelling, scheme", SCHEME_SPELLINGS.items(),
                              ids=list(SCHEME_SPELLINGS))
     def test_documented_spellings_print_the_library_norm(self, spelling, scheme):
@@ -442,47 +435,52 @@ class TestApply:
 
 
 class TestFlagStyle:
-    def test_quantize_rule_flag(self):
-        assert run(["quantize", "--rule", "bj", "x^2*p^2"]) == run(
-            ["quantize", "bj", "x^2*p^2"]
-        )
+    """A rule and a conversion each have one spelling, positional: the rule,
+    and FROM-to-TO or tau-shift:FROM:TO.  The flags that spelled them a
+    second way are gone, and so is --tolerance."""
 
-    def test_quantize_rule_given_twice(self):
-        code, _, err = run(["quantize", "weyl", "x*p", "--rule", "bj"])
-        assert code == 1
-        assert "not both" in err
+    def test_quantize_rule_flag(self):
+        # the positional rule alone names it: weyl, bj or tau:VALUE
+        for rule in ("weyl", "bj", "tau:1/2"):
+            assert run(["quantize", rule, "x*p"]) == (0, "xhat*phat - (1/2)*i*hbar\n", "")
 
     def test_quantize_rule_missing(self):
-        code, _, err = run(["quantize", "x*p"])
-        assert code == 1
+        assert run(["quantize", "x*p"]) == (
+            1, "", "error: the following arguments are required: symbol\n")
 
     def test_convert_from_to(self):
-        assert run(["convert", "--from", "weyl", "--to", "bj", "x^2*p^2"]) == run(
-            ["convert", "weyl-to-bj", "x^2*p^2"]
-        )
-        assert run(["convert", "--from", "bj", "--to", "tau:1/2", "x^2*p^2"]) == run(
+        # FROM-to-TO reaches every pair of calculi
+        assert run(["convert", "bj-to-tau:1/2", "x^2*p^2"]) == run(
             ["convert", "bj-to-weyl", "x^2*p^2"]
         )
-        assert run(["convert", "--from", "tau:0", "--to", "tau:1", "x*p"]) == run(
+        assert run(["convert", "tau:1/2-to-bj", "x^2*p^2"]) == run(
+            ["convert", "weyl-to-bj", "x^2*p^2"]
+        )
+        assert run(["convert", "tau:0-to-tau:1", "x*p"]) == run(
             ["convert", "tau-shift:0:1", "x*p"]
         )
+        assert run(["convert", "weyl-to-tau:-1/2", "x*p"]) == run(
+            ["convert", "tau-shift:1/2:-1/2", "x*p"]
+        )
+        assert run(["convert", "bj-to-bj", "x*p"]) == (0, "x*p\n", "")
 
     def test_convert_tau_to_bj(self):
-        code, out, _ = run(["convert", "--from", "tau:0", "--to", "bj", "x*p"])
-        assert code == 0
-        assert out == "x*p + (1/2)*i*hbar\n"
-
-    def test_convert_direction_given_twice(self):
-        code, _, err = run(
-            ["convert", "weyl-to-bj", "x*p", "--from", "weyl", "--to", "bj"]
-        )
-        assert code == 1
-        assert "not both" in err
+        assert run(["convert", "tau:0-to-bj", "x*p"]) == (0, "x*p + (1/2)*i*hbar\n", "")
 
     def test_convert_unknown_calculus(self):
-        code, _, err = run(["convert", "--from", "wick", "--to", "bj", "x*p"])
-        assert code == 1
-        assert "calculus" in err
+        assert run(["convert", "wick-to-bj", "x*p"]) == (
+            1, "", "error: unknown calculus 'wick' (expected weyl, bj, or tau:VALUE)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--rule", "bj", "x*p"],
+        ["convert", "--from", "weyl", "--to", "bj", "x*p"],
+        ["convert", "weyl-to-bj", "x*p", "--to", "bj"],
+        ["--tolerance", "1e-6", "apply", "harmonic", "gaussian"],
+    ], ids=["rule", "from", "to", "tolerance"])
+    def test_removed_flags_are_usage_errors(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_csv_state_input(self, tmp_path):
         from bjcalc import UniformGrid, gaussian_state, wavefunction_to_csv
@@ -532,6 +530,18 @@ class TestFlagStyle:
         code, out, err = run(["--grid", "128", "apply", "harmonic", str(path)])
         assert (code, out) == (2, "")
         assert err == "error: CSV row 6: re must be a number, got 'a'\n"
+
+    def test_csv_state_bad_first_row(self, tmp_path):
+        from bjcalc import wavefunction_to_csv
+
+        # a headerless file's bad first sample is row 1, not a header
+        rows = wavefunction_to_csv(gaussian_state(UniformGrid(128, 20.0))).splitlines()[1:]
+        rows[0] = "a," + rows[0].split(",", 1)[1]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows))
+        code, out, err = run(["--grid", "128", "apply", "harmonic", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: CSV row 1: x must be a number, got 'a'\n"
 
 
 VERIFY_CHECKS = (
@@ -636,7 +646,7 @@ ERROR_PATHS = [
     (["apply", "sinc-null:1", "gaussian"], 1, "expected sinc-null:X0:P0"),
     (["apply", "sinc-null:a:b", "gaussian"], 1, "invalid null-point coordinates"),
     (["convert", "tau-shift:1/4", "x*p"], 1, "expected tau-shift:FROM:TO"),
-    (["convert", "--from", "weyl", "x*p"], 1, "missing direction"),
+    (["convert", "nonsense", "x*p"], 1, "unknown direction 'nonsense' (expected FROM-to-TO"),
     (["--dim", "2", "apply", "harmonic", "gaussian"], 1, "dimension 1 only"),
     (["apply", "monomial:40:40", "gaussian"], 2, "degree 80 exceeds --max-degree 64"),
     (["convert", "bj-to-tau:1/3", "x*p"], 0, "x*p - (1/6)*i*hbar\n"),
@@ -692,6 +702,12 @@ ERROR_PATHS = [
     (["--max-degree", str(MAX_APPLY_DEGREE + 1), "--grid", "64", "apply",
       f"monomial:{MAX_APPLY_DEGREE + 1}:0", "gaussian"], 1,
      f"--max-degree must be at most {MAX_APPLY_DEGREE} for apply"),
+    (["apply", "monomial:-1:0", "gaussian"], 1, "monomial exponents must be non-negative"),
+    # the zero symbol has no term for the print-limit check to start from
+    (["quantize", "bj", "0"], 0, "0\n"),
+    (["convert", "weyl-to-bj", "0"], 0, "0\n"),
+    (["--output", "json", "quantize", "bj", "0"], 0, '"terms": []'),
+    (["--output", "json", "convert", "weyl-to-bj", "0"], 0, '"terms": []'),
 ]
 
 
@@ -699,13 +715,16 @@ ERROR_PATHS = [
     ["--max-degree", "1000", "--grid", "64", "apply", "monomial:300:0", "gaussian"],
     ["--hbar", "1e300", "--box", "1e300", "apply", "monomial:0:40", "hermite:0"],
     # C(1100, j) is past double range; the weights themselves are not
-    ["--box", "2", "--tolerance", "1", "--max-degree", "2000", "--grid", "64", "apply",
+    ["--box", "2", "--max-degree", "2000", "--grid", "64", "apply",
      "monomial:1100:0", "gaussian", "--scheme", "bj-quadrature"],
 ])
 def test_apply_prints_a_finite_norm(argv):
-    # |psi|^2 overflows where psi does not
+    # |psi|^2 overflows where psi does not; a box 2 wide does not hold the
+    # Gaussian, which is said in one warning line
     code, out, err = run(argv)
-    assert (code, err) == (0, "")
+    warning = ("warning: wavefunction does not decay below tolerance at the box boundary "
+               "(relative edge magnitude 6.07e-01)\n")
+    assert (code, err) == (0, warning if argv[:2] == ["--box", "2"] else "")
     norm = float(out.splitlines()[1].removeprefix("norm="))
     assert 0 < norm < float("inf")
 

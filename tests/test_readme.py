@@ -32,7 +32,7 @@ def test_library_example_prints_its_comments():
 
 
 # comments in the command-line block that describe a command rather than
-# give its output; "same thing" says it prints what the command before it did
+# give its output
 DESCRIPTIONS = {
     "conversion coefficient table",
     "state loaded from CSV",
@@ -61,19 +61,13 @@ def test_command_line_block_runs_and_prints_its_comments(tmp_path, monkeypatch):
     psi = gaussian_state(UniformGrid(512, 20.0))
     (tmp_path / "state.csv").write_text(wavefunction_to_csv(psi))
     commands = _command_lines()
-    assert len(commands) == 10
-    previous, checked = None, 0
+    assert len(commands) == 9
+    checked = 0
     for argv, comment in commands:
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(argv) == 0, argv
-        if comment is None or comment in DESCRIPTIONS:
-            pass
-        elif comment.startswith("same thing"):
-            assert out.getvalue() == previous, argv
-            checked += 1
-        else:
+        if comment is not None and comment not in DESCRIPTIONS:
             assert out.getvalue() == comment + "\n", argv
             checked += 1
-        previous = out.getvalue()
     assert checked == 4
