@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from itertools import takewhile
 from math import inf, isfinite
 from typing import TYPE_CHECKING
 
@@ -66,6 +67,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: tuple[str, ...] = ()  # the subcommand names, on the top-level parser
+
     def error(self, message):  # exit 1 instead of argparse's 2
         raise UsageError(message)
 
@@ -128,14 +131,13 @@ def _parse_scheme(text: str, quadrature: BJQuadrature):
         return quadrature
     if text == "bj-sinc":
         return BornJordan()
-    tau = _calc_point(text)
-    if tau is None:
+    if text != "weyl" and not text.startswith("tau:"):
         raise UsageError(
             f"unknown scheme {text!r} "
             "(expected weyl, tau:VALUE, bj-quadrature, or bj-sinc)"
         )
     try:
-        return Tau(float(tau))
+        return Tau(float(_calc_point(text)))
     except OverflowError:
         raise UsageError(f"ordering parameter {text[4:]!r} is too large") from None
 
@@ -547,13 +549,33 @@ def build_parser() -> _Parser:
     _add_common(v, top=False)
     v.set_defaults(func=_cmd_verify)
 
+    parser.commands = tuple(sub.choices)
     return parser
+
+
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args, except that an unknown flag before the subcommand
+    is named: argparse sets such a flag aside and takes its value for the
+    subcommand, so it would name the value."""
+    try:
+        return parser.parse_args(argv)
+    except UsageError:
+        top = _Parser(add_help=False)
+        _add_common(top, top=True)
+        try:
+            extras = top.parse_known_args(list(takewhile(
+                lambda word: word not in parser.commands, argv)))[1]
+        except UsageError:
+            extras = []
+        if extras[:1] and extras[0].startswith("--"):
+            raise UsageError(f"unrecognized arguments: {' '.join(extras)}") from None
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         if args.max_degree < 0:
             raise UsageError("--max-degree must be non-negative")
         if args.dim < 1:

@@ -160,6 +160,24 @@ def _rotate(re: int, im: int, j: int) -> tuple[int, int]:
     return -im, re
 
 
+def _slot_width(bound: int) -> int:
+    """Bits per packed slot when no slot exceeds `bound`, and one spare bit."""
+    return bound.bit_length() + 1
+
+
+def _pack(key: tuple[int, ...], width: int) -> int:
+    """sum key[i] 2^(i width).  The packing is linear: a sum of packed keys and
+    shifts decodes right when each slot of the sum lies in [0, 2^width)."""
+    return sum(e << i * width for i, e in enumerate(key))
+
+
+def _unpack(num: dict, slots: int, width: int) -> FlatMap:
+    """num with its packed keys cut into flat keys of their low `slots` slots."""
+    mask, keys = (1 << width) - 1, list(num)
+    columns = [[key >> shift & mask for key in keys] for shift in range(0, slots * width, width)]
+    return dict(zip(zip(*columns), num.values()))
+
+
 # A polynomial in tau: ({power: integer numerator}, positive denominator).
 Weight = tuple[dict[int, int], int]
 

@@ -17,18 +17,25 @@ dimension gives
 so xhat^a phat^b * xhat^c phat^d is a sum over j of integer multiples of
 (-i hbar)^j xhat^(a+c-j) phat^(b+d-j).  The integers come from a table per
 (k, r).  In several dimensions the factors of distinct dimensions commute:
-the keys concatenate and the per-dimension j's add into one power of
-(-i hbar).  The adjoint of xhat^a phat^b is phat^b xhat^a, the same
-identity with (k, r) = (b, a).
+the per-dimension j's add into one power J of (-i hbar).  The adjoint of
+xhat^a phat^b is phat^b xhat^a, the same identity with (k, r) = (b, a).
+
+The kernels use the packed keys of exact.py: each entry of the identity is
+one shift that lowers each x and p slot by its j and raises hbar by J, so a
+term's key is the sum of its factors' keys and the shift.  The slot width
+bounds the operands' largest slots plus their total degrees, which bound J.
+The j = 0 term, xhat^(a+c) phat^(b+d) with coefficient 1, is the same in
+both orders, so the commutator sums only the terms with J > 0 of A*B and,
+negated, of B*A: it never forms the terms that cancel.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb, perm
 
-from .exact import ExactScalar, FlatMap, MultiIndex, ONE, RationalLike, _BlockPoly, _rotate
+from .exact import (ExactScalar, MultiIndex, ONE, RationalLike, _BlockPoly, _pack, _rotate,
+                    _slot_width, _unpack)
 
 MAX_TOTAL_DEGREE = 64
 
@@ -46,32 +53,28 @@ def _reorder_table(k: int, r: int) -> tuple[int, ...]:
     return tuple(comb(k, j) * perm(r, j) for j in range(min(k, r) + 1))
 
 
-def _reorder_terms(ks: tuple[int, ...], rs: tuple[int, ...]) -> list[tuple[tuple, int, int]]:
-    """phat^ks xhat^rs in normal order over all dimensions.
-
-    Each entry is (shift, coefficient, J mod 4) for the term
-    coefficient (-i hbar)^J xhat^(rs-js) phat^(ks-js), J = |js|.  A flat key
-    minus shift = js + js + (-J, 0) lowers each x and p exponent by its j
-    and raises hbar by J.
-    """
-    out = []
-    rows = [_reorder_table(k, r) for k, r in zip(ks, rs)]
-    for js in product(*(range(len(row)) for row in rows)):
-        c = 1
-        for row, j in zip(rows, js):
-            c *= row[j]
-        total = sum(js)
-        out.append((js + js + (-total, 0), c, total % 4))
-    return out
+def _reorder_entries(ks: MultiIndex, rs: MultiIndex, width: int, skip: int) -> list:
+    """phat^ks xhat^rs in normal order: (shift, re, im) per multi-index j
+    from j = 0 on, the first `skip` left out.  Added to a packed key, shift
+    lowers x_d and p_d by j_d and raises hbar by J = |j|; re + i im is
+    (-i)^J times the table product."""
+    n = len(ks)
+    hbar = 1 << 2 * n * width
+    out = [(0, 1, 0)]  # (shift, table product, J) over the dimensions so far
+    for d, (k, r) in enumerate(zip(ks, rs)):
+        if k and r:
+            step = hbar - (1 << d * width) - (1 << (n + d) * width)
+            row = _reorder_table(k, r)
+            out = [(s + j * step, c * cj, t + j) for s, c, t in out for j, cj in enumerate(row)]
+    return [(s, *_rotate(c, 0, t)) for s, c, t in out[skip:]]
 
 
-def _accumulate(out: FlatMap, base: tuple, re: int, im: int, reorder) -> None:
-    """Add (re + i im) times a reordered word, shifted from the key base."""
-    for shift, c, quarter in reorder:
-        key = tuple([u - v for u, v in zip(base, shift)])
-        a, b = _rotate(re * c, im * c, quarter)
-        prev = out.get(key)
-        out[key] = (a, b) if prev is None else (prev[0] + a, prev[1] + b)
+def _grouped(num, lo: int, hi: int, width: int) -> dict[tuple, list]:
+    """Packed terms (key, re, im), grouped by the key slots lo..hi-1."""
+    groups: dict[tuple, list] = {}
+    for key, (re, im) in num.items():
+        groups.setdefault(key[lo:hi], []).append((_pack(key, width), re, im))
+    return groups
 
 
 class OpPoly(_BlockPoly):
@@ -106,47 +109,63 @@ class OpPoly(_BlockPoly):
     def scale_rational(self, q: RationalLike) -> "OpPoly":
         return self.scale(ExactScalar.rational(q))
 
+    def _products(self, other: "OpPoly", skip: int, orders: tuple) -> "OpPoly":
+        """The sum of sign * L * R over orders (L, R, sign), each term pair
+        reordered without its first `skip` entries."""
+        self._check_compatible(other)
+        degree = self.total_degree() + other.total_degree()
+        if degree > MAX_TOTAL_DEGREE:
+            raise DegreeLimitError(f"product degree exceeds cap {MAX_TOTAL_DEGREE}")
+        n = self.dim
+        width = _slot_width(degree + max(map(max, self._num), default=0)
+                            + max(map(max, other._num), default=0))
+        out: dict = {}
+        get = out.get
+        memo: dict = {}  # the entries of each (p exponents of L, x exponents of R)
+        for left, right, sign in orders:
+            by_x = _grouped(right._num, 0, n, width)
+            for ap, terms_a in _grouped(left._num, n, 2 * n, width).items():
+                row = memo.setdefault(ap, {})
+                for bx, terms_b in by_x.items():
+                    entries = row.get(bx)
+                    if entries is None:
+                        entries = row[bx] = _reorder_entries(ap, bx, width, skip)
+                    for shift, fr, fi in entries:
+                        fr, fi = sign * fr, sign * fi
+                        for ka, a, b in terms_a:
+                            ar, ai, base = a * fr - b * fi, a * fi + b * fr, ka + shift
+                            for kb, c, d in terms_b:
+                                key, re, im = base + kb, ar * c - ai * d, ar * d + ai * c
+                                prev = get(key)
+                                out[key] = ((re, im) if prev is None
+                                            else (prev[0] + re, prev[1] + im))
+        return OpPoly._from_flat(n, _unpack(out, 2 * n + 2, width), self._den * other._den)
+
     def __mul__(self, other: "OpPoly") -> "OpPoly":
         """Normal-ordered operator product."""
-        self._check_compatible(other)
-        if self.total_degree() + other.total_degree() > MAX_TOTAL_DEGREE:
-            raise DegreeLimitError(
-                f"product degree exceeds cap {MAX_TOTAL_DEGREE}"
-            )
-        n = self.dim
-        # Group the right factor by its x exponents: the reordering of
-        # phat^ap xhat^bx depends on ap and bx only.
-        by_x: dict[tuple, list] = {}
-        for key, value in other._num.items():
-            by_x.setdefault(key[:n], []).append((key, value))
-        reorders: dict[tuple, list] = {}
-        out: FlatMap = {}
-        for ka, (a, b) in self._num.items():
-            ap = ka[n:2 * n]
-            for bx, group in by_x.items():
-                reorder = reorders.get((ap, bx))
-                if reorder is None:
-                    reorder = reorders[ap, bx] = _reorder_terms(ap, bx)
-                for kb, (c, d) in group:
-                    base = tuple([u + v for u, v in zip(ka, kb)])
-                    _accumulate(out, base, a * c - b * d, a * d + b * c, reorder)
-        return OpPoly._from_flat(n, out, self._den * other._den)
+        return self._products(other, 0, ((self, other, 1),))
 
     def commutator(self, other: "OpPoly") -> "OpPoly":
-        return self * other - other * self
+        """self * other - other * self, without the j = 0 terms that cancel."""
+        return self._products(other, 1, ((self, other, 1), (other, self, -1)))
 
     def adjoint(self) -> "OpPoly":
         """Formal adjoint: conjugate coefficients, reverse factor order.
 
         (c xhat^kx phat^kp)^dagger = conj(c) phat^kp xhat^kx, normal-ordered
-        with the product's identity.
+        with the product's entries, shifted from the key itself.
         """
-        if self.total_degree() > MAX_TOTAL_DEGREE:
-            raise DegreeLimitError(
-                f"product degree exceeds cap {MAX_TOTAL_DEGREE}"
-            )
+        degree = self.total_degree()
+        if degree > MAX_TOTAL_DEGREE:
+            raise DegreeLimitError(f"product degree exceeds cap {MAX_TOTAL_DEGREE}")
         n = self.dim
-        out: FlatMap = {}
+        width = _slot_width(degree + max(map(max, self._num), default=0))
+        out: dict = {}
+        get = out.get
         for key, (re, im) in self._num.items():
-            _accumulate(out, key, re, -im, _reorder_terms(key[n:2 * n], key[:n]))
-        return OpPoly._from_flat(n, out, self._den)
+            base = _pack(key, width)
+            for shift, fr, fi in _reorder_entries(key[n:2 * n], key[:n], width, 0):
+                k, a, b = base + shift, re * fr + im * fi, re * fi - im * fr
+                prev = get(k)
+                out[k] = (a, b) if prev is None else (prev[0] + a, prev[1] + b)
+        return OpPoly._from_flat(n, _unpack(out, 2 * n + 2, width), self._den)

@@ -21,8 +21,8 @@ same terms as a product of canonical symbols would, and each value carries
 its degree, so the degree budget recomputes nothing.  Inside the parse a
 key is one int of fixed-width slots, so the key of a term product is one
 addition; the width comes from the text, as the bits of a bound on the
-degree of every intermediate (see _field_width), and the keys are decoded
-into the flat tuples of exact.py once, at the end.  The formatter makes the
+degree of every intermediate (see _field_width), and exact.py's codec
+decodes the keys into flat tuples once, at the end.  The formatter makes the
 text of each (variable, exponent) factor once per call and each term with
 one join.  A numeral is read without its leading zeros, and one with more
 digits than Python converts (sys.get_int_max_str_digits()) is an error at
@@ -35,7 +35,7 @@ from __future__ import annotations
 import sys
 from math import comb, gcd, lcm, prod
 
-from .exact import SymbolPoly, _canonical, parse_var
+from .exact import SymbolPoly, _canonical, _slot_width, _unpack, parse_var
 from .operators import OpPoly
 
 MAX_DEPTH = 256
@@ -155,7 +155,7 @@ def _field_width(kinds: list[str], texts: list[str]) -> int:
     Adjacent atoms add, as a product would, so a text the parser rejects
     still bounds what it forms before the error."""
     if "^" not in kinds:
-        return kinds.count("ident").bit_length() + 1
+        return _slot_width(kinds.count("ident"))
     outer = []  # (largest term, current term) of each enclosing group
     largest = term = factor = 0
     prev = "("
@@ -179,7 +179,7 @@ def _field_width(kinds: list[str], texts: list[str]) -> int:
                 if kind == ")":
                     break
         prev = kind
-    return max(largest, term + factor).bit_length() + 1
+    return _slot_width(max(largest, term + factor))
 
 
 def _size(value) -> int:
@@ -428,11 +428,8 @@ class _Parser:
             key, re, im, den = value
             value = {key: (re, im)}, 0, den
         num, _, den = value
-        w = self.width
-        mask = (1 << w) - 1
-        keys = list(num)
-        columns = [[(key >> shift) & mask for key in keys] for shift in range(0, self.deg_shift, w)]
-        return SymbolPoly._from_flat(self.dim, dict(zip(zip(*columns), num.values())), den)
+        flat = _unpack(num, 2 * self.dim + 2, self.width)
+        return SymbolPoly._from_flat(self.dim, flat, den)
 
 
 def _power_products(base: SymbolPoly, exponent: int) -> int:

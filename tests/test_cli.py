@@ -708,6 +708,14 @@ ERROR_PATHS = [
     (["convert", "weyl-to-bj", "0"], 0, "0\n"),
     (["--output", "json", "quantize", "bj", "0"], 0, '"terms": []'),
     (["--output", "json", "convert", "weyl-to-bj", "0"], 0, '"terms": []'),
+    # --scheme names schemes, not the calculi of quantize and convert
+    *((["apply", "harmonic", "gaussian", "--scheme", name], 1,
+       f"unknown scheme '{name}' (expected weyl, tau:VALUE, bj-quadrature, or bj-sinc)")
+      for name in ("nonsense", "bj", "born-jordan")),
+    # argparse would take the unknown flag's value for the subcommand
+    (["--foo", "1", "apply", "harmonic", "gaussian"], 1, "unrecognized arguments: --foo 1"),
+    (["--tolerance", "1", "apply", "harmonic", "gaussian"], 1,
+     "unrecognized arguments: --tolerance 1"),
 ]
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from bjcalc.exact import ExactScalar, ONE, SymbolPoly
 from bjcalc.operators import DegreeLimitError, MAX_TOTAL_DEGREE, OpPoly
+from bjcalc.quantize import BornJordan, quantize_symbol
+from bjcalc.symlang import parse
 
 I_HBAR = ExactScalar.i() * ExactScalar.hbar()
 
@@ -238,3 +240,66 @@ class TestStructure:
         big = OpPoly.word(1, (MAX_TOTAL_DEGREE // 2 + 1,), (0,))
         with pytest.raises(DegreeLimitError):
             big * big
+
+
+# -- the packed kernel's hazards ----------------------------------------------
+# The product, commutator and adjoint add packed keys whose slot width comes
+# from the operands, and the commutator skips the j = 0 terms of both orders.
+
+
+def _check_against_oracles(a: OpPoly, b: OpPoly) -> None:
+    for x, y in ((a, b), (b, a)):
+        assert x * y == _oracle_product(x, y)
+        assert x.commutator(y) == _oracle_product(x, y) - _oracle_product(y, x)
+        assert x.adjoint() == _oracle_adjoint(x)
+
+
+def _dense_symbol(rng: random.Random, dim: int, degree: int) -> SymbolPoly:
+    """A product of `degree` rational linear forms in every variable."""
+    names = ["x", "p"] if dim == 1 else [f"{v}{j + 1}" for v in "xp" for j in range(dim)]
+    forms = (" + ".join(f"{rng.choice((-1, 1)) * rng.randint(1, 5)}/{rng.randint(1, 4)}*{name}"
+                        for name in names) for _ in range(degree))
+    return parse("*".join(f"({form})" for form in forms), dim)
+
+
+class TestPackedKernel:
+    def test_slots_past_eight_bits(self):
+        hbar, tau = ExactScalar.hbar, ExactScalar.tau()
+        a = OpPoly.word(1, (1,), (0,), hbar(1000))
+        b = OpPoly.word(1, (0,), (1,), hbar(700) * tau ** 300)
+        _check_against_oracles(a, b)
+        assert a.commutator(b) == OpPoly.constant(1, hbar(1700) * tau ** 300 * I_HBAR)
+
+    def test_degree_cap_in_three_dimensions(self):
+        coeff = ExactScalar.rational(Fraction(2, 3), -1) + ExactScalar.hbar(2).scale(5)
+        a = OpPoly.word(3, (10, 11, 0), (0, 0, 11), coeff)
+        b = OpPoly.word(3, (0, 6, 10), (11, 5, 0), ExactScalar.tau() * I_HBAR)
+        assert a.total_degree() + b.total_degree() == MAX_TOTAL_DEGREE
+        _check_against_oracles(a, b + OpPoly.x_op(3, 2))
+        with pytest.raises(DegreeLimitError):
+            a.commutator(b * OpPoly.p_op(3, 0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_and_commuting_operands_give_the_canonical_zero(self, dim):
+        rng = random.Random(23 + dim)
+        a, zero = _rich_op(rng, dim, 4, 3), OpPoly.zero(dim)
+        results = [a * zero, zero * a, a.commutator(zero), zero.commutator(a), zero.adjoint(),
+                   a.commutator(a)]
+        if dim > 1:  # polynomials in distinct dimensions commute
+            first = OpPoly.word(dim, (2,) + (0,) * (dim - 1), (1,) + (0,) * (dim - 1),
+                                ExactScalar.rational(Fraction(3, 7)))
+            last = OpPoly.word(dim, (0,) * (dim - 1) + (3,), (0,) * (dim - 1) + (2,),
+                               ExactScalar.rational(Fraction(5, 4), Fraction(1, 6)))
+            results += [first.commutator(last), last.commutator(first)]
+        for out in results:
+            assert out == zero and out._num == {} and out._den == 1
+
+    @pytest.mark.parametrize("dim, degree", [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2)])
+    def test_commutator_of_born_jordan_operators(self, dim, degree):
+        rng = random.Random(29 * dim + degree)
+        for _ in range(3):
+            a, b = (quantize_symbol(BornJordan(), _dense_symbol(rng, dim, degree))
+                    for _ in range(2))
+            ab = a.commutator(b)
+            assert ab == a * b - b * a
+            assert ab == -b.commutator(a)
