@@ -376,7 +376,7 @@ def _verify_checks():
     from .numeric import BJQuadrature, SampledSymbol, UniformGrid
 
     def commutator_normalization():
-        x, p = OpPoly.x_op(1), OpPoly.p_op(1)
+        x, p = OpPoly.variable(1, "x"), OpPoly.variable(1, "p")
         expected = OpPoly.constant(1, ExactScalar.i() * ExactScalar.hbar())
         return x.commutator(p) == expected
 

@@ -3,8 +3,10 @@ and the ordering parameter tau, and sparse multivariate polynomials.
 
 Scalars and polynomials (SymbolPoly, AmplitudePoly, and the OpPoly of
 operators.py) share one storage form: all terms in one flat map.  The three
-polynomial kinds share one class, `_BlockPoly`, with one set of constructors;
-they differ in their blocks and, for OpPoly, in the product.  Each key
+polynomial kinds share one class, `_BlockPoly`, with one set of constructors
+(`zero`, `constant`, `monomial`, `variable`); they differ in their blocks and,
+for OpPoly, in the product.  Every kind, the scalar included, has one `scale`,
+by an ExactScalar or a rational.  Each key
 concatenates the exponents of the variable blocks and of the scalar
 variables,
 
@@ -254,6 +256,13 @@ class _FlatPoly:
         out._num = {key: (-re, -im) for key, (re, im) in self._num.items()}
         return out
 
+    def scale(self, coeff: Union[ExactScalar, RationalLike]):
+        """coeff * self, for an ExactScalar or a rational coeff."""
+        if not isinstance(coeff, ExactScalar):
+            coeff = ExactScalar.rational(coeff)
+        snum, sden = _scalar_map(coeff, self._width)
+        return self._from_flat(self.dim, _mul_maps(self._num, snum), self._den * sden)
+
     def __mul__(self, other):
         """Commutative product; OpPoly overrides it with the operator product."""
         self._check_compatible(other)
@@ -372,9 +381,6 @@ class ExactScalar(_FlatPoly):
 
     # -- arithmetic --------------------------------------------------------
 
-    def scale(self, q: RationalLike) -> "ExactScalar":
-        return self * ExactScalar.rational(q)
-
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation; hbar and tau are treated as real."""
         return ExactScalar._from_flat(
@@ -473,12 +479,6 @@ class _BlockPoly(_FlatPoly):
     def total_degree(self) -> int:
         m = self._width
         return max((sum(key[:m]) for key in self._num), default=0)
-
-    # -- linear operations -------------------------------------------------
-
-    def scale(self, coeff: ExactScalar):
-        snum, sden = _scalar_map(coeff, self._width)
-        return self._from_flat(self.dim, _mul_maps(self._num, snum), self._den * sden)
 
 
 class SymbolPoly(_BlockPoly):

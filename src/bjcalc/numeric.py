@@ -159,6 +159,11 @@ class UniformGrid:
         return (np.arange(n) - n // 2) * self.p_spacing(hbar)
 
 
+def _check_hbar(hbar: float) -> None:
+    if not 0 < hbar < inf:
+        raise ValueError("hbar must be positive and finite")
+
+
 @dataclass(frozen=True)
 class _Samples:
     """Validated complex samples on a UniformGrid at a given hbar: `_ndim`
@@ -174,14 +179,13 @@ class _Samples:
     _ndim = 1
 
     def __post_init__(self):
+        _check_hbar(self.hbar)
         values = np.asarray(self.values, dtype=complex)
         shape = (self.grid.n_points,) * self._ndim
         if values.shape != shape:
             raise ValueError(f"{type(self).__name__} values must have shape {shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{type(self).__name__} contains non-finite values")
-        if not 0 < self.hbar < inf:
-            raise ValueError("hbar must be positive and finite")
         if not values.flags.owndata:
             values = values.copy()
         values.flags.writeable = False
@@ -666,6 +670,8 @@ def _ordering_weights(scheme: Scheme, powers: set[int]) -> dict[int, list[float]
 def _float_terms(a: SymbolPoly, hbar: float) -> list[tuple[int, int, complex]]:
     """(r, s, c) for each term c x^r p^s of a one-dimensional polynomial
     symbol, with c rounded once to a complex at hbar."""
+    if not isinstance(a, SymbolPoly):
+        raise TypeError(f"expected a SymbolPoly, got {type(a).__name__}")
     if a.dim != 1:
         raise ValueError("the numeric layer is one-dimensional")
     return [(r, s, coeff.to_complex(hbar)) for ((r,), (s,)), coeff in a.terms.items()]
@@ -937,6 +943,7 @@ def shubin_slopes(a: SampledSymbol, radii: Sequence[float]) -> np.ndarray:
 
 def gaussian_state(grid: UniformGrid, hbar: float = 1.0) -> SampledWavefunction:
     """Normalized ground Gaussian (pi hbar)^{-1/4} exp(-x^2 / 2 hbar)."""
+    _check_hbar(hbar)
     x = grid.x_values()
     values = (pi * hbar) ** -0.25 * np.exp(-(x**2) / (2 * hbar))
     return SampledWavefunction(grid, values.astype(complex), hbar)
@@ -950,6 +957,7 @@ def hermite_state(grid: UniformGrid, k: int, hbar: float = 1.0) -> SampledWavefu
     _require_int(k, "Hermite index")
     if k < 0:
         raise ValueError("Hermite index must be non-negative")
+    _check_hbar(hbar)
     xi = grid.x_values() / sqrt(hbar)
     # Recurrence on the normalized functions, so neither H_k(xi) nor 2^k k!
     # is formed; both leave double range for k in the low hundreds:
@@ -984,6 +992,7 @@ def sample_symbol(
     result once.  A symbol that overflows double precision on the grid gives
     non-finite samples, which SampledSymbol rejects with one ValueError.
     """
+    _check_hbar(hbar)
     n = grid.n_points
     p = grid.p_values(hbar)
     p_rows: dict[int, np.ndarray] = {}
@@ -1024,6 +1033,7 @@ def null_symbol(
     a balanced point with x0 p0 = 2 pi hbar is chosen, where the Born-Jordan
     filter vanishes.  Returns the symbol and the z0 used.
     """
+    _check_hbar(hbar)
     n = grid.n_points
     if x0 is None and p0 is None:
         # factor n = m_idx * k_idx with both offsets inside the grid, the
@@ -1102,6 +1112,8 @@ def wavefunction_from_csv(text: str, length: float, hbar: float = 1.0) -> Sample
                     f"CSV row {n}: {column} must be a number, got {field!r}") from None
         xs.append(numbers[0])
         values.append(complex(numbers[1], numbers[2]))
+    if not values:
+        raise ValueError("CSV has no sample rows")
     grid = UniformGrid(len(values), length)
     deviation = float(np.max(np.abs(np.asarray(xs) - grid.x_values())))
     if not deviation <= 1e-9 * length:

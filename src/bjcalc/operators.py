@@ -5,9 +5,10 @@ This is the ground-truth representation: two operator expressions are equal
 iff their normal-ordered forms coincide.  Canonical form puts every xhat to
 the left of every phat within each dimension; distinct dimensions commute.
 An OpPoly is a flat map of exact.py with the blocks x and p, keyed by x
-exponents, p exponents, then hbar, tau.  It shares its storage, sums
-and powers with its ExactScalar coefficients and with the symbols, and its
-constructors with the symbols; only the product and the adjoint are its own.
+exponents, p exponents, then hbar, tau.  It shares its storage, sums, powers
+and `scale` with its ExactScalar coefficients and with the symbols, and its
+constructors (`zero`, `constant`, `monomial`, `variable`) with the symbols;
+only the product, the commutator and the adjoint are its own.
 
 The product needs one identity.  Moving phat^k past xhat^r in one
 dimension gives
@@ -34,8 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, perm
 
-from .exact import (ExactScalar, MultiIndex, ONE, RationalLike, _BlockPoly, _pack, _rotate,
-                    _slot_width, _unpack)
+from .exact import MultiIndex, _BlockPoly, _pack, _rotate, _slot_width, _unpack
 
 MAX_TOTAL_DEGREE = 64
 
@@ -84,30 +84,7 @@ class OpPoly(_BlockPoly):
 
     __slots__ = ()
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def identity(cls, dim: int) -> "OpPoly":
-        return cls.constant(dim, ONE)
-
-    @classmethod
-    def word(cls, dim: int, x_exp: MultiIndex, p_exp: MultiIndex,
-             coeff: ExactScalar = ONE) -> "OpPoly":
-        """coeff * xhat^x_exp phat^p_exp (already normal-ordered)."""
-        return cls.monomial(dim, coeff, x=x_exp, p=p_exp)
-
-    @classmethod
-    def x_op(cls, dim: int, j: int = 0) -> "OpPoly":
-        return cls.variable(dim, ("x", j))
-
-    @classmethod
-    def p_op(cls, dim: int, j: int = 0) -> "OpPoly":
-        return cls.variable(dim, ("p", j))
-
     # -- arithmetic --------------------------------------------------------
-
-    def scale_rational(self, q: RationalLike) -> "OpPoly":
-        return self.scale(ExactScalar.rational(q))
 
     def _products(self, other: "OpPoly", skip: int, orders: tuple) -> "OpPoly":
         """The sum of sign * L * R over orders (L, R, sign), each term pair
@@ -157,7 +134,7 @@ class OpPoly(_BlockPoly):
         """
         degree = self.total_degree()
         if degree > MAX_TOTAL_DEGREE:
-            raise DegreeLimitError(f"product degree exceeds cap {MAX_TOTAL_DEGREE}")
+            raise DegreeLimitError(f"operator degree {degree} exceeds cap {MAX_TOTAL_DEGREE}")
         n = self.dim
         width = _slot_width(degree + max(map(max, self._num), default=0))
         out: dict = {}

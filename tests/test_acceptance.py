@@ -82,12 +82,12 @@ def test_criterion_1_monomial_rule_suite():
             equal_weight = OpPoly.zero(1)
             for ell in range(s + 1):
                 word = (
-                    OpPoly.word(1, (0,), (s - ell,))
-                    * OpPoly.word(1, (r,), (0,))
-                    * OpPoly.word(1, (0,), (ell,))
+                    OpPoly.monomial(1, x=(0,), p=(s - ell,))
+                    * OpPoly.monomial(1, x=(r,), p=(0,))
+                    * OpPoly.monomial(1, x=(0,), p=(ell,))
                 )
                 equal_weight = equal_weight + word
-            equal_weight = equal_weight.scale_rational(F(1, s + 1))
+            equal_weight = equal_weight.scale(F(1, s + 1))
             bj = quantize_monomial(BornJordan(), r, s)
             ok &= bj == equal_weight
             ok &= bj == tau_average(quantize_monomial(Tau(None), r, s))

@@ -506,6 +506,13 @@ class TestFlagStyle:
         assert code == 2
         assert "samples" in err
 
+    @pytest.mark.parametrize("text", ["", "x,re,im\n"], ids=["empty", "header-only"])
+    def test_csv_state_without_samples(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code, out, err = run(["apply", "harmonic", str(path)])
+        assert (code, out, err) == (2, "", "error: CSV has no sample rows\n")
+
     def test_csv_state_wrong_box(self, tmp_path):
         from bjcalc import UniformGrid, gaussian_state, wavefunction_to_csv
 
@@ -716,6 +723,9 @@ ERROR_PATHS = [
     (["--foo", "1", "apply", "harmonic", "gaussian"], 1, "unrecognized arguments: --foo 1"),
     (["--tolerance", "1", "apply", "harmonic", "gaussian"], 1,
      "unrecognized arguments: --tolerance 1"),
+    # a bad value before the subcommand is argparse's own message
+    (["--dim", "x", "apply", "harmonic", "gaussian"], 1,
+     "argument --dim: invalid int value: 'x'"),
 ]
 
 

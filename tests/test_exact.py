@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bjcalc.exact import (
+    AmplitudePoly,
     ExactScalar,
     ONE,
     SymbolPoly,
     parse_var,
 )
 from bjcalc.operators import OpPoly
+from bjcalc.quantize import BornJordan, quantize_symbol
+from bjcalc.symlang import parse
 
 rationals = st.builds(
     Fraction, st.integers(-40, 40), st.integers(1, 8)
@@ -273,12 +276,51 @@ class TestPoly:
         (SymbolPoly.variable, (2, "x 1")),
         (SymbolPoly.variable, (10, "p1_0")),
         (SymbolPoly.variable, (2, "x\u0661")),
-        (OpPoly.x_op, (2, -1)),
-        (OpPoly.x_op, (2, 5)),
-        (OpPoly.word, (1, (-1,), (2,))),
-        (OpPoly.word, (1, (1.5,), (0,))),
+        (OpPoly.variable, (2, ("x", -1))),
+        (OpPoly.variable, (2, ("x", 5))),
+        pytest.param(lambda: OpPoly.monomial(1, x=(-1,), p=(2,)), (), id="monomial-args6"),
+        pytest.param(lambda: OpPoly.monomial(1, x=(1.5,), p=(0,)), (), id="monomial-args7"),
+        (SymbolPoly.variable, (1, "y")),
+        pytest.param(lambda: SymbolPoly.monomial(1, y=(1,)), (), id="monomial-y"),
+        pytest.param(lambda: SymbolPoly.variable(1, "x") ** -1, (), id="power-minus-one"),
+        (SymbolPoly, (0,)),
     ])
     def test_malformed_variables_and_exponents_rejected(self, make, args):
         with pytest.raises(ValueError):
             make(*args)
 
+    def test_a_polynomial_is_not_equal_to_a_number(self):
+        assert (parse("x") == 1) is False
+        assert (parse("1") == 1) is False
+
+
+class TestScale:
+    """One `scale` for every kind: by a rational or by an ExactScalar."""
+
+    KINDS = {
+        "ExactScalar": lambda: ExactScalar.rational(Fraction(2, 3), -1)
+        + ExactScalar.hbar(2) * ExactScalar.tau(),
+        "SymbolPoly": lambda: parse("x^2*p - 3*i*hbar*x + 1/2"),
+        "OpPoly": lambda: quantize_symbol(BornJordan(), parse("x1^2*p1*p2 + 7/3*x2", 2)),
+        "AmplitudePoly": lambda: AmplitudePoly.variable(2, "y1")
+        * AmplitudePoly.variable(2, "p2") - AmplitudePoly.constant(2, ExactScalar.hbar()),
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("q", [0, 3, Fraction(-5, 7)])
+    def test_a_rational_scales_as_its_scalar(self, kind, q):
+        k = self.KINDS[kind]()
+        assert k.scale(q) == k.scale(ExactScalar.rational(q))
+        assert type(k.scale(q)) is type(k)
+
+    def test_values(self):
+        assert parse("x - p").scale(Fraction(1, 2)) == parse("1/2*x - 1/2*p")
+        assert ExactScalar.hbar().scale(3) == ExactScalar.hbar() * ExactScalar.rational(3)
+
+    @pytest.mark.parametrize("factor", [
+        parse("p"), OpPoly.variable(1, "x"), SymbolPoly.constant(1, ONE), 0.5,
+    ], ids=["symbol", "operator", "constant-symbol", "float"])
+    def test_anything_else_raises(self, factor):
+        # a polynomial's keys are longer than a scalar's, so none is a factor
+        with pytest.raises(TypeError):
+            parse("x").scale(factor)

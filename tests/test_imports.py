@@ -67,6 +67,16 @@ def test_every_public_name_resolves_and_is_listed():
     """)
 
 
+def test_dir_lists_the_numeric_names_without_numpy():
+    assert_runs("""
+        import sys
+
+        import bjcalc
+        assert "apply_operator" in dir(bjcalc)
+        assert "numpy" not in sys.modules
+    """)
+
+
 def test_star_import_binds_every_name():
     assert_runs("""
         import bjcalc

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bjcalc import numeric
-from bjcalc.exact import SymbolPoly
+from bjcalc.exact import AmplitudePoly, ExactScalar, SymbolPoly
 from bjcalc.numeric import (
     BJQuadrature,
     BJSinc,
@@ -112,7 +112,7 @@ class TestGridBasics:
     @pytest.mark.parametrize("call, name", [
         (lambda: SymbolPoly.variable(2, ("x", True)), "variable index"),
         (lambda: SymbolPoly.variable(2, ("x", 0.5)), "variable index"),
-        (lambda: OpPoly.x_op(2, 1.0), "variable index"),
+        (lambda: OpPoly.variable(2, ("x", 1.0)), "variable index"),
         (lambda: UniformGrid(64.0, 20.0), "n_points"),
         (lambda: hermite_state(_grid(64), 2.0), "Hermite index"),
         (lambda: hermite_state(_grid(64), True), "Hermite index"),
@@ -122,6 +122,20 @@ class TestGridBasics:
     def test_integer_parameters_reject_non_integers(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda grid, hbar: gaussian_state(grid, hbar),
+        lambda grid, hbar: hermite_state(grid, 2, hbar),
+        lambda grid, hbar: null_symbol(grid, hbar),
+        lambda grid, hbar: sample_symbol(parse("x*p"), grid, hbar),
+        lambda grid, hbar: SampledWavefunction(grid, np.full(64, np.nan), hbar),
+    ], ids=["gaussian", "hermite", "null", "sample", "nan-samples"])
+    def test_hbar_is_checked_before_any_sample(self, make, hbar):
+        # the check precedes every division by hbar and every sample check
+        with pytest.raises(ValueError, match="^hbar must be positive and finite$"):
+            make(UniformGrid(64, 12.0), hbar)
 
     def test_grid_geometry(self):
         grid = UniformGrid(64, 16.0)
@@ -1798,6 +1812,13 @@ class TestDataExchange:
         with pytest.raises(ValueError, match="must be an object, got list"):
             wavefunction_from_json("[64, 20.0, 1.0, []]")
 
+    @pytest.mark.parametrize("text", ["", "x,re,im\n", "\n \n"], ids=["empty", "header", "blank"])
+    def test_csv_without_sample_rows(self, text):
+        with pytest.raises(ValueError, match="^CSV has no sample rows$"):
+            wavefunction_from_csv(text, length=10.0)
+        with pytest.raises(ValueError, match="n_points must be a power of two"):
+            wavefunction_from_csv(text + "0,1,0\n", length=10.0)
+
     def test_csv_malformed(self):
         with pytest.raises(ValueError, match="malformed CSV row"):
             wavefunction_from_csv("x,re\n0,1\n", length=10.0)
@@ -1927,6 +1948,28 @@ class TestSharedRules:
             with pytest.raises(ValueError, match="numeric ordering parameter"):
                 apply_operator(symbol, psi, Tau())
 
+    def test_grid_only_and_unknown_schemes_are_rejected(self):
+        a = parse("x*p")
+        with pytest.raises(TypeError, match="unknown quantization scheme"):
+            quantize_symbol(BJQuadrature(4), a)
+        with pytest.raises(TypeError, match="unknown application scheme 'weyl'"):
+            apply_operator(a, gaussian_state(_grid(64)), "weyl")
+
+    @pytest.mark.parametrize("make", [
+        lambda: quantize_symbol(Weyl(), parse("x*p")),
+        lambda: AmplitudePoly.variable(1, "y") * AmplitudePoly.variable(1, "p"),
+        lambda: ExactScalar.rational(2),
+    ], ids=["OpPoly", "AmplitudePoly", "ExactScalar"])
+    def test_only_a_symbol_poly_is_a_polynomial_symbol(self, make):
+        # an operator read as a symbol would be quantized a second time
+        grid = UniformGrid(128, 20.0)
+        a = make()
+        message = f"^expected a SymbolPoly, got {type(a).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            apply_operator(a, hermite_state(grid, 2), Weyl())
+        with pytest.raises(TypeError, match=message):
+            sample_symbol(a, grid)
+
     def test_overflowing_symbol_raises_without_warnings(self):
         psi = gaussian_state(_grid(64))
         a = SymbolPoly.monomial(1, x=(400,), p=(0,))
@@ -2007,6 +2050,10 @@ class TestHalves:
         finally:
             tracemalloc.stop()
         assert held < 2**20, (held, out)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert numeric._cpus() == (os.cpu_count() or 1)
 
     def test_an_error_in_either_half_reaches_the_caller(self, monkeypatch):
         self._split_everywhere(monkeypatch)

@@ -57,7 +57,7 @@ def _random_op(rng: random.Random, dim: int = 1, n_words: int = 3, deg: int = 3)
         coeff = ExactScalar.rational(
             Fraction(rng.randrange(-4, 5)), Fraction(rng.randrange(-4, 5))
         )
-        out = out + OpPoly.word(dim, kx, kp, coeff)
+        out = out + OpPoly.monomial(dim, coeff, x=kx, p=kp)
     return out
 
 
@@ -129,7 +129,7 @@ def _rich_op(rng: random.Random, dim: int, n_words: int, deg: int) -> OpPoly:
             coeff = coeff + (ExactScalar.tau() ** rng.randrange(1, 3)) * I_HBAR.scale(
                 rng.randrange(-2, 3)
             )
-        out = out + OpPoly.word(dim, kx, kp, coeff)
+        out = out + OpPoly.monomial(dim, coeff, x=kx, p=kp)
     return out
 
 
@@ -147,16 +147,16 @@ class TestAgainstReorderingOracle:
 
 class TestAgainstDifferentialOracle:
     def test_canonical_commutator(self):
-        x, p = OpPoly.x_op(1), OpPoly.p_op(1)
+        x, p = OpPoly.variable(1, "x"), OpPoly.variable(1, "p")
         assert x.commutator(p) == OpPoly.constant(1, I_HBAR)
 
     def test_reordering_single_pair(self):
         # phat xhat = xhat phat - i hbar
-        p, x = OpPoly.p_op(1), OpPoly.x_op(1)
+        p, x = OpPoly.variable(1, "p"), OpPoly.variable(1, "x")
         assert p * x == x * p - OpPoly.constant(1, I_HBAR)
 
     def test_p2x2_example(self):
-        p, x = OpPoly.p_op(1), OpPoly.x_op(1)
+        p, x = OpPoly.variable(1, "p"), OpPoly.variable(1, "x")
         lhs = (p * p) * (x * x)
         rhs = (
             x * x * p * p
@@ -196,12 +196,10 @@ class TestAgainstDifferentialOracle:
 
 class TestMultiDimension:
     def test_cross_dimension_commuting(self):
-        x1 = OpPoly.x_op(2, 0)
-        p2 = OpPoly.p_op(2, 1)
+        x1 = OpPoly.variable(2, ("x", 0))
+        x2, p2 = OpPoly.variable(2, ("x", 1)), OpPoly.variable(2, ("p", 1))
         assert x1.commutator(p2).is_zero()
-        assert OpPoly.x_op(2, 1).commutator(OpPoly.p_op(2, 1)) == OpPoly.constant(
-            2, I_HBAR
-        )
+        assert x2.commutator(p2) == OpPoly.constant(2, I_HBAR)
 
     def test_product_reorders_each_dimension(self):
         rng = random.Random(17)
@@ -221,15 +219,15 @@ class TestStructure:
             assert (a * b).adjoint() == b.adjoint() * a.adjoint()
 
     def test_self_adjoint_generators(self):
-        assert OpPoly.x_op(1).adjoint() == OpPoly.x_op(1)
-        assert OpPoly.p_op(1).adjoint() == OpPoly.p_op(1)
+        assert OpPoly.variable(1, "x").adjoint() == OpPoly.variable(1, "x")
+        assert OpPoly.variable(1, "p").adjoint() == OpPoly.variable(1, "p")
 
     @pytest.mark.parametrize(
-        "other", [SymbolPoly.variable(1, "x"), ExactScalar.hbar(), OpPoly.x_op(2)]
+        "other", [SymbolPoly.variable(1, "x"), ExactScalar.hbar(), OpPoly.variable(2, "x1")]
     )
     def test_mixed_operands_are_rejected(self, other):
         # a symbol's monomials are not operator words, in either order
-        op = OpPoly.p_op(1)
+        op = OpPoly.variable(1, "p")
         for combine in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ValueError):
                 combine(op, other)
@@ -237,9 +235,15 @@ class TestStructure:
                 combine(other, op)
 
     def test_degree_guardrail(self):
-        big = OpPoly.word(1, (MAX_TOTAL_DEGREE // 2 + 1,), (0,))
+        big = OpPoly.monomial(1, x=(MAX_TOTAL_DEGREE // 2 + 1,), p=(0,))
         with pytest.raises(DegreeLimitError):
             big * big
+
+    def test_adjoint_degree_guardrail_names_the_degree(self):
+        op = OpPoly.monomial(1, x=(40,), p=(40,))
+        message = f"^operator degree 80 exceeds cap {MAX_TOTAL_DEGREE}$"
+        with pytest.raises(DegreeLimitError, match=message):
+            op.adjoint()
 
 
 # -- the packed kernel's hazards ----------------------------------------------
@@ -265,19 +269,19 @@ def _dense_symbol(rng: random.Random, dim: int, degree: int) -> SymbolPoly:
 class TestPackedKernel:
     def test_slots_past_eight_bits(self):
         hbar, tau = ExactScalar.hbar, ExactScalar.tau()
-        a = OpPoly.word(1, (1,), (0,), hbar(1000))
-        b = OpPoly.word(1, (0,), (1,), hbar(700) * tau ** 300)
+        a = OpPoly.monomial(1, hbar(1000), x=(1,), p=(0,))
+        b = OpPoly.monomial(1, hbar(700) * tau ** 300, x=(0,), p=(1,))
         _check_against_oracles(a, b)
         assert a.commutator(b) == OpPoly.constant(1, hbar(1700) * tau ** 300 * I_HBAR)
 
     def test_degree_cap_in_three_dimensions(self):
         coeff = ExactScalar.rational(Fraction(2, 3), -1) + ExactScalar.hbar(2).scale(5)
-        a = OpPoly.word(3, (10, 11, 0), (0, 0, 11), coeff)
-        b = OpPoly.word(3, (0, 6, 10), (11, 5, 0), ExactScalar.tau() * I_HBAR)
+        a = OpPoly.monomial(3, coeff, x=(10, 11, 0), p=(0, 0, 11))
+        b = OpPoly.monomial(3, ExactScalar.tau() * I_HBAR, x=(0, 6, 10), p=(11, 5, 0))
         assert a.total_degree() + b.total_degree() == MAX_TOTAL_DEGREE
-        _check_against_oracles(a, b + OpPoly.x_op(3, 2))
+        _check_against_oracles(a, b + OpPoly.variable(3, ("x", 2)))
         with pytest.raises(DegreeLimitError):
-            a.commutator(b * OpPoly.p_op(3, 0))
+            a.commutator(b * OpPoly.variable(3, ("p", 0)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_zero_and_commuting_operands_give_the_canonical_zero(self, dim):
@@ -286,10 +290,10 @@ class TestPackedKernel:
         results = [a * zero, zero * a, a.commutator(zero), zero.commutator(a), zero.adjoint(),
                    a.commutator(a)]
         if dim > 1:  # polynomials in distinct dimensions commute
-            first = OpPoly.word(dim, (2,) + (0,) * (dim - 1), (1,) + (0,) * (dim - 1),
-                                ExactScalar.rational(Fraction(3, 7)))
-            last = OpPoly.word(dim, (0,) * (dim - 1) + (3,), (0,) * (dim - 1) + (2,),
-                               ExactScalar.rational(Fraction(5, 4), Fraction(1, 6)))
+            first = OpPoly.monomial(dim, ExactScalar.rational(Fraction(3, 7)),
+                                    x=(2,) + (0,) * (dim - 1), p=(1,) + (0,) * (dim - 1))
+            last = OpPoly.monomial(dim, ExactScalar.rational(Fraction(5, 4), Fraction(1, 6)),
+                                   x=(0,) * (dim - 1) + (3,), p=(0,) * (dim - 1) + (2,))
             results += [first.commutator(last), last.commutator(first)]
         for out in results:
             assert out == zero and out._num == {} and out._den == 1

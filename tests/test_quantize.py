@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bjcalc.quantize
-from bjcalc.exact import AmplitudePoly, ExactScalar, SymbolPoly
+from bjcalc.exact import ONE, AmplitudePoly, ExactScalar, SymbolPoly
 from bjcalc.operators import DegreeLimitError, MAX_TOTAL_DEGREE, OpPoly
 from bjcalc.quantize import (
     BornJordan,
@@ -31,12 +31,12 @@ def _equal_weight_rule(r: int, s: int) -> OpPoly:
     out = OpPoly.zero(1)
     for ell in range(s + 1):
         word = (
-            OpPoly.word(1, (0,), (s - ell,))
-            * OpPoly.word(1, (r,), (0,))
-            * OpPoly.word(1, (0,), (ell,))
+            OpPoly.monomial(1, x=(0,), p=(s - ell,))
+            * OpPoly.monomial(1, x=(r,), p=(0,))
+            * OpPoly.monomial(1, x=(0,), p=(ell,))
         )
         out = out + word
-    return out.scale_rational(Fraction(1, s + 1))
+    return out.scale(Fraction(1, s + 1))
 
 
 def _random_symbol(
@@ -82,7 +82,7 @@ def _word_product_quantize(scheme, a: SymbolPoly) -> OpPoly:
     zero = (0,) * n
     out = OpPoly.zero(n)
     for (kx, kp), coeff in a.terms.items():
-        factor = OpPoly.identity(n)
+        factor = OpPoly.constant(n, ONE)
         for j in range(n):
             r, s = kx[j], kp[j]
             if not (r or s):
@@ -91,9 +91,9 @@ def _word_product_quantize(scheme, a: SymbolPoly) -> OpPoly:
             for ell in range(s + 1):
                 weight = (one_minus_tau**ell) * (tau ** (s - ell))
                 word = (
-                    OpPoly.word(n, zero, e(j, s - ell))
-                    * OpPoly.word(n, e(j, r), zero)
-                    * OpPoly.word(n, zero, e(j, ell))
+                    OpPoly.monomial(n, x=zero, p=e(j, s - ell))
+                    * OpPoly.monomial(n, x=e(j, r), p=zero)
+                    * OpPoly.monomial(n, x=zero, p=e(j, ell))
                 )
                 image = image + word.scale(weight.scale(comb(s, ell)))
             factor = factor * image
@@ -103,23 +103,19 @@ def _word_product_quantize(scheme, a: SymbolPoly) -> OpPoly:
 
 class TestMonomialRules:
     def test_xp_examples(self):
-        x, p = OpPoly.x_op(1), OpPoly.p_op(1)
-        sym = (x * p + p * x).scale_rational(Fraction(1, 2))
+        x, p = OpPoly.variable(1, "x"), OpPoly.variable(1, "p")
+        sym = (x * p + p * x).scale(Fraction(1, 2))
         assert quantize_monomial(Weyl(), 1, 1) == sym
         assert quantize_monomial(BornJordan(), 1, 1) == sym
         assert quantize_monomial(Tau(0), 1, 1) == x * p
         assert quantize_monomial(Tau(1), 1, 1) == p * x
 
     def test_r2s2_values(self):
-        x, p = OpPoly.x_op(1), OpPoly.p_op(1)
+        x, p = OpPoly.variable(1, "x"), OpPoly.variable(1, "p")
         base = x * x * p * p - (x * p).scale(I_HBAR.scale(2))
         hbar2 = OpPoly.constant(1, ExactScalar.hbar(2))
-        assert quantize_monomial(BornJordan(), 2, 2) == base - hbar2.scale_rational(
-            Fraction(2, 3)
-        )
-        assert quantize_monomial(Weyl(), 2, 2) == base - hbar2.scale_rational(
-            Fraction(1, 2)
-        )
+        assert quantize_monomial(BornJordan(), 2, 2) == base - hbar2.scale(Fraction(2, 3))
+        assert quantize_monomial(Weyl(), 2, 2) == base - hbar2.scale(Fraction(1, 2))
 
     def test_born_jordan_equals_equal_weight_rule(self):
         for r in range(7):
@@ -226,7 +222,7 @@ class TestSymbolQuantization:
     def test_two_dim_cross_terms_commute(self):
         a = SymbolPoly.monomial(2, x=(2, 0), p=(0, 1))
         op = quantize_symbol(Weyl(), a)
-        expected = OpPoly.word(2, (2, 0), (0, 1))
+        expected = OpPoly.monomial(2, x=(2, 0), p=(0, 1))
         assert op == expected
 
 
@@ -289,7 +285,7 @@ class TestAmplitudeRoute:
                     Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)), rng.randrange(-2, 3)
                 ) * ExactScalar.hbar(rng.randrange(2))
                 b = b + AmplitudePoly.monomial(dim, coeff=coeff, x=ka, y=kc, p=ke)
-                word = (OpPoly.word(dim, ka, zero) * OpPoly.word(dim, zero, ke)
-                        * OpPoly.word(dim, kc, zero))
+                word = (OpPoly.monomial(dim, x=ka, p=zero) * OpPoly.monomial(dim, x=zero, p=ke)
+                        * OpPoly.monomial(dim, x=kc, p=zero))
                 op = op + word.scale(coeff)
             assert quantize_symbol(Tau(tau), amplitude_to_tau_symbol(b, tau)) == op

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bjcalc.exact import AmplitudePoly, ExactScalar, SymbolPoly
+from bjcalc.exact import ONE, AmplitudePoly, ExactScalar, SymbolPoly
 from bjcalc.symlang import (
     MAX_EXPONENT,
     MAX_TERM_PRODUCTS,
@@ -111,6 +111,18 @@ class TestParsing:
         deep = "(" * 400 + "x" + ")" * 400
         with pytest.raises(SymLangError):
             parse(deep)
+
+    def test_unary_minus_chain_bounded(self):
+        # each minus is one level; the atom under 255 of them is one too many
+        assert parse("-" * 254 + "x") == parse("x")
+        with pytest.raises(SymLangError, match="^expression too deeply nested"):
+            parse("-" * 255 + "x")
+
+    def test_dimension_and_input_type_checked(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            parse("x", 0)
+        with pytest.raises(TypeError, match="input must be a string"):
+            parse(b"x")
 
     def test_exponent_cap(self):
         with pytest.raises(SymLangError):
@@ -533,10 +545,10 @@ class TestOperatorFormatting:
 
     def test_zero_and_identity(self):
         assert format_operator(OpPoly.zero(1)) == "0"
-        assert format_operator(OpPoly.identity(1)) == "1"
+        assert format_operator(OpPoly.constant(1, ONE)) == "1"
 
     def test_two_dim_names(self):
-        op = OpPoly.word(2, (1, 0), (0, 2))
+        op = OpPoly.monomial(2, x=(1, 0), p=(0, 2))
         assert format_operator(op) == "xhat1*phat2^2"
 
 
@@ -574,7 +586,7 @@ class TestRepr:
              "OpPoly(xhat^2*phat^2 - 2*i*hbar*xhat*phat - (1/2)*hbar^2)"),
             (bj, "OpPoly(xhat1*phat1^2 - (1/3)*xhat2*phat2 - i*hbar*phat1 + (1/6)*i*hbar)"),
             (OpPoly.zero(2), "OpPoly(0)"),
-            (OpPoly.identity(1), "OpPoly(1)"),
+            (OpPoly.constant(1, ONE), "OpPoly(1)"),
             (SymbolPoly.variable(1, "x"), "SymbolPoly(x)"),
             (SymbolPoly.zero(2), "SymbolPoly(0)"),
             (amplitude + AmplitudePoly.constant(1, ExactScalar.hbar()),

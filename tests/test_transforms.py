@@ -72,6 +72,11 @@ class TestCoefficients:
         assert {k: c_coeff_1d(k) for k in range(0, 9, 2)} == expected
         assert all(c_coeff_1d(k) == 0 for k in range(1, 13, 2))
 
+    @pytest.mark.parametrize("coefficient", [bernoulli, c_coeff_1d])
+    def test_negative_index_rejected(self, coefficient):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            coefficient(-1)
+
     def test_multi_reduces_to_1d(self):
         for k in range(0, 11):
             assert c_coeff_multi((k,)) == c_coeff_1d(k)
