@@ -172,14 +172,11 @@ def _named_state(text: str, grid: UniformGrid, hbar: float):
 def _named_symbol(text: str, grid: UniformGrid, hbar: float, max_degree: int):
     """Resolve a 1-D symbol argument: a named generator or a symbol expression.
     A named symbol's degree error names no position: the user typed no text."""
-    if text.startswith("sinc-null:"):
-        x0, p0 = _fields(text, "sinc-null:X0:P0", float, "null-point coordinates")
+    if text.partition(":")[0] == "sinc-null":
+        _fields(text, "sinc-null", float, "")  # a bare name: no values
         from .numeric import null_symbol
 
-        try:
-            return null_symbol(grid, hbar, x0, p0)[0]
-        except ValueError as exc:  # the point lies outside the grid
-            raise UsageError(str(exc)) from None
+        return null_symbol(grid, hbar)[0]
     if text == "harmonic":
         named = symlang.parse("1/2*x^2 + 1/2*p^2")
     elif text.startswith("monomial:"):
@@ -539,7 +536,7 @@ def build_parser() -> _Parser:
     a = sub.add_parser("apply", help="apply a quantized operator to a state")
     _add_common(a, top=False)
     a.add_argument("symbol",
-                   help="expression, harmonic, monomial:R:S, or sinc-null:X0:P0")
+                   help="expression, harmonic, sinc-null, or monomial:R:S")
     a.add_argument("state", help="gaussian, hermite:K, or a .csv path")
     a.add_argument("--scheme", default="weyl",
                    help="weyl, tau:VALUE, bj-quadrature, or bj-sinc")
@@ -588,16 +585,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        with warnings.catch_warnings():
-            # each warning is one stderr line, without its source location
-            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-            return args.func(args, sys.stdout)
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a command that fails says only its error; each warning of one that ends
+    # is one stderr line, without its source location
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -200,15 +200,16 @@ class SampledWavefunction(_Samples):
     """Complex samples of a configuration-space state on a UniformGrid."""
 
     def norm(self) -> float:
-        """sqrt(dx sum |v|^2), with v scaled by the power of two at or above
+        """sqrt(dx sum |v|^2), with v scaled by the power of two at or below
         max |v|: exact, so an ordinary state keeps the unscaled bits, and a
-        finite state whose squares overflow still has a finite norm."""
+        finite state whose squares overflow still has a finite norm (or inf,
+        where the norm itself is past double range)."""
         with np.errstate(over="ignore"):
             magnitudes = np.abs(self.values)
         peak = float(np.max(magnitudes))
         if not 0.0 < peak < inf:
             return peak
-        scale = ldexp(1.0, frexp(peak)[1])
+        scale = ldexp(0.5, frexp(peak)[1])
         magnitudes /= scale
         return scale * sqrt(self.grid.spacing * float(np.sum(magnitudes**2)))
 
@@ -690,6 +691,11 @@ def _apply_poly(a: SymbolPoly, psi: SampledWavefunction, scheme: Scheme) -> np.n
     and added to the result there, and a monomial holds a few state-sized
     arrays whatever its degree.  The centring signs go on psi once and on
     the real factor x^o (see the module docstring).
+
+    Each transform's round-off is about eps max|g_hat| at every mode, and p^s
+    multiplies it by up to p_max^s, so on a fine grid it swamps the modes of
+    a smooth state.  Every mode below 4 eps max|g_hat| (eps the double
+    machine epsilon) is therefore set to zero before the p^s products.
     """
     n = psi.grid.n_points
     signs = np.tile([1.0, -1.0], n // 2)
@@ -710,6 +716,8 @@ def _apply_poly(a: SymbolPoly, psi: SampledWavefunction, scheme: Scheme) -> np.n
             if g_hat is None:
                 g_hat = (x**j) * phi
                 np.fft.fft(g_hat, out=g_hat)
+                magnitudes = np.abs(g_hat)
+                g_hat[magnitudes < 4 * np.finfo(float).eps * magnitudes.max()] = 0
             term = (c * weight) * (p**s) * g_hat
             if r - j in inner:
                 inner[r - j] += term
@@ -1019,41 +1027,27 @@ def _periodized_gaussian(u: np.ndarray, period: float) -> np.ndarray:
 
 
 def null_symbol(
-    grid: UniformGrid,
-    hbar: float = 1.0,
-    x0: float | None = None,
-    p0: float | None = None,
+    grid: UniformGrid, hbar: float = 1.0
 ) -> tuple[SampledSymbol, tuple[float, float]]:
     """Windowed phase-space exponential annihilated by the Born-Jordan rule.
 
     Builds c(z) = exp(-i sigma(z, z0)/hbar) w(x) w(p) with z0 = (x0, p0) on
     the grid, where w is a smooth periodized Gaussian one box wide, in x and
-    in p; the symplectic transform of c is then concentrated at z0.
-    Requested coordinates are snapped to grid points; with x0 and p0 omitted
-    a balanced point with x0 p0 = 2 pi hbar is chosen, where the Born-Jordan
-    filter vanishes.  Returns the symbol and the z0 used.
+    in p; the symplectic transform of c is then concentrated at z0.  z0 is
+    the grid point (m dx, k dp) with m k = N, the most balanced such
+    factorisation, so x0 p0 = 2 pi hbar and the Born-Jordan filter vanishes
+    there.  Returns the symbol and z0.
     """
     _check_hbar(hbar)
     n = grid.n_points
-    if x0 is None and p0 is None:
-        # factor n = m_idx * k_idx with both offsets inside the grid, the
-        # most balanced first; m_idx = 4 qualifies on every grid (n >= 16)
-        m_idx = min(
-            (m for m in range(1, n // 2) if n % m == 0 and n // m < n // 2),
-            key=lambda m: abs(m * grid.spacing - (n // m) * grid.p_spacing(hbar)),
-        )
-        k_idx = n // m_idx
-    elif x0 is not None and p0 is not None:
-        m, k = x0 / grid.spacing, p0 / grid.p_spacing(hbar)
-        # n/2 is even, so round() takes +-(n/2 - 1/2) off the grid to +-n/2;
-        # testing before rounding also rejects an infinite or NaN offset
-        if not (abs(m) < n / 2 - 0.5 and abs(k) < n / 2 - 0.5):
-            raise ValueError("null point lies outside the grid")
-        m_idx, k_idx = round(m), round(k)
-    else:
-        raise ValueError("give both coordinates or neither")
+    # both offsets inside the grid, the most balanced first; m = 4 qualifies
+    # on every grid (n >= 16)
+    m_idx = min(
+        (m for m in range(1, n // 2) if n % m == 0 and n // m < n // 2),
+        key=lambda m: abs(m * grid.spacing - (n // m) * grid.p_spacing(hbar)),
+    )
     x0 = m_idx * grid.spacing
-    p0 = k_idx * grid.p_spacing(hbar)
+    p0 = (n // m_idx) * grid.p_spacing(hbar)
 
     x = grid.x_values()
     p = grid.p_values(hbar)

@@ -73,6 +73,7 @@ def apply_argvs(draw):
         st.just("harmonic"),
         st.tuples(st.integers(-1, cli.MAX_APPLY_DEGREE + 1), st.integers(0, 40)).map(
             lambda rs: "monomial:{}:{}".format(*rs)),
+        st.just("sinc-null"),
         st.tuples(st.sampled_from(["0", "1", "-2.5", "6.3", "15", "nan"]),
                   st.sampled_from(["0", "1", "6.28", "-3", "1e308"])).map(
             lambda z: "sinc-null:{}:{}".format(*z)),
