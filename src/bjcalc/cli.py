@@ -4,6 +4,13 @@ Subcommands: quantize, convert, coeffs, apply, verify.  Exit codes: 0 on
 success, 1 on usage errors, 2 on computation errors, 3 when a verification
 check fails.  Output is deterministic for a fixed command line.
 
+Each subcommand's parser declares only the flags that command reads:
+--output on all (csv only for coeffs and apply), --dim and --max-degree on
+quantize, convert and apply, --max on coeffs, and --hbar, --grid, --box,
+--quadrature and --scheme on apply alone; any other flag is a usage error.
+Flags may also come before the subcommand: main moves them after its words,
+so a flag given on both sides takes its value from before.
+
 quantize, convert and coeffs are pure rational algebra and never import
 NumPy: only apply and verify, and the helpers that apply alone reaches,
 import the numeric layer, where they run.  `verify --output json` reports
@@ -17,7 +24,6 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from itertools import takewhile
 from math import inf, isfinite
 from typing import TYPE_CHECKING
 
@@ -480,47 +486,17 @@ def _cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
-    """Attach the shared flags.
-
-    They live on the top-level parser with real defaults, and on every
-    subparser with suppressed defaults so they can also appear after the
-    subcommand without clobbering values given before it.
-    """
-    S = argparse.SUPPRESS
-
-    def d(value):
-        return value if top else S
-
-    parser.add_argument("--output", choices=("text", "json", "csv"),
-                        default=d("text"))
-    parser.add_argument("--dim", type=int, default=d(1),
-                        help=f"phase-space dimension (at most {MAX_DIM})")
-    parser.add_argument("--hbar", type=float, default=d(1.0))
-    parser.add_argument("--grid", type=int, default=d(512),
-                        help=f"grid points N (at most {MAX_GRID_POINTS})")
-    parser.add_argument("--box", type=float, default=d(20.0), help="box length L")
-    parser.add_argument("--quadrature", type=int, default=d(16),
-                        help="Gauss-Legendre order for the averaged rule "
-                        f"(at most {MAX_QUADRATURE_ORDER})")
-    parser.add_argument("--max-degree", type=int, default=d(64),
-                        help=f"largest symbol degree (at most {MAX_APPLY_DEGREE} for apply)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="bjcalc", description=__doc__.splitlines()[0])
-    _add_common(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
     q = sub.add_parser("quantize", help="quantize a polynomial symbol")
-    _add_common(q, top=False)
     q.add_argument("rule", help="weyl, bj, or tau:VALUE")
     q.add_argument("symbol")
     q.set_defaults(func=_cmd_quantize)
 
     c = sub.add_parser("convert", help="convert between calculi symbols")
-    _add_common(c, top=False)
     c.add_argument("direction",
                    help="FROM-to-TO, each of FROM and TO weyl, bj, or tau:VALUE "
                    "(weyl-to-bj, bj-to-tau:1/3, tau:0-to-bj), or tau-shift:FROM:TO")
@@ -528,59 +504,58 @@ def build_parser() -> _Parser:
     c.set_defaults(func=_cmd_convert)
 
     t = sub.add_parser("coeffs", help="tabulate the conversion coefficients")
-    _add_common(t, top=False)
     t.add_argument("--max", type=int, default=12,
                    help=f"largest order (at most {MAX_COEFF_ORDER})")
     t.set_defaults(func=_cmd_coeffs)
 
     a = sub.add_parser("apply", help="apply a quantized operator to a state")
-    _add_common(a, top=False)
     a.add_argument("symbol",
                    help="expression, harmonic, sinc-null, or monomial:R:S")
     a.add_argument("state", help="gaussian, hermite:K, or a .csv path")
     a.add_argument("--scheme", default="weyl",
                    help="weyl, tau:VALUE, bj-quadrature, or bj-sinc")
+    a.add_argument("--hbar", type=float, default=1.0)
+    a.add_argument("--grid", type=int, default=512,
+                   help=f"grid points N (at most {MAX_GRID_POINTS})")
+    a.add_argument("--box", type=float, default=20.0, help="box length L")
+    a.add_argument("--quadrature", type=int, default=16,
+                   help="Gauss-Legendre order for the averaged rule "
+                   f"(at most {MAX_QUADRATURE_ORDER})")
     a.set_defaults(func=_cmd_apply)
 
     v = sub.add_parser("verify", help="run the built-in identity checks")
-    _add_common(v, top=False)
     v.set_defaults(func=_cmd_verify)
 
+    for command in (q, c, a):
+        command.add_argument("--dim", type=int, default=1,
+                             help=f"phase-space dimension (at most {MAX_DIM})")
+        command.add_argument("--max-degree", type=int, default=64,
+                             help="largest symbol degree "
+                             f"(at most {MAX_APPLY_DEGREE} for apply)")
+    # csv is for the tables: coeffs's and the state apply prints
+    for command in (q, c, t, a, v):
+        command.add_argument("--output", default="text", choices=(
+            ("text", "json", "csv") if command in (t, a) else ("text", "json")))
     parser.commands = tuple(sub.choices)
     return parser
 
 
-def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """parser.parse_args, except that an unknown flag before the subcommand
-    is named: argparse sets such a flag aside and takes its value for the
-    subcommand, so it would name the value."""
-    try:
-        return parser.parse_args(argv)
-    except UsageError:
-        top = _Parser(add_help=False)
-        _add_common(top, top=True)
-        try:
-            extras = top.parse_known_args(list(takewhile(
-                lambda word: word not in parser.commands, argv)))[1]
-        except UsageError:
-            extras = []
-        if extras[:1] and extras[0].startswith("--"):
-            raise UsageError(f"unrecognized arguments: {' '.join(extras)}") from None
-        raise
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the words before the subcommand are its flags: they go after its own
+    # words, and before a "--" among them, so that each reaches the
+    # subcommand's parser, which names an unknown flag with its value
+    at = next((i for i, word in enumerate(argv) if word in parser.commands), 0)
+    end = argv.index("--", at) if "--" in argv[at:] else len(argv)
     try:
-        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
-        if args.max_degree < 0:
+        args = parser.parse_args(argv[at:end] + argv[:at] + argv[end:])
+        if getattr(args, "max_degree", 0) < 0:
             raise UsageError("--max-degree must be non-negative")
-        if args.dim < 1:
+        if getattr(args, "dim", 1) < 1:
             raise UsageError("--dim must be positive")
-        if args.dim > MAX_DIM:
+        if getattr(args, "dim", 1) > MAX_DIM:
             raise UsageError(f"--dim must be at most {MAX_DIM}")
-        if args.output == "csv" and args.command not in ("coeffs", "apply"):
-            raise UsageError(f"{args.command} has no csv output (use text or json)")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -392,14 +392,22 @@ class ExactScalar(_FlatPoly):
     def to_complex(self, hbar: float) -> complex:
         """Numeric value at a concrete hbar; requires no tau.
 
-        Each coefficient is rounded once, from its exact Fraction.
+        With hbar = P/Q exactly, the real and the imaginary part are each
+        one integer numerator over _den Q^top, so each is rounded once, by
+        one correctly rounded int division.
         """
         if self.has_aux():
             raise ValueError("scalar still carries an auxiliary variable")
-        total = 0j
-        for (h, _), (re, im) in self.terms.items():
-            total += complex(re, im) * hbar ** h
-        return total
+        try:
+            p, q = float(hbar).as_integer_ratio()
+            top = max((h for h, _ in self._num), default=0)
+            weights = {h: p ** h * q ** (top - h) for h, _ in self._num}
+            den = self._den * q ** top
+            return complex(sum(re * weights[h] for (h, _), (re, _) in self._num.items()) / den,
+                           sum(im * weights[h] for (h, _), (_, im) in self._num.items()) / den)
+        except OverflowError:
+            raise ValueError(
+                f"a coefficient exceeds the double range at hbar = {hbar:g}") from None
 
 
 ONE = ExactScalar.one()

@@ -511,7 +511,10 @@ def _ordering_measure(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(scheme, (Weyl, Tau)):
         if scheme.tau is None:
             raise ValueError("the grid layer needs a numeric ordering parameter, not Tau()")
-        return np.array([float(scheme.tau)]), np.array([1.0])
+        try:
+            return np.array([float(scheme.tau)]), np.array([1.0])
+        except OverflowError:
+            raise ValueError("the ordering parameter exceeds the double range") from None
     if isinstance(scheme, BJQuadrature):
         nodes, weights = np.polynomial.legendre.leggauss(scheme.order)
         return (nodes + 1.0) / 2.0, weights / 2.0

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -211,10 +212,10 @@ class TestLeadingDash:
         code, out, err = run(argv + ["apply", "harmonic", "gaussian"])
         assert (code, out) == (1, "") and message in err
 
-    def test_exact_commands_ignore_hbar(self):
-        assert run(["--hbar", "-1e-3", "quantize", "weyl", "x*p"]) == run(
-            ["quantize", "weyl", "x*p"]
-        )
+    def test_exact_commands_reject_hbar(self):
+        # hbar is formal in quantize's output: a numeric one is a usage error
+        assert run(["--hbar", "-1e-3", "quantize", "weyl", "x*p"]) == (
+            1, "", "error: unrecognized arguments: --hbar -1e-3\n")
 
     def test_help_and_unknown_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -222,6 +223,69 @@ class TestLeadingDash:
         assert exc.value.code == 0 and "usage: bjcalc" in capsys.readouterr().out
         code, _, err = run(["--bogus", "quantize", "weyl", "x*p"])
         assert code == 1 and "--bogus" in err
+
+
+# the flags each command reads, each with a value it accepts, and a command
+# line for each command
+READS = {
+    "quantize": {"--output": "json", "--dim": "2", "--max-degree": "8"},
+    "convert": {"--output": "json", "--dim": "2", "--max-degree": "8"},
+    "coeffs": {"--output": "csv", "--max": "4"},
+    "apply": {"--output": "csv", "--dim": "1", "--max-degree": "8", "--hbar": "0.5",
+              "--grid": "64", "--box": "16", "--quadrature": "4", "--scheme": "bj-quadrature"},
+    "verify": {"--output": "json"},
+}
+BODIES = {
+    "quantize": ["quantize", "bj", "x1^2*p1^2"],
+    "convert": ["convert", "weyl-to-bj", "x1^2*p1^2"],
+    "coeffs": ["coeffs"],
+    "apply": ["apply", "harmonic", "hermite:1"],
+    "verify": ["verify"],
+}
+VALUES = {flag: value for reads in READS.values() for flag, value in reads.items()}
+# argparse reads a flag's unique prefix as that flag, so --max is --max-degree
+# on a command that reads --max-degree
+UNREAD = [(command, flag) for command, reads in READS.items() for flag in VALUES
+          if not any(read.startswith(flag) for read in reads)]
+
+
+class TestFlagOwnership:
+    """Each command reads its own flags, before or after its words."""
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_is_a_usage_error(self, command, flag, before):
+        words = [flag, VALUES[flag]]
+        argv = words + BODIES[command] if before else BODIES[command] + words
+        assert run(argv) == (1, "", f"error: unrecognized arguments: {flag} {VALUES[flag]}\n")
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, reads in READS.items() for flag in reads])
+    def test_read_flag_prints_the_same_before_or_after(self, command, flag):
+        words = [flag, READS[command][flag]]
+        after = run(BODIES[command] + words)
+        assert after[0] == 0 and after[1]
+        assert run(words + BODIES[command]) == after
+
+    def test_double_dash_keeps_the_flags_before_it(self):
+        # the flags before the subcommand go before the "--", not after it
+        argv = ["--output", "json", "convert", "weyl-to-bj", "--", "-x^2*p^2"]
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["terms"][0] == {
+            "x": [2], "p": [2], "coeff": {"re": "-1", "im": "0", "hbar_pow": 0}}
+        assert run(argv) == run(argv[:4] + argv[5:])
+
+    def test_a_flag_before_the_subcommand_wins(self):
+        # the words before the subcommand are read after its own
+        assert run(["--output", "json", "coeffs", "--max", "2", "--output", "csv"]) == run(
+            ["coeffs", "--max", "2", "--output", "json"])
+
+    def test_help_lists_each_commands_own_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["quantize", "-h"])
+        text = capsys.readouterr().out
+        assert "--max-degree" in text and "--grid" not in text
 
 
 class TestConvert:
@@ -631,9 +695,9 @@ class TestVerifyAndErrors:
         code, _, err = run(["quantize", "weyl", "x^2*p^2", "--max-degree", "3"])
         assert code == 2
         assert "degree" in err
-        code, out, _ = run(["verify", "--max-degree", "4"])
+        code, out, _ = run(["verify", "--output", "json"])
         assert code == 0
-        assert "FAIL" not in out
+        assert all(check["passed"] for check in json.loads(out)["checks"])
 
     def test_determinism(self):
         argv = ["--output", "json", "quantize", "bj", "x^3*p^3 - 1/2*x*p"]
@@ -736,6 +800,13 @@ ERROR_PATHS = [
     # a bad value before the subcommand is argparse's own message
     (["--dim", "x", "apply", "harmonic", "gaussian"], 1,
      "argument --dim: invalid int value: 'x'"),
+    # a value past double range: a coefficient at the given hbar, or tau
+    (["apply", "10^400*x", "gaussian"], 2,
+     "a coefficient exceeds the double range at hbar = 1"),
+    (["--hbar", "1e200", "apply", "hbar^2*x", "gaussian"], 2,
+     "a coefficient exceeds the double range at hbar = 1e+200"),
+    (lambda: numeric.apply_operator(symlang.parse("x*p"), _state(), Tau(Fraction(10**400))),
+     ValueError, "the ordering parameter exceeds the double range"),
 ]
 
 
@@ -755,6 +826,19 @@ def test_apply_prints_a_finite_norm(argv):
     assert (code, err) == (0, warning if argv[:2] == ["--box", "2"] else "")
     norm = float(out.splitlines()[1].removeprefix("norm="))
     assert 0 < norm < float("inf")
+
+
+def test_coefficient_within_range_at_a_large_hbar():
+    # 1e-300 hbar^2 is 1e100 at hbar = 1e200, though hbar^2 is past double
+    # range; x psi has norm sqrt(hbar/2) where the box holds the state
+    code, out, err = run(["--hbar", "1e200", "apply", "1/10^300*hbar^2*x", "gaussian"])
+    assert code == 0 and err.startswith("warning: ") and err.count("\n") == 1
+    assert 0 < float(out.splitlines()[1].removeprefix("norm=")) < float("inf")
+    code, out, err = run(["--hbar", "1e200", "--box", "2e101", "apply",
+                          "1/10^300*hbar^2*x", "gaussian"])
+    assert (code, err) == (0, "")
+    norm = float(out.splitlines()[1].removeprefix("norm="))
+    assert norm == pytest.approx(1e100 * (1e200 / 2) ** 0.5, rel=1e-9)
 
 
 @pytest.mark.parametrize("argv", [

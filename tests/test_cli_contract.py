@@ -6,6 +6,8 @@ stderr is exactly one `error:` line; an exit 2 comes from an exception raised
 in the package, not in NumPy or the builtins; an exit 0 prints no inf or nan;
 and the run ends in bounded time.  Grids stay at 256 points or fewer, while
 --quadrature and --max-degree range up to their bounds and one past them.
+Each command draws the flags it reads, and now and then an exact command
+draws one it does not, a usage error.
 """
 
 import io
@@ -29,7 +31,8 @@ TAU_VALUES = st.sampled_from(
     3 * ["0", "1", "1/2", "1/3", "-1/2", "0.3", "2", "1e-3", "7/5", "1e3"] + ["1/0", "abc", ""]
 )
 CALCULI = st.one_of(st.sampled_from(["weyl", "bj"]), TAU_VALUES.map("tau:{}".format))
-ATOMS = st.sampled_from(["x", "p", "x", "p", "hbar", "i", "1/3", "-2", "0"])
+# 10^400 is past double range: apply rounds it to a float and must say so
+ATOMS = st.sampled_from(["x", "p", "x", "p", "hbar", "i", "1/3", "-2", "0", "10^400"])
 
 
 @st.composite
@@ -94,17 +97,26 @@ def mostly(valid, invalid):
     return st.sampled_from(3 * valid + invalid)
 
 
+# flags that an exact command does not read, each with a value apply accepts
+GRID_FLAGS = {"--hbar": "0.5", "--grid": "64", "--box": "8", "--quadrature": "4",
+              "--scheme": "weyl"}
+SYMBOL_FLAGS = {"--dim": "1", "--max-degree": "64"}
+
+
 @st.composite
-def shared_flags(draw, command):
-    """Shared flags, each drawn or left out; apply gets the numeric ones and
-    always a --grid, so that no grid is above 256 points."""
-    flags = [
-        ("--output", mostly(["text", "json"], ["csv"])),
-        ("--dim", mostly(["1", "1", "1"], ["2", "0", str(cli.MAX_DIM + 1)])),
-        ("--max-degree", st.one_of(
-            mostly(["2", "64"], ["0", "-1"]),
-            st.integers(0, cli.MAX_APPLY_DEGREE + 1).map(str))),
-    ]
+def command_flags(draw, command):
+    """The command's flags, each drawn or left out: --dim and --max-degree
+    for the commands that read them, and for apply the numeric ones and
+    always a --grid, so that no grid is above 256 points.  One draw in about
+    twenty of an exact command adds one flag it does not read."""
+    flags = [("--output", mostly(["text", "json"], ["csv"]))]
+    if command != "coeffs":
+        flags += [
+            ("--dim", mostly(["1", "1", "1"], ["2", "0", str(cli.MAX_DIM + 1)])),
+            ("--max-degree", st.one_of(
+                mostly(["2", "64"], ["0", "-1"]),
+                st.integers(0, cli.MAX_APPLY_DEGREE + 1).map(str))),
+        ]
     if command == "apply":
         flags += [
             ("--box", mostly(["20", "8", "2", "40"], ["-4", "0", "inf", "nan"])),
@@ -119,6 +131,10 @@ def shared_flags(draw, command):
     for flag, values in flags:
         if draw(st.booleans()):
             argv += [flag, draw(values)]
+    if command != "apply" and draw(st.sampled_from(19 * [False] + [True])):
+        unread = GRID_FLAGS | (SYMBOL_FLAGS if command == "coeffs" else {})
+        flag = draw(st.sampled_from(sorted(unread)))
+        argv += [flag, unread[flag]]
     return argv
 
 
@@ -127,8 +143,8 @@ def argvs(draw):
     command = draw(st.sampled_from(["quantize", "convert", "coeffs", "apply", "apply"]))
     body = draw({"quantize": quantize_argvs(), "convert": convert_argvs(),
                  "coeffs": coeffs_argvs(), "apply": apply_argvs()}[command])
-    flags = draw(shared_flags(command))
-    # the shared flags go before or after the subcommand's words
+    flags = draw(command_flags(command))
+    # the flags go before or after the subcommand's words
     return flags + body if draw(st.booleans()) else body + flags
 
 

@@ -169,6 +169,24 @@ class TestScalarValidation:
         assert v.to_complex(0.0) == complex(float(q), float(-q))
         assert ExactScalar.hbar().scale(q).to_complex(1.0) == complex(float(q), 0.0)
 
+    def test_to_complex_rounds_a_cancelling_sum_once(self):
+        # -(5/3) i hbar + (500/27) i hbar^3 nearly cancels at hbar = 0.3: a
+        # sum of rounded terms read -5.55e-17 i, the exact value -3.70e-17 i
+        v = (ExactScalar.hbar().scale(ExactScalar.rational(0, Fraction(-5, 3)))
+             + ExactScalar.hbar(3).scale(ExactScalar.rational(0, Fraction(500, 27))))
+        h = Fraction(0.3)
+        exact = Fraction(-5, 3) * h + Fraction(500, 27) * h**3
+        assert v.to_complex(0.3) == complex(0.0, float(exact))
+        assert abs(float(exact) + 3.70e-17) < 1e-19
+
+    def test_to_complex_past_double_range_names_hbar(self):
+        big = ExactScalar.hbar(2).scale(Fraction(1, 10**300))
+        assert big.to_complex(1e200) == 1e100  # 1e400 * 1e-300, rounded once
+        with pytest.raises(ValueError, match=r"exceeds the double range at hbar = 1e\+200"):
+            ExactScalar.hbar(2).to_complex(1e200)
+        with pytest.raises(ValueError, match="exceeds the double range at hbar = 1"):
+            ExactScalar.rational(10**400).to_complex(1.0)
+
 
 @st.composite
 def symbol_polys(draw, dim):
